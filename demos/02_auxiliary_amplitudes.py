@@ -3,7 +3,9 @@
 Two independent routes are compared: the closed form built from a basis of
 the reduced linear equation (square root of a quadratic form), and direct
 adaptive integration.  The phase theta = integral dt/sigma^2 accumulates as
-an extra state component of the same stepper.
+an extra state component of the same stepper.  `integrate_ep` returns the
+trajectory as one `ErmakovState` whose fields are columns over the output
+times.
 """
 
 import math
@@ -20,9 +22,9 @@ m = models.harmonic(omega0=1.0)
 
 # branch 1: the time-independent amplitude sigma = 1/sqrt(2 omega0)
 states = ermakov.integrate_ep(m, 0.25, (SQ2, 0.0), 0.0, 20.0)
-drift = max(abs(s.sigma - SQ2) for s in states)
+drift = np.max(np.abs(states.sigma - SQ2))
 print(f"constant branch: max |sigma - 1/sqrt(2)| = {drift:.2e}")
-print(f"phase theta(20) = {states[-1].theta:.12f}   (2*omega0*t = 40)")
+print(f"phase theta(20) = {states.theta[-1]:.12f}   (2*omega0*t = 40)")
 
 # branch 2: oscillating amplitude fixed by the first integral
 #   sigma'^2 + omega0^2 sigma^2 + 1/(4 sigma^2) = k
@@ -31,18 +33,17 @@ s0, sd0 = ermakov.sigma_oscillating(1.0, kconst, 0.0, 0.0)
 print(f"\noscillating branch (k={kconst}): sigma(0)^2 = {float(s0)**2:.10f}"
       f"   ((2-sqrt(3))/2 = {(2 - math.sqrt(3)) / 2:.10f})")
 states = ermakov.integrate_ep(m, 0.25, (float(s0), float(sd0)), 0.0, 20.0)
-worst = max(abs(s.sigma - float(ermakov.sigma_oscillating(1.0, kconst, 0.0,
-                                                          s.t)[0]))
-            for s in states)
+closed, _ = ermakov.sigma_oscillating(1.0, kconst, 0.0, states.t)
+worst = np.max(np.abs(states.sigma - closed))
 print(f"closed form vs integration: max |diff| = {worst:.2e}")
-kdrift = max(abs(s.k - kconst) for s in states)
+kdrift = np.max(np.abs(states.k - kconst))
 print(f"first-integral drift: {kdrift:.2e}")
 
 th = ermakov.phase_closed_form(
     "harmonic_oscillating", {"omega0": 1.0, "kconst": kconst, "c1": 0.0},
     0.0, 20.0)
 print(f"branch-corrected arctan phase: {th:.10f}  "
-      f"(integrated: {states[-1].theta:.10f})")
+      f"(integrated: {states.theta[-1]:.10f})")
 
 # --- damped model with negative effective frequency: hyperbolic branch -------
 
@@ -51,12 +52,12 @@ L = math.sqrt(0.16)
 c1, c2 = ermakov.fit_hyperbolic(L, 1.0, 0.0, 0.0)
 print(f"\ndamped model, Omega^2 = -0.16: fitted c1={c1:.6f}, c2={c2:.6f}")
 states = ermakov.integrate_ep(mk, 0.25, (1.0, 0.0), 0.0, 3.0)
-worst = max(abs(s.sigma - float(ermakov.sigma_hyperbolic(L, c1, c2, s.t)[0]))
-            for s in states)
+closed, _ = ermakov.sigma_hyperbolic(L, c1, c2, states.t)
+worst = np.max(np.abs(states.sigma - closed))
 print(f"cosh-form closed branch vs integration: max |diff| = {worst:.2e}")
-print(f"sigma grows to {states[-1].sigma:.4f} by t=3 "
+print(f"sigma grows to {states.sigma[-1]:.4f} by t=3 "
       "(tanh-arctan phase stays bounded):")
-print(f"theta(3) = {states[-1].theta:.10f}")
+print(f"theta(3) = {states.theta[-1]:.10f}")
 
 # --- superposition constants are constrained --------------------------------
 
@@ -64,6 +65,6 @@ pair = ermakov.harmonic_basis(1.0)
 comb = ermakov.oscillating_combination(1.0, kconst, 0.0)
 gap = ermakov.constraint_gap(pair, comb)
 print(f"\nsuperposition constraint A*B - C^2 - K/W0^2 = {gap:.2e}")
-res = max(abs(float(ermakov.pinney_residual(pair, comb, lambda t: 1.0, t)))
-          for t in np.linspace(0.0, 10.0, 101))
+res = np.max(np.abs(ermakov.pinney_residual(pair, comb, lambda t: 1.0,
+                                            np.linspace(0.0, 10.0, 101))))
 print(f"auxiliary-equation residual of the closed form: {res:.2e}")

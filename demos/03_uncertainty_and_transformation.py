@@ -5,7 +5,8 @@ routes — the direct formula, sqrt(varQ*varP), and (hbar/2)|mu+nu||mu-nu| —
 and the coefficients obey |mu|^2 - |nu|^2 = 1 identically.  On the damped
 model the product oscillates above hbar/2; the gap report at the end shows
 how far the oscillating branch strays from saturation as a function of its
-first-integral constant.
+first-integral constant.  Every quantum function takes the whole trajectory
+(an `ErmakovState` of columns) and returns columns.
 """
 
 import numpy as np
@@ -19,26 +20,22 @@ ref = quantum.default_reference(m, 0.0)
 print("damped oscillator, generic amplitude data:")
 print(f"{'t':>5s} {'varQ':>10s} {'varP':>10s} {'product':>10s} "
       f"{'|mu|^2-|nu|^2':>14s} {'route spread':>13s}")
-for s in states:
-    rep = quantum.quadratures(m, s)
-    pair = quantum.bogolubov(m, s, ref)
-    routes = (rep.product,
-              np.sqrt(rep.varQ * rep.varP),
-              quantum.uncertainty_via_bogolubov(pair))
-    spread = max(routes) - min(routes)
-    norm = abs(pair.mu) ** 2 - abs(pair.nu) ** 2
-    print(f"{s.t:5.2f} {rep.varQ:10.5f} {rep.varP:10.5f} {rep.product:10.6f} "
-          f"{norm:14.10f} {spread:13.2e}")
+rep = quantum.quadratures(m, states)
+pair = quantum.bogolubov(m, states, ref)
+routes = np.array([rep.product, np.sqrt(rep.varQ * rep.varP),
+                   quantum.uncertainty_via_bogolubov(pair)])
+spread = routes.max(axis=0) - routes.min(axis=0)
+norm = np.abs(pair.mu) ** 2 - np.abs(pair.nu) ** 2
+for row in zip(states.t, rep.varQ, rep.varP, rep.product, norm, spread):
+    print("{:5.2f} {:10.5f} {:10.5f} {:10.6f} {:14.10f} {:13.2e}".format(*row))
 
 print("\nthe product never dips below hbar/2 = 0.5, and both moduli "
       "identities hold:")
-s = states[-1]
-pair = quantum.bogolubov(m, s, ref)
-mu2, nu2 = quantum.moduli_from_balance(m, s, ref)
-print(f"  direct |mu|^2 = {abs(pair.mu) ** 2:.12f}, "
-      f"balance route = {mu2:.12f}")
-print(f"  direct |nu|^2 = {abs(pair.nu) ** 2:.12f}, "
-      f"balance route = {nu2:.12f}")
+mu2, nu2 = quantum.moduli_from_balance(m, states, ref)
+print(f"  direct |mu|^2 = {abs(pair.mu[-1]) ** 2:.12f}, "
+      f"balance route = {mu2[-1]:.12f}")
+print(f"  direct |nu|^2 = {abs(pair.nu[-1]) ** 2:.12f}, "
+      f"balance route = {nu2[-1]:.12f}")
 
 # saturation gap of the oscillating branch as a function of its constant
 print("\noscillating-branch saturation gap (worst product excess over "

@@ -35,9 +35,8 @@ print(f"\nphase on [0.5, 0.8] from the reciprocal series: {th:.12f}")
 # quantum stack saturates the uncertainty bound on it
 mb = models.bessel_type(order=10)
 mm = minimum.minimum_model(mb, t0=0.1, t1=0.8)
-worst = 0.0
-for st in minimum.sigma_minimum_trajectory(mm, np.linspace(0.1, 0.8, 30)):
-    worst = max(worst, abs(quantum.quadratures(mb, st).product - 0.5))
+st = minimum.sigma_minimum_trajectory(mm, np.linspace(0.1, 0.8, 30))
+worst = np.max(np.abs(quantum.quadratures(mb, st).product - 0.5))
 print(f"bessel_type minimal branch: max |product - 1/2| = {worst:.1e}")
 
 # linear reduction: y = sqrt(t) Z_rho(l t)

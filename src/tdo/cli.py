@@ -35,20 +35,23 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _write_csv(path, header, rows):
+def _write_table(path, fmt, columns):
+    """Write named equal-length columns as CSV (17 digits) or JSON rows."""
+    header = list(columns)
+    rows = np.column_stack(list(columns.values())).tolist()
+    if fmt == "json":
+        _write_json(path, {"columns": header, "rows": rows})
+        return
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, obj):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _write_text(path, text):
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -134,16 +137,29 @@ def _build_model(res):
         raise ConfigError(str(exc))
 
 
+def _number(res, key, default=None):
+    """A finite float from flags or config; ConfigError for anything else."""
+    val = res.get(key)
+    if val is None:
+        val = default
+    try:
+        if isinstance(val, bool):
+            raise TypeError
+        num = float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"--{key} must be a number, got {val!r}")
+    if not math.isfinite(num):
+        raise ConfigError(f"--{key} must be finite, got {val!r}")
+    return num
+
+
 def _time_grid(res):
-    t0 = res.get("t0")
-    t1 = res.get("t1")
-    if t0 is None or t1 is None:
+    if res.get("t0") is None or res.get("t1") is None:
         raise ConfigError("--t0 and --t1 are required")
-    t0, t1 = float(t0), float(t1)
+    t0, t1 = _number(res, "t0"), _number(res, "t1")
     if not t1 > t0:
         raise ConfigError("need t1 > t0")
-    dt = res.get("dt_out")
-    dt = (t1 - t0) / 200.0 if dt is None else float(dt)
+    dt = _number(res, "dt_out", (t1 - t0) / 200.0)
     if not dt > 0.0:
         raise ConfigError("need dt_out > 0")
     n = int(math.floor((t1 - t0) / dt + 1e-9))
@@ -151,17 +167,16 @@ def _time_grid(res):
 
 
 def _tolerance(res, key, default):
-    val = float(res.get(key, default))
+    val = _number(res, key, default)
     if not val > 0.0:
         raise ConfigError(f"--{key} must be positive")
     return val
 
 
 def _initial_conditions(res, model, t0, t1):
-    sigma0 = res.get("sigma0")
-    sigma_dot0 = res.get("sigma_dot0")
-    if sigma0 is not None:
-        return float(sigma0), float(sigma_dot0 or 0.0)
+    sigma_dot0 = _number(res, "sigma_dot0", 0.0)
+    if res.get("sigma0") is not None:
+        return _number(res, "sigma0"), sigma_dot0
     # default: minimal branch when the criterion holds, else the constant
     # branch of the frozen effective frequency, else unit amplitude
     report = minimum.check_criterion(model, t0=t0, t1=t1)
@@ -171,8 +186,8 @@ def _initial_conditions(res, model, t0, t1):
                 0.5 * report.c * float(model.m_dot(t0)) / math.sqrt(m))
     w2 = float(models.omega2(model, t0))
     if w2 > 0.0:
-        return (2.0 * math.sqrt(w2)) ** -0.5, float(sigma_dot0 or 0.0)
-    return 1.0, float(sigma_dot0 or 0.0)
+        return (2.0 * math.sqrt(w2)) ** -0.5, sigma_dot0
+    return 1.0, sigma_dot0
 
 
 def _sweep_jobs(res):
@@ -217,7 +232,8 @@ def cmd_catalog(args):
     return 0
 
 
-def _run_solve_like(args, writer):
+def _run_solve_like(args, columns):
+    """Write the columns built for each job (one, or one per sweep value)."""
     config = _load_config(args.config)
     base_res = _Resolver(args, config)
     jobs = _sweep_jobs(base_res)
@@ -229,56 +245,42 @@ def _run_solve_like(args, writer):
             override[key] = value
             res = _Resolver(argparse.Namespace(**override), config)
         path = out if key is None else _suffixed(out, index)
-        writer(res, path)
+        _write_table(path, res.get("format", "csv"), columns(res))
     return 0
 
 
-def cmd_solve(args):
-    def write_one(res, path):
-        model = _build_model(res)
-        grid = _time_grid(res)
-        init = _initial_conditions(res, model, grid[0], grid[-1])
-        states = ermakov.integrate_ep(
-            model, float(res.get("K", ermakov.DEFAULT_K)), init,
-            grid[0], grid[-1], t_eval=grid,
-            rtol=_tolerance(res, "tol", 1e-10))
-        header, rows = ermakov.trajectory_csv_rows(states)
-        if res.get("format", "csv") == "json":
-            _write_json(path, {"columns": header,
-                               "rows": [list(map(float, r)) for r in rows]})
-        else:
-            _write_csv(path, header, rows)
+def _trajectory(res):
+    model = _build_model(res)
+    grid = _time_grid(res)
+    init = _initial_conditions(res, model, grid[0], grid[-1])
+    traj = ermakov.integrate_ep(
+        model, _number(res, "K", ermakov.DEFAULT_K), init,
+        grid[0], grid[-1], t_eval=grid, rtol=_tolerance(res, "tol", 1e-10))
+    return model, traj
 
-    return _run_solve_like(args, write_one)
+
+def _solve_columns(res):
+    return vars(_trajectory(res)[1])
+
+
+def _uncertainty_columns(res):
+    hbar = _number(res, "hbar", 1.0)
+    model, s = _trajectory(res)
+    rep = quantum.quadratures(model, s, hbar)
+    pair = quantum.bogolubov(model, s,
+                             quantum.default_reference(model, s.t[0]))
+    return {"t": s.t, "varQ": rep.varQ, "varP": rep.varP,
+            "product": rep.product, "mu_re": pair.mu.real,
+            "mu_im": pair.mu.imag, "nu_re": pair.nu.real,
+            "nu_im": pair.nu.imag}
+
+
+def cmd_solve(args):
+    return _run_solve_like(args, _solve_columns)
 
 
 def cmd_uncertainty(args):
-    def write_one(res, path):
-        model = _build_model(res)
-        grid = _time_grid(res)
-        init = _initial_conditions(res, model, grid[0], grid[-1])
-        hbar = float(res.get("hbar", 1.0))
-        states = ermakov.integrate_ep(
-            model, float(res.get("K", ermakov.DEFAULT_K)), init,
-            grid[0], grid[-1], t_eval=grid,
-            rtol=_tolerance(res, "tol", 1e-10))
-        ref = quantum.default_reference(model, grid[0])
-        header = ["t", "varQ", "varP", "product",
-                  "mu_re", "mu_im", "nu_re", "nu_im"]
-        rows = []
-        for s in states:
-            rep = quantum.quadratures(model, s, hbar)
-            pair = quantum.bogolubov(model, s, ref)
-            rows.append([s.t, rep.varQ, rep.varP, rep.product,
-                         pair.mu.real, pair.mu.imag,
-                         pair.nu.real, pair.nu.imag])
-        if res.get("format", "csv") == "json":
-            _write_json(path, {"columns": header,
-                               "rows": [list(map(float, r)) for r in rows]})
-        else:
-            _write_csv(path, header, rows)
-
-    return _run_solve_like(args, write_one)
+    return _run_solve_like(args, _uncertainty_columns)
 
 
 def cmd_verify(args):
@@ -376,8 +378,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run verification suites")
     _add_common(p)
     p.add_argument("--suite", default=None,
-                   help="models|ermakov|quantum|bogolubov|minimum|series|"
-                        "bessel|all")
+                   help="models|ermakov|quantum|minimum|series|bessel|all")
     p.add_argument("--order", type=int)
     p.set_defaults(func=cmd_verify)
 

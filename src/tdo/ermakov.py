@@ -6,7 +6,8 @@ the reduced linear equation (superposition closed form), and by direct
 adaptive integration.  The phase theta = integral dt/sigma^2 and the
 balance functional F = integral d(Omega^2)/dt * sigma^2 dt ride along as
 extra state components of the same stepper, so every quadrature shares the
-trajectory's error control.
+trajectory's error control.  A trajectory is one `ErmakovState` whose
+fields are equal-length columns, one entry per output time.
 """
 
 import math
@@ -48,19 +49,21 @@ class PinneyCombination:
 
 @dataclass(frozen=True)
 class ErmakovState:
-    """Amplitude sample: sigma, its rate, accumulated phase and functionals.
+    """Amplitude state: sigma, its rate, accumulated phase and functionals.
 
+    Fields are floats for one sample and equal-length 1-D arrays for a
+    trajectory; every consumer works elementwise, so both take one code path.
     k is the balance constant sigma'^2 + Omega^2 sigma^2 + K/sigma^2 - F;
     on constant-Omega stretches F = 0 and k is the classical integration
     constant of the auxiliary equation.
     """
 
-    t: float
-    sigma: float
-    sigma_dot: float
-    theta: float
-    k: float
-    F: float
+    t: np.ndarray
+    sigma: np.ndarray
+    sigma_dot: np.ndarray
+    theta: np.ndarray
+    k: np.ndarray
+    F: np.ndarray
 
 
 def harmonic_basis(omega0, q0=1.0):
@@ -220,7 +223,8 @@ def fit_hyperbolic(L, sigma0, sigma_dot0, t0):
 
 def conserved_k(sigma, sigma_dot, omega2_val, K=DEFAULT_K):
     """Balance sigma'^2 + Omega^2 sigma^2 + K/sigma^2 (constant when Omega is)."""
-    return sigma_dot ** 2 + omega2_val * sigma ** 2 + K / sigma ** 2
+    u = sigma * sigma
+    return sigma_dot * sigma_dot + omega2_val * u + K / u
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +237,8 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
 
     State components (sigma, sigma', theta, F) evolve under the same
     adaptive 5(4) stepper; theta' = 1/sigma^2 and F' = d(Omega^2)/dt * sigma^2.
-    Returns ErmakovState samples at t_eval (default: n_out uniform times).
+    Returns one ErmakovState of columns at t_eval (default: n_out uniform
+    times).
     Raises SingularityApproached when sigma falls below sigma_floor and
     DomainError when [t0, t1] leaves the model's domain.
     """
@@ -266,14 +271,10 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
     y0 = np.array([sigma0, sigma_dot0, 0.0, 0.0])
     ts, ys = dopri.solve(rhs, t0, t1, y0, rtol=rtol, atol=atol,
                          t_eval=t_eval, max_step=max_step, step_callback=guard)
-    states = []
-    for t, y in zip(ts, ys):
-        w2 = models.omega2(model, t)
-        k = conserved_k(y[0], y[1], w2, K) - y[3]
-        states.append(ErmakovState(t=float(t), sigma=float(y[0]),
-                                   sigma_dot=float(y[1]), theta=float(y[2]),
-                                   k=float(k), F=float(y[3])))
-    return states
+    sigma, sigma_dot, theta, F = np.reshape(ys, (-1, 4)).T
+    k = conserved_k(sigma, sigma_dot, models.omega2(model, ts), K) - F
+    return ErmakovState(t=ts, sigma=sigma, sigma_dot=sigma_dot, theta=theta,
+                        k=k, F=F)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +347,3 @@ def phase_closed_form(case, params, t0, t1):
         return _series.theta_series(s, t0, t1)
     raise UnknownCase(f"unknown phase case {case!r}; choose from {PHASE_CASES}")
 
-
-def trajectory_csv_rows(states):
-    """Rows for the `t,sigma,sigma_dot,theta,k,F` trajectory format."""
-    header = ["t", "sigma", "sigma_dot", "theta", "k", "F"]
-    rows = [[s.t, s.sigma, s.sigma_dot, s.theta, s.k, s.F] for s in states]
-    return header, rows

@@ -5,10 +5,10 @@ the auxiliary equation exactly, the uncertainty product sits at hbar/2 for
 all times, the transformation coefficients freeze at (mu, nu) = (1, 0), and
 the phase reduces to 2*integral(omega).  The checker estimates c from the
 median of m*omega over a sampling window so endpoint noise in tabulated
-data cannot skew it.
+data cannot skew it.  A minimal-branch trajectory is one `ErmakovState` of
+columns, built by the same state formula as a single sample.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,42 +90,33 @@ def _theta_and_F(mmodel, t0, t):
     return theta, F
 
 
+def _minimal_state(mmodel, t, theta, F):
+    """sigma = c sqrt(m) and its rate at t (float or column), with k."""
+    base, c = mmodel.base, mmodel.c
+    root_m = np.sqrt(np.asarray(base.m(t), dtype=float))
+    sigma = c * root_m
+    sigma_dot = 0.5 * c * np.asarray(base.m_dot(t), dtype=float) / root_m
+    k = conserved_k(sigma, sigma_dot, models.omega2(base, t), DEFAULT_K) - F
+    return ErmakovState(t=t, sigma=sigma, sigma_dot=sigma_dot, theta=theta,
+                        k=k, F=F)
+
+
 def sigma_minimum(mmodel, t, t0):
     """Exact minimal-branch sample: sigma = c sqrt(m), phase from t0."""
-    base, c = mmodel.base, mmodel.c
-    base.domain.require(t)
-    base.domain.require(t0)
-    m = float(base.m(t))
-    sigma = c * math.sqrt(m)
-    sigma_dot = 0.5 * c * float(base.m_dot(t)) / math.sqrt(m)
+    mmodel.base.domain.require(t)
+    mmodel.base.domain.require(t0)
     theta, F = _theta_and_F(mmodel, t0, t)
-    k = conserved_k(sigma, sigma_dot, float(models.omega2(base, t)), DEFAULT_K) - F
-    return ErmakovState(t=float(t), sigma=sigma, sigma_dot=sigma_dot,
-                        theta=theta, k=k, F=F)
+    return _minimal_state(mmodel, float(t), theta, F)
 
 
 def sigma_minimum_trajectory(mmodel, t_grid):
-    """Minimal-branch samples on a grid, phase accumulated from t_grid[0]."""
+    """Minimal-branch columns on a grid, phase accumulated from t_grid[0]."""
     t_grid = np.asarray(t_grid, dtype=float)
-    t0 = float(t_grid[0])
-    states = []
-    theta = F = 0.0
-    prev = t0
-    for t in t_grid:
-        dth, dF = _theta_and_F(mmodel, prev, float(t))
-        theta += dth
-        F += dF
-        prev = float(t)
-        base, c = mmodel.base, mmodel.c
-        m = float(base.m(t))
-        sigma = c * math.sqrt(m)
-        sigma_dot = 0.5 * c * float(base.m_dot(t)) / math.sqrt(m)
-        k = conserved_k(sigma, sigma_dot, float(models.omega2(base, t)),
-                        DEFAULT_K) - F
-        states.append(ErmakovState(t=float(t), sigma=sigma,
-                                   sigma_dot=sigma_dot, theta=theta,
-                                   k=k, F=F))
-    return states
+    ts = t_grid.tolist()
+    steps = [(0.0, 0.0)] + [_theta_and_F(mmodel, a, b)
+                            for a, b in zip(ts, ts[1:])]
+    theta, F = np.cumsum(steps, axis=0).T
+    return _minimal_state(mmodel, t_grid, theta, F)
 
 
 def mass_constraint_residual(mmodel, t):

@@ -1,6 +1,6 @@
-"""Scalar coefficient functions of the quantum layer.
+"""Coefficient functions of the quantum layer, elementwise over a trajectory.
 
-Everything here is an algebraic function of an amplitude sample
+Everything here is an algebraic function of an amplitude state
 (sigma, sigma') and the model coefficients at the same instant:
 
     xi  = (sigma' - M sigma/2) - i/(2 sigma)
@@ -16,9 +16,13 @@ with the transformation-pair identities mu+nu = sqrt(2m/(m0 w0)) eta and
 mu-nu = sqrt(2 m0 w0/m) sigma, so the uncertainty product equals
 (hbar/2) |mu+nu| |mu-nu|.  All quantities assume the K = 1/4 normalization
 of the auxiliary equation.
+
+An `ErmakovState` of floats gives one sample and one of columns gives a
+trajectory; inputs pass through `np.asarray` and squares are written as
+products, so both take the same arithmetic and agree bit for bit.  Report
+fields follow the input: numpy scalars or columns.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +33,19 @@ from .errors import UnitsError
 
 @dataclass(frozen=True)
 class QuadratureReport:
-    t: float
-    varQ: float
-    varP: float
-    xi: complex
-    eta: complex
-    product: float
+    t: np.ndarray
+    varQ: np.ndarray
+    varP: np.ndarray
+    xi: np.ndarray  # complex
+    eta: np.ndarray  # complex
+    product: np.ndarray
     hbar: float
 
 
 @dataclass(frozen=True)
 class BogolubovPair:
-    mu: complex
-    nu: complex
+    mu: np.ndarray  # complex
+    nu: np.ndarray  # complex
     reference: tuple  # (m0, omega0) fixing the Schroedinger-picture operator
 
 
@@ -50,20 +54,42 @@ def _check_hbar(hbar):
         raise UnitsError(f"hbar must be positive, got {hbar}")
 
 
+def _check_reference(reference):
+    m0, w0 = reference
+    if not (m0 > 0.0 and w0 > 0.0):
+        raise UnitsError("reference mass and frequency must be positive")
+    return m0, w0
+
+
+def _complex(re, im):
+    """re + i im exactly (re + 1j*im goes through a complex product)."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z[()]
+
+
+def _sample(model, state):
+    """(m, M, sigma, sigma') at the state's times, as numpy values."""
+    return (np.asarray(model.m(state.t), dtype=float),
+            np.asarray(models.damping_coefficient(model, state.t), dtype=float),
+            np.asarray(state.sigma, dtype=float),
+            np.asarray(state.sigma_dot, dtype=float))
+
+
 def quadratures(model, state, hbar=1.0):
-    """Variances and uncertainty product at one trajectory sample."""
+    """Variances and uncertainty product along a state or trajectory."""
     _check_hbar(hbar)
-    m = float(model.m(state.t))
-    M = float(models.damping_coefficient(model, state.t))
-    sigma, sigma_dot = state.sigma, state.sigma_dot
+    m, M, sigma, sigma_dot = _sample(model, state)
     drift = sigma_dot - 0.5 * M * sigma
-    xi = complex(drift, -0.5 / sigma)
-    eta = -1j * xi.conjugate()
-    varQ = hbar / m * sigma ** 2
-    varP = hbar * m * abs(xi) ** 2
-    product = 0.5 * hbar * math.sqrt(1.0 + 4.0 * sigma ** 2 * drift ** 2)
-    return QuadratureReport(t=state.t, varQ=varQ, varP=varP, xi=xi, eta=eta,
-                            product=product, hbar=hbar)
+    half_inv = 0.5 / sigma
+    xi_abs = np.hypot(drift, half_inv)
+    return QuadratureReport(
+        t=state.t, varQ=hbar / m * (sigma * sigma),
+        varP=hbar * m * (xi_abs * xi_abs),
+        xi=_complex(drift, -half_inv), eta=_complex(half_inv, -drift),
+        product=0.5 * hbar * np.sqrt(1.0 + 4.0 * (sigma * sigma)
+                                     * (drift * drift)),
+        hbar=hbar)
 
 
 def default_reference(model, t0):
@@ -73,14 +99,10 @@ def default_reference(model, t0):
 
 def bogolubov(model, state, reference):
     """Transformation coefficients (mu, nu) relative to a fixed (m0, omega0)."""
-    m0, w0 = reference
-    if not (m0 > 0.0 and w0 > 0.0):
-        raise UnitsError("reference mass and frequency must be positive")
-    m = float(model.m(state.t))
-    M = float(models.damping_coefficient(model, state.t))
-    sigma, sigma_dot = state.sigma, state.sigma_dot
-    eta = complex(0.5 / sigma, 0.5 * M * sigma - sigma_dot)
-    pref = math.sqrt(m / (2.0 * m0 * w0))
+    m0, w0 = _check_reference(reference)
+    m, M, sigma, sigma_dot = _sample(model, state)
+    eta = _complex(0.5 / sigma, 0.5 * M * sigma - sigma_dot)
+    pref = np.sqrt(m / (2.0 * m0 * w0))
     r = m0 * w0 / m
     return BogolubovPair(mu=pref * (eta + r * sigma),
                          nu=pref * (eta - r * sigma),
@@ -90,32 +112,27 @@ def bogolubov(model, state, reference):
 def uncertainty_via_bogolubov(pair, hbar=1.0):
     """(hbar/2) |mu+nu| |mu-nu|, the transformation form of the product."""
     _check_hbar(hbar)
-    return 0.5 * hbar * abs(pair.mu + pair.nu) * abs(pair.mu - pair.nu)
+    return 0.5 * hbar * np.abs(pair.mu + pair.nu) * np.abs(pair.mu - pair.nu)
 
 
 def moduli_from_balance(model, state, reference):
     """(|mu|^2, |nu|^2) through the balance identity rather than directly.
 
-    Uses the sample's k + F together with the model coefficients:
+    Uses the state's k + F together with the model coefficients:
         base = m/(2 m0 w0) [k+F + ((m0 w0/m)^2 + M^2/2 + M'/2 - w^2) sigma^2
                              - M sigma sigma']
         |mu|^2 = base + 1/2,   |nu|^2 = base - 1/2.
     Meaningful whenever F was co-integrated along the trajectory (F = 0 on
     constant-Omega models).
     """
-    m0, w0 = reference
-    if not (m0 > 0.0 and w0 > 0.0):
-        raise UnitsError("reference mass and frequency must be positive")
-    t = state.t
-    m = float(model.m(t))
-    M = float(models.damping_coefficient(model, t))
-    Mdot = float(model.m_ddot(t)) / m - M * M
-    w = float(model.omega(t))
-    sigma, sigma_dot = state.sigma, state.sigma_dot
+    m0, w0 = _check_reference(reference)
+    m, M, sigma, sigma_dot = _sample(model, state)
+    Mdot = model.m_ddot(state.t) / m - M * M
+    w = np.asarray(model.omega(state.t), dtype=float)
     r = m0 * w0 / m
     base = m / (2.0 * m0 * w0) * (
-        state.k + state.F
-        + (r * r + 0.5 * M * M + 0.5 * Mdot - w * w) * sigma ** 2
+        np.asarray(state.k, dtype=float) + state.F
+        + (r * r + 0.5 * M * M + 0.5 * Mdot - w * w) * (sigma * sigma)
         - M * sigma * sigma_dot)
     return base + 0.5, base - 0.5
 
@@ -123,8 +140,8 @@ def moduli_from_balance(model, state, reference):
 def vacuum_expectations(model, state, hbar=1.0):
     """(<Q^2>, <P^2>, <H>) in the vacuum of the instantaneous annihilator."""
     rep = quadratures(model, state, hbar)
-    m = float(model.m(state.t))
-    w = float(model.omega(state.t))
+    m = np.asarray(model.m(state.t), dtype=float)
+    w = np.asarray(model.omega(state.t), dtype=float)
     energy = rep.varP / (2.0 * m) + 0.5 * m * w * w * rep.varQ
     return rep.varQ, rep.varP, energy
 

@@ -32,7 +32,9 @@ def _check(name, max_err, tol):
 
 
 def _rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+    """Worst relative difference of two values or columns."""
+    return np.max(np.abs(a - b)
+                  / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +125,14 @@ def suite_ermakov():
 
     # closed form vs direct integration, constant branch
     st = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0)
-    err = max(_rel(s.sigma, 2.0 ** -0.5) for s in st)
+    err = _rel(st.sigma, 2.0 ** -0.5)
     checks.append(_check("harmonic constant branch vs integration (rel)",
                          err, 1e-6))
 
     # oscillating branch, kconst = 2
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
     st = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)), 0.0, 20.0)
-    err = max(_rel(s.sigma, float(ermakov.sigma_oscillating(1.0, 2.0, 0.0, s.t)[0]))
-              for s in st)
+    err = _rel(st.sigma, ermakov.sigma_oscillating(1.0, 2.0, 0.0, st.t)[0])
     checks.append(_check("harmonic oscillating branch vs integration (rel)",
                          err, 1e-6))
 
@@ -140,98 +141,92 @@ def suite_ermakov():
     L = math.sqrt(0.25 - 0.09)
     c1, c2 = ermakov.fit_hyperbolic(L, 1.0, 0.0, 0.0)
     st_h = ermakov.integrate_ep(mk, 0.25, (1.0, 0.0), 0.0, 3.0)
-    err = max(_rel(s.sigma, float(ermakov.sigma_hyperbolic(L, c1, c2, s.t)[0]))
-              for s in st_h)
+    err = _rel(st_h.sigma, ermakov.sigma_hyperbolic(L, c1, c2, st_h.t)[0])
     checks.append(_check("damped hyperbolic branch vs integration (rel)",
                          err, 1e-6))
 
     # superposition closed form satisfies the auxiliary equation
     pair = ermakov.harmonic_basis(1.0)
     comb = ermakov.oscillating_combination(1.0, 2.0, 0.3)
-    err = max(abs(float(ermakov.pinney_residual(pair, comb, lambda t: 1.0, t)))
-              for t in np.linspace(0.0, 10.0, 101))
+    err = np.max(np.abs(ermakov.pinney_residual(pair, comb, lambda t: 1.0,
+                                                np.linspace(0.0, 10.0, 101))))
     checks.append(_check("superposition form: auxiliary-equation residual",
                          err, 1e-8))
     hpair = ermakov.hyperbolic_basis(L)
     hcomb = ermakov.hyperbolic_combination(L, c1, c2)
-    err = max(abs(float(ermakov.pinney_residual(hpair, hcomb,
-                                                lambda t: -L * L, t)))
-              for t in np.linspace(0.0, 3.0, 61))
+    err = np.max(np.abs(ermakov.pinney_residual(hpair, hcomb, lambda t: -L * L,
+                                                np.linspace(0.0, 3.0, 61))))
     checks.append(_check("hyperbolic superposition: auxiliary-equation "
                          "residual", err, 1e-8))
 
     # Wronskian constancy
-    err = max(_rel(float(pair.wronskian(t)), pair.W0)
-              for t in np.linspace(0.0, 20.0, 201))
+    err = _rel(pair.wronskian(np.linspace(0.0, 20.0, 201)), pair.W0)
     checks.append(_check("basis Wronskian drift (rel)", err, 1e-8))
 
     # conserved k over 20 periods on constant-Omega models
     st = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)), 0.0,
                               20.0 * math.pi, n_out=401)
-    err = max(abs(s.k - st[0].k) for s in st)
+    err = np.max(np.abs(st.k - st.k[0]))
     checks.append(_check("harmonic: conserved k drift over 20 periods",
                          err, 1e-8))
     mk2 = models.kanai_caldirola(omega0=1.0, gamma=1.0)
     Om = math.sqrt(0.75)
     st = ermakov.integrate_ep(mk2, 0.25, (1.0, 0.0), 0.0, 20.0 * math.pi / Om,
                               n_out=401)
-    err = max(abs(s.k - st[0].k) for s in st)
+    err = np.max(np.abs(st.k - st.k[0]))
     checks.append(_check("kanai_caldirola: conserved k drift over 20 periods",
                          err, 1e-8))
 
     # generalized balance with co-integrated F on time-dependent Omega
     me = models.exp_frequency()
     st = ermakov.integrate_ep(me, 0.25, (1.0, 0.3), 0.0, 2.0)
-    err = max(abs(s.k - st[0].k) for s in st)
+    err = np.max(np.abs(st.k - st.k[0]))
     checks.append(_check("exp_frequency: balance constant with co-integrated "
                          "F", err, 1e-7))
     mb = models.bessel_type()
     st = ermakov.integrate_ep(mb, 0.25, (0.3, 0.2), 0.1, 0.8)
-    err = max(abs(s.k - st[0].k) for s in st)
+    err = np.max(np.abs(st.k - st.k[0]))
     checks.append(_check("bessel_type: balance constant with co-integrated F",
                          err, 1e-7))
 
     # phases: closed form vs integrated theta, all six cases
-    err = 0.0
     st = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0)
     err = abs(ermakov.phase_closed_form("harmonic_const", {"omega0": 1.0},
-                                        0.0, 20.0) - st[-1].theta)
+                                        0.0, 20.0) - st.theta[-1])
     checks.append(_check("phase: constant branch", err, 1e-6))
     st = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)), 0.0, 20.0)
     err = abs(ermakov.phase_closed_form(
         "harmonic_oscillating", {"omega0": 1.0, "kconst": 2.0, "c1": 0.0},
-        0.0, 20.0) - st[-1].theta)
+        0.0, 20.0) - st.theta[-1])
     checks.append(_check("phase: oscillating branch (branch-corrected "
                          "arctan)", err, 1e-6))
     err = abs(ermakov.phase_closed_form(
         "kc_hyperbolic", {"omega0": 0.3, "gamma": 1.0, "c1": c1, "c2": c2},
-        0.0, 3.0) - st_h[-1].theta)
+        0.0, 3.0) - st_h.theta[-1])
     checks.append(_check("phase: hyperbolic branch", err, 1e-6))
 
     mme = minimum.minimum_model(me)
     st = ermakov.integrate_ep(me, 0.25, _min_init(me, 0.0, mme.c), 0.0, 1.0)
     err = abs(ermakov.phase_closed_form(
         "exp_frequency", {"omega0": 1.0, "gamma0": 1.0}, 0.0, 1.0)
-        - st[-1].theta)
+        - st.theta[-1])
     checks.append(_check("phase: exp_frequency minimal branch", err, 1e-6))
     mt = models.tsquared()
     mmt = minimum.minimum_model(mt)
     st = ermakov.integrate_ep(mt, 0.25, _min_init(mt, 1.0, mmt.c), 1.0, 2.0)
     err = abs(ermakov.phase_closed_form(
-        "tsquared", {"m0": 1.0, "c": 1.0}, 1.0, 2.0) - st[-1].theta)
+        "tsquared", {"m0": 1.0, "c": 1.0}, 1.0, 2.0) - st.theta[-1])
     checks.append(_check("phase: tsquared minimal branch", err, 1e-6))
     mmb = minimum.minimum_model(mb)
     st = ermakov.integrate_ep(mb, 0.25, _min_init(mb, 0.5, mmb.c), 0.5, 0.8)
     sseries = series.build_series(1.0, 2.0, 1.0, mb.params["order"])
     err = abs(ermakov.phase_closed_form(
-        "bessel_series", {"series": sseries}, 0.5, 0.8) - st[-1].theta)
+        "bessel_series", {"series": sseries}, 0.5, 0.8) - st.theta[-1])
     checks.append(_check("phase: bessel-type series branch", err, 1e-6))
 
     # theta must never decrease
-    worst = 0.0
-    for states in (st, st_h):
-        th = np.array([s.theta for s in states])
-        worst = max(worst, float(np.max(np.maximum(0.0, -np.diff(th)))))
+    worst = max(float(np.max(np.maximum(0.0, -np.diff(states.theta))))
+                for states in (st, st_h))
     checks.append(_check("theta nondecreasing along trajectories", worst, 0.0))
     return checks
 
@@ -266,26 +261,30 @@ def _catalog_trajectories():
 
 def suite_quantum():
     checks = []
-    norm_err = bound_gap = route_err = ident_err = 0.0
-    for model, states, t0 in _catalog_trajectories():
+    norm_err = bound_gap = route_err = ident_err = balance_err = 0.0
+    for i, (model, s, t0) in enumerate(_catalog_trajectories()):
         ref = quantum.default_reference(model, t0)
-        for s in states:
-            rep = quantum.quadratures(model, s)
-            pair = quantum.bogolubov(model, s, ref)
-            norm_err = max(norm_err,
-                           abs(abs(pair.mu) ** 2 - abs(pair.nu) ** 2 - 1.0))
-            bound_gap = max(bound_gap, 0.5 - rep.product)
-            via_bogo = quantum.uncertainty_via_bogolubov(pair)
-            via_var = math.sqrt(rep.varQ * rep.varP)
-            route_err = max(route_err, _rel(via_bogo, rep.product),
-                            _rel(via_var, rep.product),
-                            _rel(via_bogo, via_var))
-            m = float(model.m(s.t))
-            m0, w0 = ref
-            ident_err = max(
-                ident_err,
-                abs(pair.mu + pair.nu - math.sqrt(2.0 * m / (m0 * w0)) * rep.eta),
-                abs(pair.mu - pair.nu - math.sqrt(2.0 * m0 * w0 / m) * s.sigma))
+        rep = quantum.quadratures(model, s)
+        pair = quantum.bogolubov(model, s, ref)
+        mu2, nu2 = np.abs(pair.mu) ** 2, np.abs(pair.nu) ** 2
+        norm_err = max(norm_err, np.max(np.abs(mu2 - nu2 - 1.0)))
+        bound_gap = max(bound_gap, np.max(0.5 - rep.product))
+        via_bogo = quantum.uncertainty_via_bogolubov(pair)
+        via_var = np.sqrt(rep.varQ * rep.varP)
+        route_err = max(route_err, _rel(via_bogo, rep.product),
+                        _rel(via_var, rep.product), _rel(via_bogo, via_var))
+        m = model.m(s.t)
+        m0, w0 = ref
+        ident_err = max(
+            ident_err,
+            np.max(np.abs(pair.mu + pair.nu
+                          - np.sqrt(2.0 * m / (m0 * w0)) * rep.eta)),
+            np.max(np.abs(pair.mu - pair.nu
+                          - np.sqrt(2.0 * m0 * w0 / m) * s.sigma)))
+        if i < 3:  # balance route on harmonic, kanai_caldirola, exp_frequency
+            bal_mu2, bal_nu2 = quantum.moduli_from_balance(model, s, ref)
+            balance_err = max(balance_err, np.max(np.abs(bal_mu2 - mu2)),
+                              np.max(np.abs(bal_nu2 - nu2)))
     checks.append(_check("normalization |mu|^2 - |nu|^2 = 1 along catalog "
                          "trajectories", norm_err, 1e-10))
     checks.append(_check("uncertainty product >= hbar/2", bound_gap, 1e-12))
@@ -293,18 +292,8 @@ def suite_quantum():
                          route_err, 1e-10))
     checks.append(_check("mu+nu and mu-nu construction identities",
                          ident_err, 1e-12))
-
-    # balance-route moduli vs direct moduli (constant Omega and co-integrated F)
-    worst = 0.0
-    for model, states, t0 in _catalog_trajectories()[:3]:
-        ref = quantum.default_reference(model, t0)
-        for s in states:
-            pair = quantum.bogolubov(model, s, ref)
-            mu2, nu2 = quantum.moduli_from_balance(model, s, ref)
-            worst = max(worst, abs(mu2 - abs(pair.mu) ** 2),
-                        abs(nu2 - abs(pair.nu) ** 2))
     checks.append(_check("moduli via balance identity vs direct moduli",
-                         worst, 1e-8))
+                         balance_err, 1e-8))
     return checks
 
 
@@ -326,23 +315,19 @@ def suite_minimum():
     mass_res = 0.0
     for name, model, (lo, hi) in _min_model_cases():
         mm = minimum.minimum_model(model, t0=lo, t1=hi)
-        states = minimum.sigma_minimum_trajectory(mm, np.linspace(lo, hi, 60))
+        s = minimum.sigma_minimum_trajectory(mm, np.linspace(lo, hi, 60))
         ref = quantum.default_reference(model, lo)
         m0 = float(model.m(lo))
-        for s in states:
-            rep = quantum.quadratures(model, s)
-            prod_err = max(prod_err, abs(rep.product - 0.5))
-            pair = quantum.bogolubov(model, s, ref)
-            mu_err = max(mu_err, abs(pair.mu - 1.0))
-            nu_err = max(nu_err, abs(pair.nu))
-            q2, p2, energy = quantum.vacuum_expectations(model, s)
-            vac_err = max(vac_err, _rel(q2, mm.c ** 2),
-                          _rel(p2, 0.25 / mm.c ** 2))
-            energy_err = max(energy_err,
-                             _rel(energy, 0.5 * float(model.omega(s.t))))
-            resc_err = max(resc_err,
-                           _rel(energy * float(model.m(s.t)) / m0,
-                                0.5 * float(model.omega(lo))))
+        rep = quantum.quadratures(model, s)
+        prod_err = max(prod_err, np.max(np.abs(rep.product - 0.5)))
+        pair = quantum.bogolubov(model, s, ref)
+        mu_err = max(mu_err, np.max(np.abs(pair.mu - 1.0)))
+        nu_err = max(nu_err, np.max(np.abs(pair.nu)))
+        q2, p2, energy = quantum.vacuum_expectations(model, s)
+        vac_err = max(vac_err, _rel(q2, mm.c ** 2), _rel(p2, 0.25 / mm.c ** 2))
+        energy_err = max(energy_err, _rel(energy, 0.5 * model.omega(s.t)))
+        resc_err = max(resc_err, _rel(energy * model.m(s.t) / m0,
+                                      0.5 * float(model.omega(lo))))
         mass_res = max(mass_res, float(np.max(np.abs(
             minimum.mass_constraint_residual(mm, np.linspace(lo, hi, 60))))))
     checks.append(_check("minimal branch: product == hbar/2", prod_err, 1e-10))
@@ -510,7 +495,6 @@ SUITES = {
     "models": suite_models,
     "ermakov": suite_ermakov,
     "quantum": suite_quantum,
-    "bogolubov": suite_quantum,
     "minimum": suite_minimum,
     "series": suite_series,
     "bessel": suite_bessel,

@@ -70,11 +70,10 @@ def test_criterion_1_heisenberg_bound_and_saturation():
     worst_gap = 0.0
     worst_sat = 0.0
     for name, (model, states, _) in trajs.items():
-        for s in states:
-            product = quantum.quadratures(model, s, HBAR).product
-            worst_gap = max(worst_gap, 0.5 * HBAR - product)
-            if name in MINIMAL:
-                worst_sat = max(worst_sat, abs(product - 0.5 * HBAR))
+        product = quantum.quadratures(model, states, HBAR).product
+        worst_gap = max(worst_gap, np.max(0.5 * HBAR - product))
+        if name in MINIMAL:
+            worst_sat = max(worst_sat, np.max(np.abs(product - 0.5 * HBAR)))
     ok = report(1, "product >= hbar/2 on all five models", worst_gap, 1e-12)
     ok &= report(1, "|product - hbar/2| on minimum-uncertainty models",
                  worst_sat, 1e-9)
@@ -86,22 +85,21 @@ def test_criterion_2_bogolubov_normalization():
     worst_norm = 0.0
     for name, (model, states, t0) in trajs.items():
         ref = quantum.default_reference(model, t0)
-        for s in states:
-            pair = quantum.bogolubov(model, s, ref)
-            worst_norm = max(worst_norm,
-                             abs(abs(pair.mu) ** 2 - abs(pair.nu) ** 2 - 1.0))
+        pair = quantum.bogolubov(model, states, ref)
+        worst_norm = max(worst_norm, np.max(np.abs(
+            np.abs(pair.mu) ** 2 - np.abs(pair.nu) ** 2 - 1.0)))
     ok = report(2, "|mu|^2 - |nu|^2 = 1 everywhere sampled", worst_norm, 1e-10)
 
     worst_mu = worst_nu = 0.0
     for name in MINIMAL:
         model, states, t0 = trajs[name]
-        mm = minimum.minimum_model(model, t0=t0, t1=states[-1].t)
+        mm = minimum.minimum_model(model, t0=t0, t1=states.t[-1])
         ref = quantum.default_reference(model, t0)
-        for s in minimum.sigma_minimum_trajectory(
-                mm, np.linspace(t0, states[-1].t, 50)):
-            pair = quantum.bogolubov(model, s, ref)
-            worst_mu = max(worst_mu, abs(pair.mu - 1.0))
-            worst_nu = max(worst_nu, abs(pair.nu))
+        s = minimum.sigma_minimum_trajectory(
+            mm, np.linspace(t0, states.t[-1], 50))
+        pair = quantum.bogolubov(model, s, ref)
+        worst_mu = max(worst_mu, np.max(np.abs(pair.mu - 1.0)))
+        worst_nu = max(worst_nu, np.max(np.abs(pair.nu)))
     ok &= report(2, "|mu - 1| at minimum uncertainty", worst_mu, 1e-9)
     ok &= report(2, "|nu| at minimum uncertainty", worst_nu, 1e-9)
     assert ok
@@ -110,17 +108,15 @@ def test_criterion_2_bogolubov_normalization():
 def test_criterion_3_closed_form_vs_numeric():
     mh = models.harmonic()
     states = ermakov.integrate_ep(mh, 0.25, (SQ2, 0.0), 0.0, 20.0, n_out=200)
-    worst_const = max(abs(s.sigma - SQ2) / SQ2 for s in states)
+    worst_const = np.max(np.abs(states.sigma - SQ2) / SQ2)
     ok = report(3, "harmonic constant branch rel error on [0, 20]",
                 worst_const, 1e-6)
 
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
     states = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)),
                                   0.0, 20.0, n_out=200)
-    worst_osc = 0.0
-    for s in states:
-        ref = float(ermakov.sigma_oscillating(1.0, 2.0, 0.0, s.t)[0])
-        worst_osc = max(worst_osc, abs(s.sigma - ref) / ref)
+    ref = ermakov.sigma_oscillating(1.0, 2.0, 0.0, states.t)[0]
+    worst_osc = np.max(np.abs(states.sigma - ref) / ref)
     ok &= report(3, "harmonic oscillating branch (k=2) rel error on [0, 20]",
                  worst_osc, 1e-6)
 
@@ -128,10 +124,8 @@ def test_criterion_3_closed_form_vs_numeric():
     L = math.sqrt(0.25 - 0.09)
     c1, c2 = ermakov.fit_hyperbolic(L, 1.0, 0.0, 0.0)
     states = ermakov.integrate_ep(mk, 0.25, (1.0, 0.0), 0.0, 3.0, n_out=200)
-    worst_hyp = 0.0
-    for s in states:
-        ref = float(ermakov.sigma_hyperbolic(L, c1, c2, s.t)[0])
-        worst_hyp = max(worst_hyp, abs(s.sigma - ref) / ref)
+    ref = ermakov.sigma_hyperbolic(L, c1, c2, states.t)[0]
+    worst_hyp = np.max(np.abs(states.sigma - ref) / ref)
     ok &= report(3, "damped hyperbolic branch rel error on [0, 3]",
                  worst_hyp, 1e-6)
     assert ok
@@ -142,23 +136,23 @@ def test_criterion_4_conservation_drift():
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
     states = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)),
                                   0.0, 20.0 * math.pi, n_out=300)
-    drift_h = max(abs(s.k - states[0].k) for s in states)
+    drift_h = np.max(np.abs(states.k - states.k[0]))
     ok = report(4, "conserved k drift, harmonic, 20 periods", drift_h, 1e-8)
 
     mk = models.kanai_caldirola()  # constant Omega^2 = 0.75
     Om = math.sqrt(0.75)
     states = ermakov.integrate_ep(mk, 0.25, (1.0, 0.0), 0.0,
                                   20.0 * math.pi / Om, n_out=300)
-    drift_k = max(abs(s.k - states[0].k) for s in states)
+    drift_k = np.max(np.abs(states.k - states.k[0]))
     ok &= report(4, "conserved k drift, damped constant-frequency, 20 "
                  "periods", drift_k, 1e-8)
 
     me = models.exp_frequency()
     states = ermakov.integrate_ep(me, 0.25, (1.0, 0.3), 0.0, 2.0, n_out=200)
-    drift_e = max(abs(s.k - states[0].k) for s in states)
+    drift_e = np.max(np.abs(states.k - states.k[0]))
     mb = models.bessel_type()
     states = ermakov.integrate_ep(mb, 0.25, (0.3, 0.2), 0.1, 0.8, n_out=200)
-    drift_b = max(abs(s.k - states[0].k) for s in states)
+    drift_b = np.max(np.abs(states.k - states.k[0]))
     ok &= report(4, "generalized balance drift with F, time-dependent "
                  "frequency", max(drift_e, drift_b), 1e-7)
     assert ok
@@ -169,13 +163,13 @@ def test_criterion_5_phase_cross_checks():
     mh = models.harmonic()
     states = ermakov.integrate_ep(mh, 0.25, (SQ2, 0.0), 0.0, 20.0)
     worst = max(worst, abs(ermakov.phase_closed_form(
-        "harmonic_const", {"omega0": 1.0}, 0.0, 20.0) - states[-1].theta))
+        "harmonic_const", {"omega0": 1.0}, 0.0, 20.0) - states.theta[-1]))
 
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
     states = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)), 0.0, 20.0)
     worst = max(worst, abs(ermakov.phase_closed_form(
         "harmonic_oscillating", {"omega0": 1.0, "kconst": 2.0, "c1": 0.0},
-        0.0, 20.0) - states[-1].theta))
+        0.0, 20.0) - states.theta[-1]))
 
     mk = models.kanai_caldirola(omega0=0.3, gamma=1.0)
     L = math.sqrt(0.25 - 0.09)
@@ -183,7 +177,7 @@ def test_criterion_5_phase_cross_checks():
     states = ermakov.integrate_ep(mk, 0.25, (1.0, 0.0), 0.0, 3.0)
     worst = max(worst, abs(ermakov.phase_closed_form(
         "kc_hyperbolic", {"omega0": 0.3, "gamma": 1.0, "c1": c1, "c2": c2},
-        0.0, 3.0) - states[-1].theta))
+        0.0, 3.0) - states.theta[-1]))
 
     me = models.exp_frequency()
     cme = minimum.check_criterion(me).c
@@ -191,21 +185,21 @@ def test_criterion_5_phase_cross_checks():
     th = ermakov.phase_closed_form("exp_frequency",
                                    {"omega0": 1.0, "gamma0": 1.0}, 0.0, 1.0)
     assert th == pytest.approx(1.2642411176571153, abs=1e-12)
-    worst = max(worst, abs(th - states[-1].theta))
+    worst = max(worst, abs(th - states.theta[-1]))
 
     mt = models.tsquared()
     cmt = minimum.check_criterion(mt, t0=1.0, t1=3.0).c
     states = ermakov.integrate_ep(mt, 0.25, _min_init(mt, 1.0, cmt), 1.0, 2.0)
     th = ermakov.phase_closed_form("tsquared", {"m0": 1.0, "c": 1.0}, 1.0, 2.0)
     assert th == pytest.approx(0.5, abs=1e-12)
-    worst = max(worst, abs(th - states[-1].theta))
+    worst = max(worst, abs(th - states.theta[-1]))
 
     mb = models.bessel_type()
     cmb = minimum.check_criterion(mb, t0=0.1, t1=0.8).c
     states = ermakov.integrate_ep(mb, 0.25, _min_init(mb, 0.5, cmb), 0.5, 0.8)
     sser = series.build_series(1.0, 2.0, 1.0, 10)
     worst = max(worst, abs(ermakov.phase_closed_form(
-        "bessel_series", {"series": sser}, 0.5, 0.8) - states[-1].theta))
+        "bessel_series", {"series": sser}, 0.5, 0.8) - states.theta[-1]))
 
     assert report(5, "closed-form vs integrated phases, all six cases",
                   worst, 1e-6)
@@ -271,14 +265,14 @@ def test_criterion_8_vacuum_constants():
         (models.bessel_type(), (0.1, 0.8)),
     ]:
         mm = minimum.minimum_model(model, t0=lo, t1=hi)
-        for s in minimum.sigma_minimum_trajectory(mm, np.linspace(lo, hi, 40)):
-            q2, p2, energy = quantum.vacuum_expectations(model, s, HBAR)
-            worst_q = max(worst_q, abs(q2 - HBAR * mm.c ** 2)
-                          / (HBAR * mm.c ** 2))
-            worst_p = max(worst_p, abs(p2 - HBAR / (4.0 * mm.c ** 2))
-                          / (HBAR / (4.0 * mm.c ** 2)))
-            ref = 0.5 * HBAR * float(model.omega(s.t))
-            worst_h = max(worst_h, abs(energy - ref) / ref)
+        s = minimum.sigma_minimum_trajectory(mm, np.linspace(lo, hi, 40))
+        q2, p2, energy = quantum.vacuum_expectations(model, s, HBAR)
+        worst_q = max(worst_q, np.max(np.abs(q2 - HBAR * mm.c ** 2))
+                      / (HBAR * mm.c ** 2))
+        worst_p = max(worst_p, np.max(np.abs(p2 - HBAR / (4.0 * mm.c ** 2)))
+                      / (HBAR / (4.0 * mm.c ** 2)))
+        ref = 0.5 * HBAR * model.omega(s.t)
+        worst_h = max(worst_h, np.max(np.abs(energy - ref) / ref))
     ok = report(8, "<Q^2> = hbar c^2 (rel)", worst_q, 1e-10)
     ok &= report(8, "<P^2> = hbar/(4c^2) (rel)", worst_p, 1e-10)
     ok &= report(8, "<H> = hbar omega(t)/2 (rel)", worst_h, 1e-9)

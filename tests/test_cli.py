@@ -83,6 +83,32 @@ def test_uncertainty_empty_range_is_config_error(capsys):
     assert capsys.readouterr().err.startswith("config_error:")
 
 
+def test_non_numeric_config_value_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t0": "x"}))
+    assert run(["solve", "--model", "harmonic", "--t1", "1",
+                "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config_error:")
+
+
+def test_nan_initial_sigma_is_config_error(capsys):
+    assert run(["solve", "--model", "harmonic", "--t0", "0", "--t1", "1",
+                "--sigma0", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("config_error:")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("t1", "inf"), ("dt_out", "x"), ("sigma_dot0", "1e999"),
+    ("dt_out", True), ("hbar", "nan"), ("K", "x")])
+def test_non_finite_run_values_are_config_errors(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t0": 0.0, "t1": 1.0, "sigma0": 0.8, key: value}))
+    assert run(["uncertainty", "--model", "harmonic", "--config", str(cfg),
+                "--out", str(tmp_path / "u.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config_error:") and "\n" not in err.strip()
+
+
 def test_series_json(capsys):
     assert run(["series", "--omega0", "1", "--lambda", "2", "--mu", "1",
                 "--order", "5"]) == 0
@@ -108,7 +134,7 @@ def test_check_min_reports(capsys):
 
 
 def test_verify_suite_exit_code(capsys):
-    assert run(["verify", "--suite", "bogolubov"]) == 0
+    assert run(["verify", "--suite", "quantum"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["pass"] is True
     assert all(set(c) == {"name", "pass", "max_err", "tol"}

@@ -108,9 +108,8 @@ def test_wronskian_is_constant():
 def test_integrate_constant_branch():
     m = models.harmonic()
     states = ermakov.integrate_ep(m, 0.25, (SQ2, 0.0), 0.0, 20.0)
-    for s in states:
-        assert abs(s.sigma - SQ2) < 1e-9
-    assert abs(states[-1].theta - 40.0) < 1e-7
+    assert np.all(np.abs(states.sigma - SQ2) < 1e-9)
+    assert abs(states.theta[-1] - 40.0) < 1e-7
 
 
 def test_integrate_matches_hyperbolic_closed_form():
@@ -118,9 +117,8 @@ def test_integrate_matches_hyperbolic_closed_form():
     L = 0.4
     c1, c2 = ermakov.fit_hyperbolic(L, 1.0, 0.0, 0.0)
     states = ermakov.integrate_ep(m, 0.25, (1.0, 0.0), 0.0, 3.0)
-    for s in states:
-        ref = float(ermakov.sigma_hyperbolic(L, c1, c2, s.t)[0])
-        assert abs(s.sigma - ref) / ref < 1e-6
+    ref = ermakov.sigma_hyperbolic(L, c1, c2, states.t)[0]
+    assert np.all(np.abs(states.sigma - ref) / ref < 1e-6)
 
 
 def test_sigma_floor_trips():
@@ -140,17 +138,17 @@ def test_conserved_k_on_constant_omega():
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
     states = ermakov.integrate_ep(m, 0.25, (float(s0), float(sd0)),
                                   0.0, 20.0 * math.pi, n_out=240)
-    drift = max(abs(s.k - states[0].k) for s in states)
+    drift = np.max(np.abs(states.k - states.k[0]))
     assert drift < 1e-8
-    assert all(s.F == 0.0 for s in states)
+    assert np.all(states.F == 0.0)
 
 
 def test_generalized_balance_with_F():
     m = models.exp_frequency()
     states = ermakov.integrate_ep(m, 0.25, (1.0, 0.3), 0.0, 2.0)
-    drift = max(abs(s.k - states[0].k) for s in states)
+    drift = np.max(np.abs(states.k - states.k[0]))
     assert drift < 1e-7
-    assert states[-1].F != 0.0  # the functional really accumulates
+    assert states.F[-1] != 0.0  # the functional really accumulates
 
 
 def test_general_K_first_integral():
@@ -158,8 +156,8 @@ def test_general_K_first_integral():
     m = models.harmonic()
     K = 1.7
     states = ermakov.integrate_ep(m, K, (1.1, 0.2), 0.0, 10.0)
-    vals = [s.sigma_dot ** 2 + s.sigma ** 2 + K / s.sigma ** 2 for s in states]
-    assert max(abs(v - vals[0]) for v in vals) < 1e-8
+    vals = states.sigma_dot ** 2 + states.sigma ** 2 + K / states.sigma ** 2
+    assert np.max(np.abs(vals - vals[0])) < 1e-8
 
 
 # --- phases ------------------------------------------------------------------
@@ -250,9 +248,8 @@ def test_superposition_matches_integration_on_damped_model():
     kconst, c1 = ermakov.fit_oscillating(Om, 0.8, -0.1, 0.0)
     comb = ermakov.oscillating_combination(Om, kconst, c1)
     states = ermakov.integrate_ep(m, 0.25, (0.8, -0.1), 0.0, 10.0, n_out=101)
-    for s in states:
-        ref = float(ermakov.sigma_from_basis(pair, comb, s.t)[0])
-        assert abs(s.sigma - ref) / ref < 1e-6
+    ref = ermakov.sigma_from_basis(pair, comb, states.t)[0]
+    assert np.all(np.abs(states.sigma - ref) / ref < 1e-6)
 
 
 # --- cross-check against an independent integrator ---------------------------
@@ -266,6 +263,5 @@ def test_integration_agrees_with_scipy():
 
     states = ermakov.integrate_ep(m, 0.25, (1.0, 0.3), 0.0, 2.0, n_out=21)
     ref = solve_ivp(rhs, (0.0, 2.0), [1.0, 0.3], rtol=1e-12, atol=1e-14,
-                    t_eval=[s.t for s in states])
-    for s, sig in zip(states, ref.y[0]):
-        assert abs(s.sigma - sig) < 1e-8
+                    t_eval=states.t)
+    assert np.all(np.abs(states.sigma - ref.y[0]) < 1e-8)

@@ -76,10 +76,10 @@ def test_minimal_branch_solves_auxiliary_equation():
     init = (mm.c * math.sqrt(m0),
             0.5 * mm.c * float(m.m_dot(0.0)) / math.sqrt(m0))
     states = ermakov.integrate_ep(m, 0.25, init, 0.0, 2.0, n_out=41)
-    for s in states:
-        ref = minimum.sigma_minimum(mm, s.t, 0.0)
-        assert s.sigma == pytest.approx(ref.sigma, rel=1e-9)
-        assert s.theta == pytest.approx(ref.theta, abs=1e-8)
+    for t, sigma, theta in zip(states.t, states.sigma, states.theta):
+        ref = minimum.sigma_minimum(mm, t, 0.0)
+        assert sigma == pytest.approx(ref.sigma, rel=1e-9)
+        assert theta == pytest.approx(ref.theta, abs=1e-8)
 
 
 def test_minimum_eom_residual_closed_forms():
@@ -122,12 +122,26 @@ def test_saturation_and_identity_along_minimal_trajectories():
     ]:
         mm = minimum.minimum_model(model, t0=lo, t1=hi)
         ref = quantum.default_reference(model, lo)
-        for s in minimum.sigma_minimum_trajectory(mm, np.linspace(lo, hi, 25)):
-            rep = quantum.quadratures(model, s)
-            assert abs(rep.product - 0.5) <= 1e-10
-            pair = quantum.bogolubov(model, s, ref)
-            assert abs(pair.mu - 1.0) <= 1e-9
-            assert abs(pair.nu) <= 1e-9
+        s = minimum.sigma_minimum_trajectory(mm, np.linspace(lo, hi, 25))
+        rep = quantum.quadratures(model, s)
+        assert np.all(np.abs(rep.product - 0.5) <= 1e-10)
+        pair = quantum.bogolubov(model, s, ref)
+        assert np.all(np.abs(pair.mu - 1.0) <= 1e-9)
+        assert np.all(np.abs(pair.nu) <= 1e-9)
+
+
+def test_trajectory_columns_match_single_samples():
+    # one state formula: the columns equal the per-time samples exactly,
+    # and the accumulated phase matches the direct quadrature from t0
+    mm = minimum.minimum_model(models.exp_frequency())
+    grid = np.linspace(0.0, 2.0, 9)
+    traj = minimum.sigma_minimum_trajectory(mm, grid)
+    for i, t in enumerate(grid):
+        s = minimum.sigma_minimum(mm, t, 0.0)
+        assert (s.t, s.sigma, s.sigma_dot) == (
+            traj.t[i], traj.sigma[i], traj.sigma_dot[i])
+        assert s.theta == pytest.approx(traj.theta[i], abs=1e-12)
+        assert s.F == pytest.approx(traj.F[i], abs=1e-12)
 
 
 def test_rescaled_energy_is_conserved():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdo import ermakov, minimum, models, quantum
+from tdo import dopri, ermakov, minimum, models, quantum
 from tdo.errors import UnitsError
 
 SQ2 = 2.0 ** -0.5
@@ -55,26 +55,24 @@ def test_product_routes_agree_on_damped_trajectory():
     m = models.kanai_caldirola(omega0=1.0, gamma=1.0)
     states = ermakov.integrate_ep(m, 0.25, (0.9, 0.1), 0.0, 3.0, n_out=100)
     ref = quantum.default_reference(m, 0.0)
-    for s in states:
-        rep = quantum.quadratures(m, s)
-        pair = quantum.bogolubov(m, s, ref)
-        assert quantum.uncertainty_via_bogolubov(pair) == pytest.approx(
-            rep.product, rel=1e-10)
-        assert math.sqrt(rep.varQ * rep.varP) == pytest.approx(
-            rep.product, rel=1e-10)
+    rep = quantum.quadratures(m, states)
+    pair = quantum.bogolubov(m, states, ref)
+    assert quantum.uncertainty_via_bogolubov(pair) == pytest.approx(
+        rep.product, rel=1e-10)
+    assert np.sqrt(rep.varQ * rep.varP) == pytest.approx(
+        rep.product, rel=1e-10)
 
 
 def test_normalization_and_balance_moduli_on_damped_model():
     m = models.kanai_caldirola(omega0=1.0, gamma=1.0)
     states = ermakov.integrate_ep(m, 0.25, (0.9, 0.1), 0.0, 3.0, n_out=60)
     ref = quantum.default_reference(m, 0.0)
-    for s in states:
-        pair = quantum.bogolubov(m, s, ref)
-        assert abs(pair.mu) ** 2 - abs(pair.nu) ** 2 == pytest.approx(
-            1.0, abs=1e-10)
-        mu2, nu2 = quantum.moduli_from_balance(m, s, ref)
-        assert mu2 == pytest.approx(abs(pair.mu) ** 2, abs=1e-8)
-        assert nu2 == pytest.approx(abs(pair.nu) ** 2, abs=1e-8)
+    pair = quantum.bogolubov(m, states, ref)
+    assert np.abs(pair.mu) ** 2 - np.abs(pair.nu) ** 2 == pytest.approx(
+        np.ones(60), abs=1e-10)
+    mu2, nu2 = quantum.moduli_from_balance(m, states, ref)
+    assert mu2 == pytest.approx(np.abs(pair.mu) ** 2, abs=1e-8)
+    assert nu2 == pytest.approx(np.abs(pair.nu) ** 2, abs=1e-8)
 
 
 def test_self_reference_identity():
@@ -183,3 +181,91 @@ def test_oscillating_saturation_gap_report():
         rep = quantum.quadratures(m, make_state(t, float(s), float(sd)))
         worst = max(worst, rep.product - 0.5)
     assert worst == pytest.approx(gaps[2.0], rel=1e-4)
+
+
+# --- one code path for a sample and a column ---------------------------------
+
+CATALOG_WINDOWS = {"harmonic": (0.0, 5.0), "kanai_caldirola": (0.0, 3.0),
+                   "exp_frequency": (0.0, 2.0), "tsquared": (1.0, 3.0),
+                   "bessel_type": (0.1, 0.8)}
+
+
+def _samples(states):
+    """The per-sample scalar states of a trajectory of columns."""
+    columns = [np.asarray(v).tolist() for v in vars(states).values()]
+    return [ermakov.ErmakovState(*row) for row in zip(*columns)]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_WINDOWS))
+def test_scalar_and_column_paths_agree(name, monkeypatch):
+    model = models.get_model(name)
+    t0, t1 = CATALOG_WINDOWS[name]
+    solve, solved = dopri.solve, []
+
+    def spy(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(dopri, "solve", spy)
+    traj = ermakov.integrate_ep(model, 0.25, (0.9, 0.1), t0, t1, n_out=50)
+    (ts, ys), = solved
+    assert np.array_equal(traj.t, ts)
+    for column, y in zip((traj.sigma, traj.sigma_dot, traj.theta, traj.F),
+                         ys.T):
+        assert np.array_equal(column, y)
+
+    hbar = 0.7
+    ref = quantum.default_reference(model, t0)
+    rep = quantum.quadratures(model, traj, hbar)
+    pair = quantum.bogolubov(model, traj, ref)
+    via = quantum.uncertainty_via_bogolubov(pair, hbar)
+    mu2, nu2 = quantum.moduli_from_balance(model, traj, ref)
+    vac = quantum.vacuum_expectations(model, traj, hbar)
+    for i, s in enumerate(_samples(traj)):
+        assert ermakov.conserved_k(s.sigma, s.sigma_dot,
+                                   float(models.omega2(model, s.t))) - s.F \
+            == traj.k[i]
+        r = quantum.quadratures(model, s, hbar)
+        for field in ("varQ", "varP", "xi", "eta", "product"):
+            assert getattr(r, field) == getattr(rep, field)[i]
+        p = quantum.bogolubov(model, s, ref)
+        assert (p.mu, p.nu) == (pair.mu[i], pair.nu[i])
+        assert quantum.uncertainty_via_bogolubov(p, hbar) == via[i]
+        assert quantum.moduli_from_balance(model, s, ref) == (mu2[i], nu2[i])
+        assert quantum.vacuum_expectations(model, s, hbar) == tuple(
+            v[i] for v in vac)
+
+
+# --- invariants as properties over catalog parameter boxes -------------------
+
+PARAMETER_BOXES = {
+    "harmonic": {"omega0": st.floats(0.3, 3.0)},
+    "kanai_caldirola": {"omega0": st.floats(0.5, 2.0),
+                        "gamma": st.floats(-0.8, 0.8)},
+    "exp_frequency": {"omega0": st.floats(0.5, 2.0),
+                      "gamma0": st.floats(0.2, 1.5)},
+    "tsquared": {"m0": st.floats(0.5, 2.0), "c": st.floats(0.5, 1.5)},
+    "bessel_type": {"k0": st.floats(0.3, 0.6), "nu": st.floats(0.6, 1.5)},
+}
+
+catalog_models = st.sampled_from(sorted(PARAMETER_BOXES)).flatmap(
+    lambda name: st.fixed_dictionaries(PARAMETER_BOXES[name]).map(
+        lambda params: models.get_model(name, **params)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=catalog_models, sigma0=st.floats(0.4, 1.5),
+       sigma_dot0=st.floats(-0.5, 0.5), hbar=st.floats(0.1, 3.0))
+def test_invariants_along_trajectories(model, sigma0, sigma_dot0, hbar):
+    # tolerances are those of `tdo verify`
+    t0, t1 = CATALOG_WINDOWS[model.name]
+    traj = ermakov.integrate_ep(model, 0.25, (sigma0, sigma_dot0), t0, t1,
+                                n_out=60)
+    pair = quantum.bogolubov(model, traj, quantum.default_reference(model, t0))
+    norm = np.abs(pair.mu) ** 2 - np.abs(pair.nu) ** 2
+    assert np.max(np.abs(norm - 1.0)) <= 1e-10
+    assert np.min(quantum.quadratures(model, traj, hbar).product) \
+        >= 0.5 * hbar - 1e-12
+    assert np.all(np.diff(traj.theta) >= 0.0)
+    if model.name in ("harmonic", "kanai_caldirola"):
+        assert np.max(np.abs(traj.k - traj.k[0])) <= 1e-8
