@@ -14,7 +14,7 @@ from . import bessel, ermakov, minimum, models, quantum, series, verify
 from .errors import (ConstraintViolation, ConvergenceWarning,
                      CriterionViolated, DomainError, NonPositiveAlpha,
                      NonRealSigma, ParameterError, SingularityApproached,
-                     TdoError, UnitsError, UnknownCase)
+                     StepSizeUnderflow, TdoError, UnitsError, UnknownCase)
 
 __version__ = "0.1.0"
 
@@ -22,6 +22,6 @@ __all__ = [
     "bessel", "ermakov", "minimum", "models", "quantum", "series", "verify",
     "TdoError", "DomainError", "ParameterError", "UnitsError", "UnknownCase",
     "NonRealSigma", "ConstraintViolation", "SingularityApproached",
-    "CriterionViolated", "NonPositiveAlpha", "ConvergenceWarning",
+    "StepSizeUnderflow", "CriterionViolated", "NonPositiveAlpha", "ConvergenceWarning",
     "__version__",
 ]

@@ -1,16 +1,21 @@
 """Command-line surface: trajectories, uncertainty reports, criterion checks,
 series builds, and the verification suites.
 
-Subcommands: catalog, solve, uncertainty, verify, series, check-min.
-Configuration precedence is CLI flags > JSON config file (--config, falling
-back to $TDO_DEFAULT_CONFIG) > model defaults.  All outputs are
-deterministic: CSV carries 17 significant digits, JSON is key-sorted.
-Errors leave a single `error_kind: message` line on stderr; exit codes are
-2 for configuration problems, 3 for solver errors, 1 for failed
-verification checks.
+Subcommands: catalog, solve, uncertainty, verify, series, check-min.  Every
+key a subcommand reads is one row of `KEYS`: the argparse flags, the config
+values and the --sweep keys all come from that table, and every read goes
+through the typed check in `_value`.  A model key reaches a catalog factory
+only when the factory's signature names it.  Precedence is sweep member >
+CLI flags > JSON config file (--config, falling back to $TDO_DEFAULT_CONFIG;
+null counts as unset) > model defaults.  Outputs are deterministic: CSV
+carries 17 significant digits, JSON is key-sorted.  Errors leave a single
+`error_kind: message` line on stderr; exit codes are 2 for configuration
+problems (bad values, grids above MAX_ROWS, sweeps above MAX_SWEEP), 3 for
+solver errors, 1 for failed verification checks.
 """
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -22,17 +27,56 @@ from . import ermakov, minimum, models, quantum, series, verify
 from .errors import TdoError
 
 ENV_CONFIG = "TDO_DEFAULT_CONFIG"
+MAX_ROWS = 10 ** 6  # the stepper lands on every output row
+MAX_SWEEP = 1000  # sweep outputs carry a three-digit _NNN suffix
 
-MODEL_PARAM_FLAGS = ("m0", "omega0", "gamma", "gamma0", "c", "k0", "nu",
-                     "lam", "order")
+# key: (type or string choices, key groups, help).  A command reads the keys
+# of its groups; the table order is the flag order of `tdo <command> --help`.
+KEYS = {
+    "out": (str, "io", "output path, or - for stdout"),
+    "format": (("csv", "json"), "io", "output format"),
+    "model": (str, "model", "catalog model name"),
+    "suite": (str, "verify",
+              "models|ermakov|quantum|minimum|series|bessel|all"),
+    "m0": (float, "model", None),
+    "omega0": (float, "model series", None),
+    "gamma": (float, "model", None),
+    "gamma0": (float, "model", None),
+    "c": (float, "model", None),
+    "k0": (float, "model", None),
+    "nu": (float, "model", None),
+    # series parameters lam = 2*nu and mu = 2*k0 (Omega0 = 1); they come
+    # after nu and k0, so they win when both are given
+    "lam": (float, "model series", None),
+    "mu": (float, "model series", None),
+    "order": (int, "model series verify", None),
+    "t0": (float, "run check", None),
+    "t1": (float, "run check", None),
+    "dt_out": (float, "run", None),
+    "hbar": (float, "run", None),
+    "tol": (float, "run check", None),
+    "K": (float, "run", None),
+    "sigma0": (float, "run", None),
+    "sigma_dot0": (float, "run", None),
+    "samples": (int, "check", None),
+    "sweep": (str, "run", "param=lo:hi:n fan-out"),
+}
+
+_SERIES_ALIASES = {"lam": "nu", "mu": "k0"}
 
 
 class ConfigError(Exception):
     pass
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _flag(key):
+    # `lambda` is a Python keyword, so its key is `lam`
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+
+
+def _numeric_keys(group):
+    return [key for key, (kind, groups, _) in KEYS.items()
+            if kind in (float, int) and group in groups.split()]
 
 
 def _write_table(path, fmt, columns):
@@ -43,7 +87,7 @@ def _write_table(path, fmt, columns):
         _write_json(path, {"columns": header, "rows": rows})
         return
     lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    lines.extend(",".join(f"{x:.17g}" for x in row) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -54,12 +98,16 @@ def _write_json(path, obj):
 def _write_text(path, text):
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 def _load_config(path):
+    """The non-null values of the JSON config file, if there is one."""
     if path is None:
         path = os.environ.get(ENV_CONFIG)
     if not path:
@@ -71,77 +119,20 @@ def _load_config(path):
         raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    return cfg
+    return {key: val for key, val in cfg.items() if val is not None}
 
 
-class _Resolver:
-    """CLI flags beat config-file values beat defaults."""
-
-    def __init__(self, args, config):
-        self.args = vars(args)
-        self.config = config
-
-    def get(self, key, default=None):
-        val = self.args.get(key)
-        if val is not None:
-            return val
-        if key in self.config:
-            return self.config[key]
-        return default
-
-
-def _model_params(res):
-    params = {}
-    for key in MODEL_PARAM_FLAGS:
-        val = res.get(key)
-        if val is None:
-            continue
-        if key == "lam":
-            params["lambda"] = val
-        else:
-            params[key] = val
-    return params
-
-
-def _build_model(res):
-    name = res.get("model")
-    if not name:
-        raise ConfigError("--model is required")
-    params = _model_params(res)
-    lam = params.pop("lambda", None)
-    mu = res.get("mu")
-    if name == "bessel_type":
-        # series parameters may be given directly as lambda/mu with the
-        # dimensionless split Omega0 = 1
-        if lam is not None:
-            params["nu"] = lam / 2.0
-        if mu is not None:
-            params["k0"] = mu / 2.0
-        params.setdefault("order", 10)
-        params["order"] = int(params["order"])
-        params.pop("gamma", None)
-        params.pop("gamma0", None)
-        params.pop("c", None)
-    else:
-        for alien in ("k0", "nu", "order"):
-            params.pop(alien, None)
-        if name != "kanai_caldirola":
-            params.pop("gamma", None)
-        if name != "exp_frequency":
-            params.pop("gamma0", None)
-        if name in ("harmonic", "kanai_caldirola"):
-            params.pop("c", None)
-    try:
-        return models.get_model(name, **params)
-    except TdoError as exc:
-        raise ConfigError(str(exc))
-
-
-def _number(res, key, default=None):
-    """A finite float from flags or config; ConfigError for anything else."""
-    val = res.get(key)
+def _value(res, key, default=None):
+    """`key` as its table type, or `default` when unset; else ConfigError."""
+    val = res.get(key, default)
+    kind = KEYS[key][0]
     if val is None:
-        val = default
+        return None
+    if kind is str or isinstance(kind, tuple):
+        if isinstance(val, str) and (kind is str or val in kind):
+            return val
+        want = "a string" if kind is str else " or ".join(kind)
+        raise ConfigError(f"--{key} must be {want}, got {val!r}")
     try:
         if isinstance(val, bool):
             raise TypeError
@@ -150,33 +141,67 @@ def _number(res, key, default=None):
         raise ConfigError(f"--{key} must be a number, got {val!r}")
     if not math.isfinite(num):
         raise ConfigError(f"--{key} must be finite, got {val!r}")
+    if kind is int:
+        if not num.is_integer():
+            raise ConfigError(f"--{key} must be an integer, got {val!r}")
+        return int(num)
     return num
 
 
+def _model_keys(res):
+    """The model name and the model keys its factory's signature takes."""
+    name = _value(res, "model")
+    if not name:
+        raise ConfigError("--model is required")
+    try:
+        accepted = models.parameter_names(name)
+    except TdoError as exc:
+        raise ConfigError(str(exc))
+    return name, [key for key in _numeric_keys("model")
+                  if _SERIES_ALIASES.get(key, key) in accepted]
+
+
+def _build_model(res):
+    name, keys = _model_keys(res)
+    params = {}
+    for key in keys:
+        val = _value(res, key)
+        if val is not None:
+            alias = _SERIES_ALIASES.get(key)
+            params[alias or key] = val / 2.0 if alias else val
+    try:
+        return models.get_model(name, **params)
+    except TdoError as exc:
+        raise ConfigError(str(exc))
+
+
 def _time_grid(res):
-    if res.get("t0") is None or res.get("t1") is None:
+    t0, t1 = _value(res, "t0"), _value(res, "t1")
+    if t0 is None or t1 is None:
         raise ConfigError("--t0 and --t1 are required")
-    t0, t1 = _number(res, "t0"), _number(res, "t1")
     if not t1 > t0:
         raise ConfigError("need t1 > t0")
-    dt = _number(res, "dt_out", (t1 - t0) / 200.0)
+    dt = _value(res, "dt_out", (t1 - t0) / 200.0)
     if not dt > 0.0:
         raise ConfigError("need dt_out > 0")
-    n = int(math.floor((t1 - t0) / dt + 1e-9))
-    return t0 + dt * np.arange(n + 1)
+    span = (t1 - t0) / dt + 1e-9
+    if not span < MAX_ROWS:
+        raise ConfigError(f"the output grid would exceed {MAX_ROWS} rows")
+    return t0 + dt * np.arange(int(math.floor(span)) + 1)
 
 
 def _tolerance(res, key, default):
-    val = _number(res, key, default)
+    val = _value(res, key, default)
     if not val > 0.0:
         raise ConfigError(f"--{key} must be positive")
     return val
 
 
 def _initial_conditions(res, model, t0, t1):
-    sigma_dot0 = _number(res, "sigma_dot0", 0.0)
-    if res.get("sigma0") is not None:
-        return _number(res, "sigma0"), sigma_dot0
+    sigma_dot0 = _value(res, "sigma_dot0", 0.0)
+    sigma0 = _value(res, "sigma0")
+    if sigma0 is not None:
+        return sigma0, sigma_dot0
     # default: minimal branch when the criterion holds, else the constant
     # branch of the frozen effective frequency, else unit amplitude
     report = minimum.check_criterion(model, t0=t0, t1=t1)
@@ -190,20 +215,22 @@ def _initial_conditions(res, model, t0, t1):
     return 1.0, sigma_dot0
 
 
-def _sweep_jobs(res):
-    spec = res.get("sweep")
-    if spec is None:
-        return [(None, None)]
+def _sweep_members(res, spec, unread):
+    """One {key: value} layer per sweep member of `spec` = key=lo:hi:n."""
     try:
         key, rng = spec.split("=", 1)
         lo, hi, n = rng.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ConfigError("--sweep expects param=lo:hi:n")
-    if n < 1:
-        raise ConfigError("sweep count must be >= 1")
-    values = np.linspace(lo, hi, n)
-    return [(key, float(v)) for v in values]
+    if not 1 <= n <= MAX_SWEEP:
+        raise ConfigError(f"sweep count must be between 1 and {MAX_SWEEP}")
+    readable = [k for k in _numeric_keys("run") + _model_keys(res)[1]
+                if k not in unread]
+    if key not in readable:
+        raise ConfigError(f"--sweep {key}: not a key this run reads; "
+                          f"choose from {', '.join(readable)}")
+    return [{key: float(v)} for v in np.linspace(lo, hi, n)]
 
 
 def _suffixed(path, index):
@@ -216,36 +243,29 @@ def _suffixed(path, index):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_catalog(args):
-    res = _Resolver(args, _load_config(args.config))
+def cmd_catalog(res):
     entries = [{"name": m.name, "params": m.params} for m in models.catalog()]
-    if res.get("format", "json") == "csv":
-        header = ["name", "params"]
-        rows = [[m["name"], json.dumps(m["params"], sort_keys=True)]
-                for m in entries]
-        text = "\n".join([",".join(header)] +
-                         ['%s,"%s"' % (r[0], r[1].replace('"', '""'))
-                          for r in rows]) + "\n"
-        sys.stdout.write(text)
+    out = _value(res, "out", "-")
+    if _value(res, "format", "json") == "csv":
+        lines = ["name,params"] + [
+            '%s,"%s"' % (m["name"], json.dumps(
+                m["params"], sort_keys=True).replace('"', '""'))
+            for m in entries]
+        _write_text(out, "\n".join(lines) + "\n")
     else:
-        _write_json(res.get("out", "-"), {"models": entries})
+        _write_json(out, {"models": entries})
     return 0
 
 
-def _run_solve_like(args, columns):
+def _run_solve_like(res, columns, unread=()):
     """Write the columns built for each job (one, or one per sweep value)."""
-    config = _load_config(args.config)
-    base_res = _Resolver(args, config)
-    jobs = _sweep_jobs(base_res)
-    out = base_res.get("out", "-")
-    for index, (key, value) in enumerate(jobs):
-        res = base_res
-        if key is not None:
-            override = dict(vars(args))
-            override[key] = value
-            res = _Resolver(argparse.Namespace(**override), config)
-        path = out if key is None else _suffixed(out, index)
-        _write_table(path, res.get("format", "csv"), columns(res))
+    out, fmt = _value(res, "out", "-"), _value(res, "format", "csv")
+    spec = _value(res, "sweep")
+    jobs = [(out, res)] if spec is None else [
+        (_suffixed(out, index), res.new_child(member))
+        for index, member in enumerate(_sweep_members(res, spec, unread))]
+    for path, job in jobs:
+        _write_table(path, fmt, columns(job))
     return 0
 
 
@@ -254,7 +274,7 @@ def _trajectory(res):
     grid = _time_grid(res)
     init = _initial_conditions(res, model, grid[0], grid[-1])
     traj = ermakov.integrate_ep(
-        model, _number(res, "K", ermakov.DEFAULT_K), init,
+        model, _value(res, "K", ermakov.DEFAULT_K), init,
         grid[0], grid[-1], t_eval=grid, rtol=_tolerance(res, "tol", 1e-10))
     return model, traj
 
@@ -264,7 +284,7 @@ def _solve_columns(res):
 
 
 def _uncertainty_columns(res):
-    hbar = _number(res, "hbar", 1.0)
+    hbar = _value(res, "hbar", 1.0)
     model, s = _trajectory(res)
     rep = quantum.quadratures(model, s, hbar)
     pair = quantum.bogolubov(model, s,
@@ -275,81 +295,48 @@ def _uncertainty_columns(res):
             "nu_im": pair.nu.imag}
 
 
-def cmd_solve(args):
-    return _run_solve_like(args, _solve_columns)
+def cmd_solve(res):
+    # solve takes --hbar alongside uncertainty but has no use for it
+    return _run_solve_like(res, _solve_columns, unread=("hbar",))
 
 
-def cmd_uncertainty(args):
-    return _run_solve_like(args, _uncertainty_columns)
+def cmd_uncertainty(res):
+    return _run_solve_like(res, _uncertainty_columns)
 
 
-def cmd_verify(args):
-    res = _Resolver(args, _load_config(args.config))
-    suite = res.get("suite", "all")
+def cmd_verify(res):
     try:
-        report = verify.run_suite(suite, order=int(res.get("order", 8)))
+        report = verify.run_suite(_value(res, "suite", "all"),
+                                  order=_value(res, "order", 8))
     except KeyError as exc:
         raise ConfigError(str(exc))
-    _write_json(res.get("out", "-"), report)
+    _write_json(_value(res, "out", "-"), report)
     return 0 if report["pass"] else 1
 
 
-def cmd_series(args):
-    res = _Resolver(args, _load_config(args.config))
-    lam = res.get("lam")
+def cmd_series(res):
+    lam = _value(res, "lam")
     if lam is None:
         raise ConfigError("--lambda is required")
-    s = series.build_series(float(res.get("omega0", 1.0)), float(lam),
-                            float(res.get("mu", 0.0)),
-                            int(res.get("order", 10)))
-    _write_json(res.get("out", "-"), s.to_json_dict())
+    s = series.build_series(_value(res, "omega0", 1.0), lam,
+                            _value(res, "mu", 0.0), _value(res, "order", 10))
+    _write_json(_value(res, "out", "-"), s.to_json_dict())
     return 0
 
 
-def cmd_check_min(args):
-    res = _Resolver(args, _load_config(args.config))
+def cmd_check_min(res):
     model = _build_model(res)
+    samples = _value(res, "samples", 201)
+    if samples > MAX_ROWS:
+        raise ConfigError(f"--samples must not exceed {MAX_ROWS}")
     report = minimum.check_criterion(
         model, tol=_tolerance(res, "tol", 1e-8),
-        t0=res.get("t0"), t1=res.get("t1"),
-        samples=int(res.get("samples", 201)))
-    _write_json(res.get("out", "-"), report.to_json_dict())
+        t0=_value(res, "t0"), t1=_value(res, "t1"), samples=samples)
+    _write_json(_value(res, "out", "-"), report.to_json_dict())
     return 0
 
 
 # ---------------------------------------------------------------------------
-
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file (flags take precedence)")
-    p.add_argument("--out", help="output path, or - for stdout")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
-
-
-def _add_model_flags(p):
-    p.add_argument("--model", help="catalog model name")
-    p.add_argument("--m0", type=float)
-    p.add_argument("--omega0", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gamma0", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--k0", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--order", type=int)
-
-
-def _add_run_flags(p):
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--dt-out", dest="dt_out", type=float)
-    p.add_argument("--hbar", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--K", type=float)
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--sigma-dot0", dest="sigma_dot0", type=float)
-    p.add_argument("--sweep", help="param=lo:hi:n fan-out")
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -357,55 +344,37 @@ def build_parser():
         description="Time-dependent oscillator amplitudes, phases and "
                     "uncertainty products.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("catalog", help="list the model catalog")
-    _add_common(p)
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("solve", help="integrate the auxiliary equation")
-    _add_common(p)
-    _add_model_flags(p)
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("uncertainty", help="variances, product and "
-                                            "transformation coefficients")
-    _add_common(p)
-    _add_model_flags(p)
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_uncertainty)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    _add_common(p)
-    p.add_argument("--suite", default=None,
-                   help="models|ermakov|quantum|minimum|series|bessel|all")
-    p.add_argument("--order", type=int)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("series", help="build the scale-function series")
-    _add_common(p)
-    p.add_argument("--omega0", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--order", type=int)
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("check-min", help="minimum-uncertainty criterion check")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--samples", type=int)
-    p.set_defaults(func=cmd_check_min)
+    commands = {  # name: (handler, key groups, help)
+        "catalog": (cmd_catalog, "io", "list the model catalog"),
+        "solve": (cmd_solve, "io model run",
+                  "integrate the auxiliary equation"),
+        "uncertainty": (cmd_uncertainty, "io model run",
+                        "variances, product and transformation coefficients"),
+        "verify": (cmd_verify, "io verify", "run verification suites"),
+        "series": (cmd_series, "io series", "build the scale-function series"),
+        "check-min": (cmd_check_min, "io model check",
+                      "minimum-uncertainty criterion check"),
+    }
+    for name, (func, groups, help_text) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config",
+                       help="JSON config file (flags take precedence)")
+        for key, (kind, key_groups, key_help) in KEYS.items():
+            if set(groups.split()) & set(key_groups.split()):
+                p.add_argument(
+                    _flag(key), dest=key, help=key_help,
+                    type=kind if kind in (float, int) else None,
+                    choices=kind if isinstance(kind, tuple) else None)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    flags = {key: getattr(args, key) for key in KEYS
+             if getattr(args, key, None) is not None}
     try:
-        return args.func(args)
+        return args.func(collections.ChainMap(flags, _load_config(args.config)))
     except ConfigError as exc:
         print(f"config_error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,8 @@ the dynamical variables.
 
 import numpy as np
 
+from .errors import StepSizeUnderflow
+
 # Butcher tableau (Dormand & Prince 1980), FSAL
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
@@ -114,7 +116,9 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
             h_try = t_eval[i_next] - t
             target = t_eval[i_next]
         if h_try < 1e-14 * max(1.0, abs(t)):
-            raise RuntimeError("step size underflow in dopri.solve")
+            raise StepSizeUnderflow(
+                f"step size underflow in dopri.solve at t={float(t)!r}, "
+                f"h={float(h_try)!r}")
 
         for i in range(1, 7):
             yi = y + h_try * sum(a * k[j] for j, a in enumerate(_A[i]))

@@ -33,6 +33,10 @@ class SingularityApproached(TdoError):
     """sigma fell below the collapse floor during integration."""
 
 
+class StepSizeUnderflow(TdoError):
+    """The adaptive step fell below the resolution of the time axis."""
+
+
 class CriterionViolated(TdoError):
     """Model does not keep m(t)*omega(t) constant."""
 

@@ -12,6 +12,7 @@ monotone-cubic interpolation.
 """
 
 import csv
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -256,14 +257,22 @@ def catalog():
     return [f() for f in _FACTORIES.values()]
 
 
-def get_model(name, **params):
-    """Build a catalog model by name with parameter overrides."""
+def _factory(name):
     try:
-        factory = _FACTORIES[name]
-    except KeyError:
+        return _FACTORIES[name]
+    except (KeyError, TypeError):
         raise ParameterError(
             f"unknown model {name!r}; choose from {', '.join(_FACTORIES)}")
-    return factory(**params)
+
+
+def get_model(name, **params):
+    """Build a catalog model by name with parameter overrides."""
+    return _factory(name)(**params)
+
+
+def parameter_names(name):
+    """The keyword parameters the catalog factory `name` takes."""
+    return tuple(inspect.signature(_factory(name)).parameters)
 
 
 # ---------------------------------------------------------------------------

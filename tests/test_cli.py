@@ -97,16 +97,150 @@ def test_nan_initial_sigma_is_config_error(capsys):
     assert capsys.readouterr().err.startswith("config_error:")
 
 
-@pytest.mark.parametrize("key,value", [
-    ("t1", "inf"), ("dt_out", "x"), ("sigma_dot0", "1e999"),
-    ("dt_out", True), ("hbar", "nan"), ("K", "x")])
-def test_non_finite_run_values_are_config_errors(tmp_path, capsys, key, value):
+_UNC = ["uncertainty", "--model", "harmonic"]
+_RUN = {"t0": 0.0, "t1": 1.0, "sigma0": 0.8}
+_SOLVE = ["solve", "--model", "harmonic", "--t0", "0", "--t1", "1"]
+
+
+@pytest.mark.parametrize("argv,config", [
+    pytest.param(_UNC, {**_RUN, key: value}, id=f"{key}-{value}")
+    for key, value in [("t1", "inf"), ("dt_out", "x"),
+                       ("sigma_dot0", "1e999"), ("dt_out", True),
+                       ("hbar", "nan"), ("K", "x")]
+] + [
+    pytest.param(_SOLVE, {"omega0": "x"}, id="solve-omega0-x"),
+    pytest.param(["check-min", "--model", "harmonic"], {"samples": "x"},
+                 id="check-min-samples-x"),
+    pytest.param(["series", "--lambda", "1"], {"omega0": "x"},
+                 id="series-omega0-x"),
+    pytest.param(["verify"], {"order": "x"}, id="verify-order-x"),
+    pytest.param(["verify"], {"order": 8.5}, id="verify-order-8.5"),
+    pytest.param(["solve", "--model", "bessel_type", "--t0", "0.1",
+                  "--t1", "1"], {"order": 8.5}, id="bessel-order-8.5"),
+    pytest.param(_SOLVE + ["--sweep", "foo=1:2:2"], {}, id="sweep-unknown-key"),
+    pytest.param(_SOLVE + ["--sweep", "gamma=1:2:2"], {},
+                 id="sweep-key-the-model-ignores"),
+    pytest.param(_SOLVE + ["--sweep", "hbar=1:2:2"], {},
+                 id="sweep-hbar-on-solve"),
+    pytest.param(_SOLVE + ["--sweep", "sigma0=1:2:1001"], {}, id="sweep-cap"),
+    pytest.param(_SOLVE + ["--sweep", "sigma0=1:2:100000000"], {},
+                 id="sweep-cap-huge"),
+    pytest.param(_SOLVE + ["--dt-out", "1e-9"], {}, id="row-cap"),
+    pytest.param(["check-min", "--model", "harmonic", "--samples", "1000001"],
+                 {}, id="samples-cap"),
+    pytest.param(["solve", "--t0", "0", "--t1", "1"], {"model": ["harmonic"]},
+                 id="model-not-a-string"),
+    pytest.param(_SOLVE, {"format": "xml"}, id="format-not-a-choice"),
+    pytest.param(_SOLVE + ["--out", "{tmp}/missing/u.csv"], {},
+                 id="out-in-missing-directory"),
+])
+def test_non_finite_run_values_are_config_errors(tmp_path, capsys, argv,
+                                                 config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"t0": 0.0, "t1": 1.0, "sigma0": 0.8, key: value}))
-    assert run(["uncertainty", "--model", "harmonic", "--config", str(cfg),
-                "--out", str(tmp_path / "u.csv")]) == 2
+    cfg.write_text(json.dumps(config))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run(argv[:1] + ["--config", str(cfg),
+                           "--out", str(tmp_path / "u.csv")] + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config_error:") and "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("model,flag,t0", [
+    ("exp_frequency", "--m0", "0"), ("tsquared", "--omega0", "1")])
+def test_model_flag_the_factory_ignores_changes_nothing(tmp_path, model, flag,
+                                                        t0):
+    argv = ["solve", "--model", model, "--t0", t0, "--t1", "2"]
+    assert run(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    assert run(argv + [flag, "2", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+_HARMONIC = {"model": "harmonic", "t0": 0.0, "t1": 1.0, "dt_out": 0.25}
+_KC = {**_HARMONIC, "model": "kanai_caldirola"}
+_EXP = {**_HARMONIC, "model": "exp_frequency"}
+_BESSEL = {"model": "bessel_type", "t0": 0.1, "t1": 1.0, "dt_out": 0.1}
+
+# key: (its flag, command, value, the other settings of the run)
+KEY_CASES = {
+    "out": ("--out", "solve", "out.csv", _HARMONIC),
+    "format": ("--format", "solve", "json", _HARMONIC),
+    "model": ("--model", "solve", "kanai_caldirola", _HARMONIC),
+    "suite": ("--suite", "verify", "series", {}),
+    "m0": ("--m0", "uncertainty", 1.5, _KC),
+    "omega0": ("--omega0", "solve", 1.5, _HARMONIC),
+    "gamma": ("--gamma", "solve", 0.5, _KC),
+    "gamma0": ("--gamma0", "solve", 0.5, _EXP),
+    "c": ("--c", "uncertainty", 0.8, _EXP),
+    "k0": ("--k0", "solve", 0.4, _BESSEL),
+    "nu": ("--nu", "solve", 1.2, _BESSEL),
+    "lam": ("--lambda", "solve", 2.4, _BESSEL),
+    "mu": ("--mu", "solve", 0.8, _BESSEL),
+    "order": ("--order", "solve", 6, _BESSEL),
+    "t0": ("--t0", "solve", 0.5, {**_HARMONIC, "t0": None}),
+    "t1": ("--t1", "solve", 0.5, {**_HARMONIC, "t1": None}),
+    "dt_out": ("--dt-out", "solve", 0.5, {**_HARMONIC, "dt_out": None}),
+    "hbar": ("--hbar", "uncertainty", 0.5, _KC),
+    "tol": ("--tol", "solve", 1e-6, _HARMONIC),
+    "K": ("--K", "solve", 0.5, _HARMONIC),
+    "sigma0": ("--sigma0", "solve", 0.9, _HARMONIC),
+    "sigma_dot0": ("--sigma-dot0", "solve", 0.1, _HARMONIC),
+    "samples": ("--samples", "check-min", 11, {"model": "kanai_caldirola"}),
+    "sweep": ("--sweep", "solve", "sigma0=0.8:0.9:2", _HARMONIC),
+}
+
+
+@pytest.mark.parametrize("key", list(cli.KEYS))
+def test_flag_and_config_key_give_identical_bytes(tmp_path, monkeypatch, key):
+    flag, command, value, settings = KEY_CASES[key]
+    outputs = []
+    for via in ("flag", "config"):
+        workdir = tmp_path / via
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        config = dict(settings)
+        argv = [command, "--config", str(tmp_path / f"{via}.json")]
+        if via == "flag":
+            argv += [flag, str(value)]
+        else:
+            config[key] = value
+        if key != "out":
+            argv += ["--out", "out.csv"]
+        (tmp_path / f"{via}.json").write_text(json.dumps(config))
+        assert run(argv) == 0
+        outputs.append({p.name: p.read_bytes() for p in workdir.iterdir()})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_numeric_strings_in_config_parse(tmp_path):
+    argv = ["solve", "--model", "bessel_type", "--t0", "0.1", "--t1", "1"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"omega0": "1.5", "order": "6"}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(argv + ["--config", str(cfg), "--out", str(a)]) == 0
+    assert run(argv + ["--omega0", "1.5", "--order", "6", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_over_series_alias_writes_distinct_runs(tmp_path):
+    out = tmp_path / "lam.csv"
+    assert run(["solve", "--model", "bessel_type", "--t0", "0.1", "--t1", "1",
+                "--sweep", "lam=3:4:2", "--out", str(out)]) == 0
+    a, b = (tmp_path / f"lam_{i:03d}.csv" for i in range(2))
+    assert a.read_bytes() != b.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_step_size_underflow_is_solver_error(tmp_path, capsys):
+    # sigma runs away near t = 0.7112; 0.712 is about the shortest window
+    # that still reaches the underflow
+    code = run(["solve", "--model", "exp_frequency", "--gamma0", "1e3",
+                "--t0", "0", "--t1", "0.712", "--sigma0", "1",
+                "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("StepSizeUnderflow:")
+    assert "t=0.711" in err and "h=" in err
 
 
 def test_series_json(capsys):

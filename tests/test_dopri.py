@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tdo import dopri
+from tdo import StepSizeUnderflow, dopri
 
 
 def _decay(t, y):
@@ -73,6 +73,12 @@ def test_step_callback_can_abort():
 
     with pytest.raises(Boom):
         dopri.solve(_decay, 0.0, 5.0, [1.0], step_callback=guard)
+
+
+def test_blow_up_raises_step_size_underflow():
+    # y' = y^2, y(0) = 1 has y = 1/(1 - t): the step shrinks to nothing at t = 1
+    with pytest.raises(StepSizeUnderflow, match=r"t=0\.9.*h="):
+        dopri.solve(lambda t, y: y * y, 0.0, 2.0, [1.0])
 
 
 def test_zero_span_returns_initial_state():
