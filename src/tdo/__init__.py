@@ -11,10 +11,11 @@ runs all of them.
 """
 
 from . import bessel, ermakov, minimum, models, quantum, series, verify
-from .errors import (ConstraintViolation, ConvergenceWarning,
-                     CriterionViolated, DomainError, NonPositiveAlpha,
-                     NonRealSigma, ParameterError, SingularityApproached,
-                     StepSizeUnderflow, TdoError, UnitsError, UnknownCase)
+from .errors import (BudgetExceeded, ConstraintViolation, ConvergenceWarning,
+                     CriterionViolated, DomainError, NonFiniteResult,
+                     NonPositiveAlpha, NonRealSigma, ParameterError,
+                     SingularityApproached, StepSizeUnderflow, TdoError,
+                     UnitsError, UnknownCase)
 
 __version__ = "0.1.0"
 
@@ -22,6 +23,7 @@ __all__ = [
     "bessel", "ermakov", "minimum", "models", "quantum", "series", "verify",
     "TdoError", "DomainError", "ParameterError", "UnitsError", "UnknownCase",
     "NonRealSigma", "ConstraintViolation", "SingularityApproached",
-    "StepSizeUnderflow", "CriterionViolated", "NonPositiveAlpha", "ConvergenceWarning",
+    "StepSizeUnderflow", "BudgetExceeded", "NonFiniteResult",
+    "CriterionViolated", "NonPositiveAlpha", "ConvergenceWarning",
     "__version__",
 ]

@@ -374,7 +374,10 @@ def main(argv=None):
     flags = {key: getattr(args, key) for key in KEYS
              if getattr(args, key, None) is not None}
     try:
-        return args.func(collections.ChainMap(flags, _load_config(args.config)))
+        # non-finite results surface as TdoErrors, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(
+                collections.ChainMap(flags, _load_config(args.config)))
     except ConfigError as exc:
         print(f"config_error: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dopri, models
-from .errors import (ConstraintViolation, DomainError, NonRealSigma,
-                     ParameterError, SingularityApproached, UnknownCase)
+from .errors import (ConstraintViolation, DomainError, NonFiniteResult,
+                     NonRealSigma, ParameterError, SingularityApproached,
+                     UnknownCase)
 
 DEFAULT_K = 0.25
 SIGMA_FLOOR = 1e-8
@@ -239,8 +240,9 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
     adaptive 5(4) stepper; theta' = 1/sigma^2 and F' = d(Omega^2)/dt * sigma^2.
     Returns one ErmakovState of columns at t_eval (default: n_out uniform
     times).
-    Raises SingularityApproached when sigma falls below sigma_floor and
-    DomainError when [t0, t1] leaves the model's domain.
+    Raises SingularityApproached when sigma falls below sigma_floor,
+    DomainError when [t0, t1] leaves the model's domain and NonFiniteResult
+    when a column leaves the floating-point range.
     """
     if K < 0.0:
         raise ParameterError("K < 0 regime is not supported")
@@ -253,15 +255,17 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
     if t_eval is None:
         t_eval = np.linspace(t0, t1, n_out)
 
+    coeffs = model.coeffs
+
     def rhs(t, y):
-        sigma = y[0]
-        w2 = models.omega2(model, t)
-        return np.array([
-            y[1],
-            -w2 * sigma + K / sigma ** 3,
-            1.0 / sigma ** 2,
-            models.omega2_dot(model, t) * sigma ** 2,
-        ])
+        sigma, sigma_dot, _, _ = y.tolist()
+        if not 1e-100 < abs(sigma) < 1e100:
+            # past these bounds the powers below can overflow or divide by
+            # zero, which raises on a float; a numpy scalar gives inf
+            sigma = np.float64(sigma)
+        w2, w2_dot = coeffs(t)
+        u = sigma ** 2
+        return (sigma_dot, -w2 * sigma + K / sigma ** 3, 1.0 / u, w2_dot * u)
 
     def guard(t, y):
         if y[0] < sigma_floor:
@@ -273,8 +277,15 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
                          t_eval=t_eval, max_step=max_step, step_callback=guard)
     sigma, sigma_dot, theta, F = np.reshape(ys, (-1, 4)).T
     k = conserved_k(sigma, sigma_dot, models.omega2(model, ts), K) - F
-    return ErmakovState(t=ts, sigma=sigma, sigma_dot=sigma_dot, theta=theta,
-                        k=k, F=F)
+    state = ErmakovState(t=ts, sigma=sigma, sigma_dot=sigma_dot, theta=theta,
+                         k=k, F=F)
+    for name, column in vars(state).items():
+        bad = ~np.isfinite(column)
+        if bad.any():
+            raise NonFiniteResult(
+                f"{model.name}: {name} is first not finite at "
+                f"t={float(ts[bad.argmax()])!r}")
+    return state
 
 
 # ---------------------------------------------------------------------------

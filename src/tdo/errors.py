@@ -37,6 +37,14 @@ class StepSizeUnderflow(TdoError):
     """The adaptive step fell below the resolution of the time axis."""
 
 
+class BudgetExceeded(TdoError):
+    """The stepper used up its step-attempt budget before reaching t1."""
+
+
+class NonFiniteResult(TdoError):
+    """An integrated trajectory left the floating-point range."""
+
+
 class CriterionViolated(TdoError):
     """Model does not keep m(t)*omega(t) constant."""
 

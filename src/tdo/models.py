@@ -66,10 +66,11 @@ class Domain:
 class ModelDescriptor:
     """Named oscillator model: mass/frequency callables with derivatives.
 
-    All callables accept scalars or numpy arrays.  `omega2` / `omega2_dot`
-    are optional analytic shortcuts; when absent the generic expressions
-    (and a central finite difference for the time derivative) are used.
-    Instances are immutable; every operation on them is a pure function.
+    All callables accept scalars or numpy arrays.  `coeffs(t)` returns
+    (Omega2, dOmega2/dt) in one pass: on a float with plain float
+    arithmetic, on an ndarray elementwise.  The integrator calls it once
+    per right-hand-side evaluation.  Instances are immutable; every
+    operation on them is a pure function.
     """
 
     name: str
@@ -78,10 +79,9 @@ class ModelDescriptor:
     m_ddot: callable
     omega: callable
     omega_dot: callable
+    coeffs: callable
     domain: Domain
     params: dict = field(default_factory=dict)
-    omega2: callable = None
-    omega2_dot: callable = None
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,8 @@ class CoefficientSample:
 def harmonic(m0=1.0, omega0=1.0):
     """Constant mass and frequency."""
     _require_positive(m0=m0, omega0=omega0)
+    Omega2 = omega0 * omega0
+    _require_finite("Omega^2", Omega2)
     return ModelDescriptor(
         name="harmonic",
         m=lambda t: m0 * _ones_like(t),
@@ -104,10 +106,9 @@ def harmonic(m0=1.0, omega0=1.0):
         m_ddot=lambda t: 0.0 * _ones_like(t),
         omega=lambda t: omega0 * _ones_like(t),
         omega_dot=lambda t: 0.0 * _ones_like(t),
+        coeffs=_constant_coeffs(Omega2),
         domain=Domain(),
         params={"m0": m0, "omega0": omega0},
-        omega2=lambda t: omega0 ** 2 * _ones_like(t),
-        omega2_dot=lambda t: 0.0 * _ones_like(t),
     )
 
 
@@ -118,7 +119,8 @@ def kanai_caldirola(m0=1.0, omega0=1.0, gamma=1.0):
     of either sign.
     """
     _require_positive(m0=m0, omega0=omega0)
-    Omega2_const = omega0 ** 2 - 0.25 * gamma ** 2
+    Omega2 = omega0 * omega0 - 0.25 * (gamma * gamma)
+    _require_finite("Omega^2", Omega2)
     return ModelDescriptor(
         name="kanai_caldirola",
         m=lambda t: m0 * np.exp(gamma * np.asarray(t, dtype=float)),
@@ -126,10 +128,9 @@ def kanai_caldirola(m0=1.0, omega0=1.0, gamma=1.0):
         m_ddot=lambda t: gamma ** 2 * m0 * np.exp(gamma * np.asarray(t, dtype=float)),
         omega=lambda t: omega0 * _ones_like(t),
         omega_dot=lambda t: 0.0 * _ones_like(t),
+        coeffs=_constant_coeffs(Omega2),
         domain=Domain(),
         params={"m0": m0, "omega0": omega0, "gamma": gamma},
-        omega2=lambda t: Omega2_const * _ones_like(t),
-        omega2_dot=lambda t: 0.0 * _ones_like(t),
     )
 
 
@@ -144,9 +145,16 @@ def exp_frequency(omega0=1.0, gamma0=1.0, c=2.0 ** -0.5):
     if gamma0 <= 0.0:
         raise ParameterError("exp_frequency requires gamma0 > 0")
     m0 = 1.0 / (2.0 * c * c * omega0)
+    shift = 0.25 * (gamma0 * gamma0)
+    _require_finite("gamma0^2/4", shift)
 
     def w(t):
         return omega0 * np.exp(-gamma0 * np.asarray(t, dtype=float))
+
+    def coeffs(t):
+        wt = omega0 * _exp(-gamma0 * t)
+        w2 = wt * wt
+        return w2 - shift, -2.0 * gamma0 * w2
 
     return ModelDescriptor(
         name="exp_frequency",
@@ -155,10 +163,9 @@ def exp_frequency(omega0=1.0, gamma0=1.0, c=2.0 ** -0.5):
         m_ddot=lambda t: gamma0 ** 2 * m0 * np.exp(gamma0 * np.asarray(t, dtype=float)),
         omega=w,
         omega_dot=lambda t: -gamma0 * w(t),
+        coeffs=coeffs,
         domain=Domain(),
         params={"omega0": omega0, "gamma0": gamma0, "c": c},
-        omega2=lambda t: w(t) ** 2 - 0.25 * gamma0 ** 2,
-        omega2_dot=lambda t: -2.0 * gamma0 * w(t) ** 2,
     )
 
 
@@ -170,6 +177,12 @@ def tsquared(m0=1.0, c=1.0, t_min=1e-3):
     _require_positive(m0=m0, c=c, t_min=t_min)
     b = 1.0 / (2.0 * m0 * c * c)
 
+    def coeffs(t):
+        # Omega = omega = b/t^2, so d(Omega^2)/dt = -4 Omega^2 / t
+        w = b / (t * t)
+        w2 = w * w
+        return w2, -4.0 * w2 / t
+
     return ModelDescriptor(
         name="tsquared",
         m=lambda t: m0 * np.asarray(t, dtype=float) ** 2,
@@ -177,10 +190,9 @@ def tsquared(m0=1.0, c=1.0, t_min=1e-3):
         m_ddot=lambda t: 2.0 * m0 * _ones_like(t),
         omega=lambda t: b / np.asarray(t, dtype=float) ** 2,
         omega_dot=lambda t: -2.0 * b / np.asarray(t, dtype=float) ** 3,
+        coeffs=coeffs,
         domain=Domain(lo=t_min, hi=_INF),
         params={"m0": m0, "c": c, "t_min": t_min},
-        omega2=lambda t: (b / np.asarray(t, dtype=float) ** 2) ** 2,
-        omega2_dot=lambda t: -4.0 * b * b / np.asarray(t, dtype=float) ** 5,
     )
 
 
@@ -211,20 +223,29 @@ def bessel_type(m0=1.0, omega0=1.0, Omega0=1.0, k0=0.5, nu=1.0, order=10,
     def add(t):
         return alpha.alpha_ddot(t)
 
-    def omega2(t):
-        al, ald, aldd = a(t), ad(t), add(t)
-        M = ald / al
-        Mdot = aldd / al - M * M
-        return (omega0 / al) ** 2 - 0.5 * Mdot - 0.25 * M * M
+    # Horner rows of alpha and its first three derivatives, top power
+    # first, weighted as in AlphaSeries; the last two have no k = 0 term
+    rows = [(ak, (2 * k + 1.0) * ak, (2 * k + 1.0) * (2 * k) * ak,
+             (2 * k + 1.0) * (2 * k) * (2 * k - 1.0) * ak)
+            for k, ak in reversed(list(enumerate(alpha.a)))]
 
-    def omega2_dot(t):
-        al, ald, aldd, ald3 = a(t), ad(t), add(t), alpha.alpha_d3(t)
+    def coeffs(t):
+        t2 = t * t
+        p0 = p1 = p2 = p3 = 0.0
+        for r0, r1, r2, r3 in rows[:-1]:
+            p0 = p0 * t2 + r0
+            p1 = p1 * t2 + r1
+            p2 = p2 * t2 + r2
+            p3 = p3 * t2 + r3
+        r0, r1 = rows[-1][:2]
+        al, ald, aldd, ald3 = t * (p0 * t2 + r0), p1 * t2 + r1, p2 * t, p3
         M = ald / al
         Mdot = aldd / al - M * M
         Mddot = ald3 / al - aldd * ald / (al * al) - 2.0 * M * Mdot
         w = omega0 / al
         wdot = -omega0 * ald / (al * al)
-        return 2.0 * w * wdot - 0.5 * Mddot - 0.5 * M * Mdot
+        return (w * w - 0.5 * Mdot - 0.25 * M * M,
+                2.0 * w * wdot - 0.5 * Mddot - 0.5 * M * Mdot)
 
     return ModelDescriptor(
         name="bessel_type",
@@ -233,11 +254,10 @@ def bessel_type(m0=1.0, omega0=1.0, Omega0=1.0, k0=0.5, nu=1.0, order=10,
         m_ddot=lambda t: m0 * add(t),
         omega=lambda t: omega0 / a(t),
         omega_dot=lambda t: -omega0 * ad(t) / a(t) ** 2,
+        coeffs=coeffs,
         domain=Domain(lo=t_min, hi=hi, hi_open=True),
         params={"m0": m0, "omega0": omega0, "Omega0": Omega0, "k0": k0,
                 "nu": nu, "order": order, "t_min": t_min},
-        omega2=omega2,
-        omega2_dot=omega2_dot,
     )
 
 
@@ -284,21 +304,17 @@ def damping_coefficient(model, t):
 
 
 def omega2(model, t):
-    """Effective squared frequency, analytic shortcut or generic expression."""
-    if model.omega2 is not None:
-        return model.omega2(t)
-    M = damping_coefficient(model, t)
-    Mdot = model.m_ddot(t) / model.m(t) - M * M
-    return model.omega(t) ** 2 - 0.5 * Mdot - 0.25 * M * M
+    """Effective squared frequency Omega^2(t).
+
+    Scalars go through the array path of `model.coeffs`, so a scalar and
+    an array element give the same bits.
+    """
+    return model.coeffs(np.asarray(t, dtype=float))[0]
 
 
-def omega2_dot(model, t, h=None):
-    """d(Omega^2)/dt, analytic when available, else central difference."""
-    if model.omega2_dot is not None:
-        return model.omega2_dot(t)
-    if h is None:
-        h = 1e-5 * (1.0 + abs(t))
-    return (omega2(model, t + h) - omega2(model, t - h)) / (2.0 * h)
+def omega2_dot(model, t):
+    """d(Omega^2)/dt, through the array path of `model.coeffs`."""
+    return model.coeffs(np.asarray(t, dtype=float))[1]
 
 
 def coefficients(model, t):
@@ -412,6 +428,8 @@ def tabulated_from_csv(path, name="tabulated"):
         m_ddot=m_ip.derivative(2),
         omega=w_ip,
         omega_dot=w_ip.derivative(1),
+        coeffs=_generic_coeffs(m_ip, m_ip.derivative(1), m_ip.derivative(2),
+                               w_ip),
         domain=Domain(lo=float(t[0]), hi=float(t[-1])),
         params={"rows": int(data.shape[0])},
     )
@@ -421,6 +439,48 @@ def tabulated_from_csv(path, name="tabulated"):
 
 def _ones_like(t):
     return np.ones_like(np.asarray(t, dtype=float))
+
+
+def _exp(x):
+    # numpy's exp can differ from libm's by an ulp: numpy scalars, which 0-d
+    # array arithmetic yields, stay on numpy's so both paths agree bitwise
+    if type(x) is not float:
+        return np.exp(x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _constant_coeffs(Omega2):
+    """`coeffs` of a constant effective squared frequency."""
+    Omega2 = float(Omega2)
+
+    def coeffs(t):
+        if isinstance(t, float):
+            return Omega2, 0.0
+        return np.full(np.shape(t), Omega2), np.zeros(np.shape(t))
+
+    return coeffs
+
+
+def _generic_coeffs(m, m_dot, m_ddot, omega):
+    """`coeffs` from the generic expression and a central difference."""
+    def Omega2(t):
+        M = m_dot(t) / m(t)
+        Mdot = m_ddot(t) / m(t) - M * M
+        return omega(t) ** 2 - 0.5 * Mdot - 0.25 * M * M
+
+    def coeffs(t):
+        h = 1e-5 * (1.0 + abs(t))
+        return Omega2(t), (Omega2(t + h) - Omega2(t - h)) / (2.0 * h)
+
+    return coeffs
+
+
+def _require_finite(name, val):
+    if not math.isfinite(val):
+        raise ParameterError(f"{name} must be finite, got {val}")
 
 
 def _require_positive(**kw):

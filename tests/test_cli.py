@@ -133,6 +133,11 @@ _SOLVE = ["solve", "--model", "harmonic", "--t0", "0", "--t1", "1"]
     pytest.param(_SOLVE, {"format": "xml"}, id="format-not-a-choice"),
     pytest.param(_SOLVE + ["--out", "{tmp}/missing/u.csv"], {},
                  id="out-in-missing-directory"),
+    pytest.param(_SOLVE + ["--sigma0", "1", "--omega0", "1e200"], {},
+                 id="omega0-squared-overflows"),
+    pytest.param(["solve", "--model", "kanai_caldirola", "--t0", "0",
+                  "--t1", "1", "--gamma", "1e155"], {},
+                 id="gamma-squared-overflows"),
 ])
 def test_non_finite_run_values_are_config_errors(tmp_path, capsys, argv,
                                                  config):
@@ -229,8 +234,7 @@ def test_sweep_over_series_alias_writes_distinct_runs(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_step_size_underflow_is_solver_error(tmp_path, capsys):
     # sigma runs away near t = 0.7112; 0.712 is about the shortest window
     # that still reaches the underflow
@@ -238,9 +242,38 @@ def test_step_size_underflow_is_solver_error(tmp_path, capsys):
                 "--t0", "0", "--t1", "0.712", "--sigma0", "1",
                 "--out", str(tmp_path / "x.csv")])
     assert code == 3
-    err = capsys.readouterr().err.strip().splitlines()[-1]
+    err, = capsys.readouterr().err.splitlines()
     assert err.startswith("StepSizeUnderflow:")
     assert "t=0.711" in err and "h=" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,kind,fragments", [
+    pytest.param(_SOLVE + ["--sigma0", "1", "--omega0", "1e150"],
+                 "StepSizeUnderflow", ["first step", "t=0.0"],
+                 id="first-step-underflows"),
+    pytest.param(["solve", "--model", "exp_frequency", "--gamma0", "1e3",
+                  "--t0", "0", "--t1", "0.7", "--sigma0", "1",
+                  "--dt-out", "0.1"],
+                 "NonFiniteResult", ["exp_frequency", "k", "t=0.7"],
+                 id="run-leaves-float-range"),
+])
+def test_solver_errors_exit_3_with_one_line(tmp_path, capsys, argv, kind,
+                                            fragments):
+    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 3
+    err, = capsys.readouterr().err.splitlines()
+    assert err.startswith(kind + ":")
+    assert all(fragment in err for fragment in fragments)
+
+
+def test_step_budget_is_solver_error(tmp_path, capsys, monkeypatch):
+    from tdo import dopri
+    monkeypatch.setattr(dopri, "MAX_STEPS", 1000)
+    code = run(["solve", "--model", "harmonic", "--t0", "0", "--t1", "1e9",
+                "--dt-out", "1e8", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err, = capsys.readouterr().err.splitlines()
+    assert err.startswith("BudgetExceeded:") and "1011 step attempts" in err
 
 
 def test_series_json(capsys):

@@ -71,13 +71,16 @@ def test_exp_frequency_rejects_nonpositive_gamma0():
         models.exp_frequency(gamma0=-0.5)
 
 
-@pytest.mark.parametrize("name,window", [
+CATALOG_WINDOWS = [
     ("harmonic", (0.0, 2.0)),
     ("kanai_caldirola", (0.0, 2.0)),
     ("exp_frequency", (0.0, 2.0)),
     ("tsquared", (0.5, 2.5)),
     ("bessel_type", (0.1, 1.5)),
-])
+]
+
+
+@pytest.mark.parametrize("name,window", CATALOG_WINDOWS)
 def test_analytic_derivatives_match_finite_differences(name, window):
     model = models.get_model(name)
     ts = np.linspace(*window, 102)[1:-1]
@@ -87,6 +90,21 @@ def test_analytic_derivatives_match_finite_differences(name, window):
         assert abs(fd(model.m, t, h) - md) <= 1e-6 * (1.0 + abs(md))
         wd = float(model.omega_dot(t))
         assert abs(fd(model.omega, t, h) - wd) <= 1e-6 * (1.0 + abs(wd))
+
+
+@pytest.mark.parametrize("name,window", CATALOG_WINDOWS)
+def test_coeffs_on_a_float_match_the_array_path(name, window):
+    # the float path may use libm where the array path uses numpy; measured
+    # against the column's largest magnitude, since Omega^2 = w^2 - gamma0^2/4
+    # cancels near its zero
+    model = models.get_model(name)
+    ts = np.linspace(*window, 101)
+    columns = model.coeffs(ts)
+    for i, t in enumerate(ts.tolist()):
+        for value, column in zip(model.coeffs(t), columns):
+            assert type(value) is float
+            ulp = np.spacing(np.max(np.abs(column)))
+            assert abs(value - column[i]) <= 2 * ulp
 
 
 def test_omega2_dot_shortcut_matches_finite_difference():
