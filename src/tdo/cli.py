@@ -27,7 +27,7 @@ from . import ermakov, minimum, models, quantum, series, verify
 from .errors import TdoError
 
 ENV_CONFIG = "TDO_DEFAULT_CONFIG"
-MAX_ROWS = 10 ** 6  # the stepper lands on every output row
+MAX_ROWS = 10 ** 6  # every output row is held in memory until it is written
 MAX_SWEEP = 1000  # sweep outputs carry a three-digit _NNN suffix
 
 # key: (type or string choices, key groups, help).  A command reads the keys

@@ -1,27 +1,38 @@
 """Embedded Dormand-Prince 5(4) Runge-Kutta stepper with PI step-size control.
 
 The 5th-order solution is propagated; the embedded 4th-order solution gives
-the local error estimate.  Steps are clipped so they land exactly on the
-requested output times, which removes the need for a dense-output
-interpolant.  Quadrature components (phases, accumulated functionals) ride
-along as extra state entries and therefore share the same error control as
-the dynamical variables.
+the local error estimate.  Quadrature components (phases, accumulated
+functionals) ride along as extra state entries and therefore share the same
+error control as the dynamical variables.
+
+Output times do not shorten steps; only t1 is landed on exactly, so the
+accepted steps do not depend on t_eval.  An output time inside an accepted
+step is read from a quintic continuous extension: the free quartic of the
+pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6) supplies two extra
+slopes at a third and two thirds of the step, and the quintic matching the
+step-end value and the four slopes is 5th order (the bootstrap of Enright,
+Jackson, Norsett & Thomsen, ACM TOMS 12, 193, 1986).  It is built from
+y_new - y and h*f terms only and y is added last, so a slowly moving
+component (a phase that has stalled) keeps its increments' sign instead of
+drowning in the rounding of y.  An output time equal to a step end takes
+the step's solution itself.
 
 The step loop runs on Python floats: the state and the seven stages are
 lists, and each stage combination is written out term by term.  On the
 short states this package integrates (four components) numpy's per-call
 cost would outweigh the arithmetic.  The right-hand side still receives a
 fresh 1-D float ndarray.  The FSAL pattern costs 2 evaluations before the
-first step (the slope and the initial-step probe), then 6 per attempt.
-Every step attempt counts against a budget of MAX_STEPS plus one per
-output time; past it the run stops with BudgetExceeded.
+first step (the slope and the initial-step probe), then 6 per attempt,
+plus 2 per accepted step that holds an output time inside it.  Every step
+attempt counts against a budget of MAX_STEPS plus one per output time;
+past it the run stops with BudgetExceeded.
 """
 
 import math
 
 import numpy as np
 
-from .errors import BudgetExceeded, StepSizeUnderflow
+from .errors import BudgetExceeded, ParameterError, StepSizeUnderflow
 
 MAX_STEPS = 10 ** 6  # step attempts allowed beyond one per output time
 
@@ -43,6 +54,13 @@ E4 = 125 / 192 - 393 / 640
 E5 = -2187 / 6784 + 92097 / 339200
 E6 = 11 / 84 - 187 / 2100
 E7 = -1 / 40
+# free 4th-order continuous extension (Hairer's dopri5 contd5, d2 = 0)
+D1 = -12715105075 / 11282082432
+D3 = 87487479700 / 32700410799
+D4 = -10690763975 / 1880347072
+D5 = 701980252875 / 199316789632
+D6 = -1453857185 / 822651844
+D7 = 69997945 / 29380423
 
 # PI controller constants (Hairer's dopri5 defaults)
 _SAFETY = 0.9
@@ -83,6 +101,39 @@ def _floats(v, n):
     return np.asarray(v, dtype=float).reshape(n).tolist()
 
 
+def _quintic(f, t, h, y, y_new, k1, k3, k4, k5, k6, k7):
+    """Per component, (y, c1, ..., c5) of p(s) = y + c1 s + ... + c5 s^5.
+
+    p is the continuous extension over the accepted step [t, t + h]: it
+    matches y_new at s = 1 and the slopes h*k1 at s = 0, h*k7 at s = 1 and
+    h*f at s = 1/3 and s = 2/3, where f is taken on the free quartic.
+    """
+    n = len(y)
+    dy = [b - a for a, b in zip(y, y_new)]
+    hk1 = [h * a for a in k1]
+    hk7 = [h * a for a in k7]
+    # the quartic is y + s*(dy + (1-s)*(bspl + s*(r4 + (1-s)*r5)))
+    bspl = [a - d for a, d in zip(hk1, dy)]
+    r4 = [d - a - b for d, a, b in zip(dy, hk7, bspl)]
+    r5 = [h * (D1 * a + D3 * c + D4 * d + D5 * e + D6 * g + D7 * p)
+          for a, c, d, e, g, p in zip(k1, k3, k4, k5, k6, k7)]
+    g1 = _floats(f(t + h / 3, np.array(
+        [y_ + (d + (b + (q + r * (2 / 3)) / 3) * (2 / 3)) / 3
+         for y_, d, b, q, r in zip(y, dy, bspl, r4, r5)])), n)
+    g2 = _floats(f(t + 2 * h / 3, np.array(
+        [y_ + (d + (b + (q + r / 3) * (2 / 3)) / 3) * (2 / 3)
+         for y_, d, b, q, r in zip(y, dy, bspl, r4, r5)])), n)
+    # the quintic's coefficients as combinations of increments only
+    return [
+        (y_, a,
+         30 * d - 13 / 2 * a - 13 / 4 * e - 27 / 4 * p - 27 / 2 * q,
+         -110 * d + 67 / 4 * a + 49 / 4 * e + 135 / 4 * p + 189 / 4 * q,
+         135 * d - 18 * a - 63 / 4 * e - 189 / 4 * p - 54 * q,
+         -54 * d + 27 / 4 * a + 27 / 4 * e + 81 / 4 * p + 81 / 4 * q)
+        for y_, d, a, e, p, q in zip(
+            y, dy, hk1, hk7, [h * a for a in g1], [h * a for a in g2])]
+
+
 def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
           step_callback=None):
     """Integrate y' = f(t, y) forward from t0 to t1.
@@ -91,8 +142,8 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
     ----------
     f : callable(t, y) -> array_like of len(y0) values; y is a fresh 1-D
         float ndarray.
-    t_eval : increasing times in [t0, t1] at which to record the solution;
-        defaults to (t0, t1).
+    t_eval : nondecreasing times in [t0, t1] at which to record the
+        solution; defaults to (t0, t1).  They do not move the steps.
     step_callback : callable(t, y), invoked after every accepted step with
         the state as an ndarray; may raise to abort the run.
 
@@ -100,25 +151,26 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
     -------
     (ts, ys) : recorded times (ndarray) and states (ndarray, one row per time)
 
-    Raises StepSizeUnderflow when the step falls below the resolution of
-    the time axis and BudgetExceeded after len(t_eval) + MAX_STEPS step
-    attempts.
+    Raises ParameterError for t1 < t0, a y0 that is not 1-D or a t_eval
+    outside [t0, t1] or decreasing, StepSizeUnderflow when the step falls
+    below the resolution of the time axis and BudgetExceeded after
+    len(t_eval) + MAX_STEPS step attempts.
     """
     t0 = float(t0)
     t1 = float(t1)
     if not t1 >= t0:
-        raise ValueError("t1 must be >= t0")
+        raise ParameterError("t1 must be >= t0")
     y_arr = np.array(y0, dtype=float)
     if y_arr.ndim != 1:
-        raise ValueError("y0 must be one-dimensional")
+        raise ParameterError("y0 must be one-dimensional")
     if t_eval is None:
         t_eval = np.array([t0, t1])
     else:
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.size and (t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12):
-            raise ValueError("t_eval outside [t0, t1]")
+            raise ParameterError("t_eval outside [t0, t1]")
         if np.any(np.diff(t_eval) < 0):
-            raise ValueError("t_eval must be nondecreasing")
+            raise ParameterError("t_eval must be nondecreasing")
     t_out = t_eval.tolist()
     n_out = len(t_out)
     y = y_arr.tolist()
@@ -144,11 +196,6 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
     while t < t1:
         h = min(h, max_step)
         h_try = min(h, t1 - t)
-        # land exactly on t1 / output points to avoid one-ulp residual steps
-        target = t1 if h_try == t1 - t else None
-        if i_next < n_out and t_out[i_next] - t <= h_try:
-            h_try = t_out[i_next] - t
-            target = t_out[i_next]
         if h_try < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflow(
                 f"step size underflow in dopri.solve at t={t!r}, h={h_try!r}")
@@ -190,8 +237,18 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
             h = 0.2 * h_try
             continue
         if err <= 1.0:
-            t = target if target is not None else t + h_try
-            y, k1 = y_new, k7
+            # land exactly on t1 to avoid a one-ulp residual step
+            t_new = t1 if h_try == t1 - t else t + h_try
+            if i_next < n_out and t_out[i_next] < t_new:
+                coef = _quintic(f, t, h_try, y, y_new, k1, k3, k4, k5, k6, k7)
+                while i_next < n_out and t_out[i_next] < t_new:
+                    s = (t_out[i_next] - t) / h_try
+                    out_t.append(t_out[i_next])
+                    out_y.append([
+                        y_ + s * (a + s * (b + s * (c + s * (d + s * e))))
+                        for y_, a, b, c, d, e in coef])
+                    i_next += 1
+            t, y, k1 = t_new, y_new, k7
             while i_next < n_out and t_out[i_next] <= t:
                 out_t.append(t_out[i_next])
                 out_y.append(y)

@@ -144,7 +144,7 @@ def exp_frequency(omega0=1.0, gamma0=1.0, c=2.0 ** -0.5):
     _require_positive(omega0=omega0, c=c)
     if gamma0 <= 0.0:
         raise ParameterError("exp_frequency requires gamma0 > 0")
-    m0 = 1.0 / (2.0 * c * c * omega0)
+    m0 = 1.0 / _divisor("2 c^2 omega0", 2.0 * c * c * omega0)
     shift = 0.25 * (gamma0 * gamma0)
     _require_finite("gamma0^2/4", shift)
 
@@ -175,7 +175,7 @@ def tsquared(m0=1.0, c=1.0, t_min=1e-3):
     The t = 0 singularity is excluded by the configurable cutoff t_min.
     """
     _require_positive(m0=m0, c=c, t_min=t_min)
-    b = 1.0 / (2.0 * m0 * c * c)
+    b = 1.0 / _divisor("2 m0 c^2", 2.0 * m0 * c * c)
 
     def coeffs(t):
         # Omega = omega = b/t^2, so d(Omega^2)/dt = -4 Omega^2 / t
@@ -481,6 +481,13 @@ def _generic_coeffs(m, m_dot, m_ddot, omega):
 def _require_finite(name, val):
     if not math.isfinite(val):
         raise ParameterError(f"{name} must be finite, got {val}")
+
+
+def _divisor(name, val):
+    """val, after checking that it can divide: neither 0 nor infinite."""
+    if not 0.0 < abs(val) < math.inf:
+        raise ParameterError(f"{name} must be nonzero and finite, got {val}")
+    return val
 
 
 def _require_positive(**kw):

@@ -138,6 +138,12 @@ _SOLVE = ["solve", "--model", "harmonic", "--t0", "0", "--t1", "1"]
     pytest.param(["solve", "--model", "kanai_caldirola", "--t0", "0",
                   "--t1", "1", "--gamma", "1e155"], {},
                  id="gamma-squared-overflows"),
+    pytest.param(["solve", "--model", "exp_frequency", "--c", "1e-200",
+                  "--t0", "0", "--t1", "1"], {},
+                 id="exp-frequency-mass-divisor-underflows"),
+    pytest.param(["solve", "--model", "tsquared", "--m0", "1e-200",
+                  "--c", "1e-100", "--t0", "1", "--t1", "2"], {},
+                 id="tsquared-frequency-divisor-underflows"),
 ])
 def test_non_finite_run_values_are_config_errors(tmp_path, capsys, argv,
                                                  config):

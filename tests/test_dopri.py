@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdo import BudgetExceeded, StepSizeUnderflow, dopri
+from tdo import BudgetExceeded, ParameterError, StepSizeUnderflow, dopri
 
 
 def _decay(t, y):
@@ -37,6 +37,48 @@ def test_t_eval_grid_is_respected():
     ts, ys = dopri.solve(_decay, 0.0, 2.0, [1.0], t_eval=grid)
     np.testing.assert_array_equal(ts, grid)
     np.testing.assert_allclose(ys[:, 0], np.exp(-grid), rtol=1e-9)
+
+
+def test_dense_output_between_steps_is_as_accurate_as_step_ends():
+    grid = np.linspace(0.0, 20.0 * math.pi, 2001)
+    ts, ys = dopri.solve(_harmonic, 0.0, 20.0 * math.pi, [1.0, 0.0],
+                         rtol=1e-10, atol=1e-12, t_eval=grid)
+    assert np.max(np.abs(ys[1:-1, 0] - np.cos(ts[1:-1]))) <= 1e-9
+
+
+def test_dense_output_error_inside_a_step_is_that_of_its_end():
+    # over the first steps the error is still local: a 5th-order extension
+    # stays at the step-end error, a 4th-order one (the free quartic) is
+    # 10-50x above it
+    def exact(t):
+        return np.array([math.cos(t), -math.sin(t)])
+
+    steps = []
+    dopri.solve(_harmonic, 0.0, 20.0, [1.0, 0.0], rtol=1e-8, atol=1e-10,
+                step_callback=lambda t, y: steps.append((t, y.copy())))
+    for (a, _), (b, y_b) in zip(steps[:5], steps[1:6]):
+        grid = np.linspace(a, b, 12)[1:-1]
+        ts, ys = dopri.solve(_harmonic, 0.0, 20.0, [1.0, 0.0], rtol=1e-8,
+                             atol=1e-10, t_eval=grid)
+        inside = max(np.max(np.abs(y - exact(t))) for t, y in zip(ts, ys))
+        assert inside <= 2.0 * np.max(np.abs(y_b - exact(b))) + 1e-15
+
+
+def test_output_times_on_step_ends_take_the_step_state():
+    calls, steps = [], []
+
+    def counted(t, y):
+        calls.append(t)
+        return _harmonic(t, y)
+
+    dopri.solve(counted, 0.0, 10.0, [1.0, 0.0],
+                step_callback=lambda t, y: steps.append((t, y.tobytes())))
+    nfev = len(calls)
+    grid = [0.0] + [t for t, _ in steps]
+    ts, ys = dopri.solve(counted, 0.0, 10.0, [1.0, 0.0], t_eval=grid)
+    assert [row.tobytes() for row in ys[1:]] == [y for _, y in steps]
+    # no output time lies strictly inside a step: no dense-output calls
+    assert len(calls) == 2 * nfev
 
 
 def test_t_eval_without_endpoints():
@@ -90,12 +132,14 @@ def test_zero_span_returns_initial_state():
 
 
 def test_invalid_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         dopri.solve(_decay, 1.0, 0.0, [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         dopri.solve(_decay, 0.0, 1.0, [1.0], t_eval=[0.5, 0.2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         dopri.solve(_decay, 0.0, 1.0, [1.0], t_eval=[0.0, 2.0])
+    with pytest.raises(ParameterError):
+        dopri.solve(_decay, 0.0, 1.0, [[1.0]])
 
 
 def test_max_step_is_honored():
@@ -251,20 +295,41 @@ def _reference_solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None,
     return np.array(out_t), np.array(out_y)
 
 
-def _assert_same_run(f, t0, t1, y0, **kwargs):
-    """dopri.solve and the oracle give the same bits and RHS-call count."""
+def _assert_same_run(f, t0, t1, y0, t_eval=None, **kwargs):
+    """dopri.solve takes the oracle's steps, bit for bit.
+
+    Output times do not move the steps, so the oracle runs without them:
+    the accepted steps and states match exactly, and each step holding an
+    output time strictly inside it costs two more RHS calls.  Without
+    output times the whole result matches too.
+    """
     runs = []
-    for solver in (dopri.solve, _reference_solve):
-        calls = []
+    for solver, grid in ((dopri.solve, t_eval), (_reference_solve, None)):
+        calls, steps = [], []
 
         def counted(t, y):
             calls.append(t)
             return f(t, y)
 
-        ts, ys = solver(counted, t0, t1, y0, **kwargs)
-        runs.append((ts.shape, ys.shape, ts.tobytes(), ys.tobytes(),
-                     len(calls)))
-    assert runs[0] == runs[1]
+        def record(t, y):
+            steps.append((t, y.tobytes()))
+
+        ts, ys = solver(counted, t0, t1, y0, t_eval=grid,
+                        step_callback=record, **kwargs)
+        runs.append((ts, ys, len(calls), steps))
+    (ts, ys, nfev, steps), (ref_ts, ref_ys, ref_nfev, ref_steps) = runs
+    assert steps == ref_steps
+    ends = [float(t0)] + [t for t, _ in steps]
+    grid = [] if t_eval is None else list(t_eval)
+    bearing = sum(any(a < s < b for s in grid) for a, b in zip(ends, ends[1:]))
+    assert nfev == ref_nfev + 2 * bearing
+    if t_eval is None:
+        assert (ts.tobytes(), ys.shape, ys.tobytes()) == (
+            ref_ts.tobytes(), ref_ys.shape, ref_ys.tobytes())
+    else:
+        np.testing.assert_array_equal(ts, grid)
+        if grid[-1] == t1:
+            assert ys[-1].tobytes() == ref_ys[-1].tobytes()
 
 
 def _quadrature(t, y):
@@ -304,7 +369,7 @@ def test_forced_linear_systems_match_reference(data, n, rtol, t1, with_grid):
     y0 = data.draw(st.lists(entry, min_size=n, max_size=n))
     grid = None
     if with_grid:
-        # output times on a lattice, so no two lie closer than the step floor
+        # output times on a lattice, so some fall on t0 and t1 and repeat
         ticks = data.draw(st.lists(st.integers(0, 64), min_size=1, max_size=12))
         grid = [t1 * i / 64 for i in sorted(ticks)]
     _assert_same_run(lambda t, y: A @ y + math.sin(t), 0.0, t1, y0,

@@ -121,6 +121,21 @@ def test_integrate_matches_hyperbolic_closed_form():
     assert np.all(np.abs(states.sigma - ref) / ref < 1e-6)
 
 
+@pytest.mark.parametrize("omega0", [0.8, 1.0, 1.3])
+def test_stalled_phase_stays_nondecreasing_between_steps(omega0):
+    # gamma = 2.2 omega0: sigma grows like cosh, so theta' = 1/sigma^2 dies
+    # out and theta stalls at the rounding level; one row per bare period
+    # falls inside long steps and is read from the continuous extension
+    m = models.kanai_caldirola(omega0=omega0, gamma=2.2 * omega0)
+    w2 = 0.21 * omega0 ** 2
+    s_c = (0.25 / w2) ** 0.25
+    init = (1.3 * s_c, 0.05 * s_c * math.sqrt(w2))
+    period = 2.0 * math.pi / omega0
+    states = ermakov.integrate_ep(m, 0.25, init, 0.0, 30 * period,
+                                  t_eval=period * np.arange(31))
+    assert np.all(np.diff(states.theta) >= 0.0)
+
+
 def test_sigma_floor_trips():
     m = models.harmonic()
     with pytest.raises(SingularityApproached):
