@@ -86,8 +86,9 @@ def _write_table(path, fmt, columns):
     if fmt == "json":
         _write_json(path, {"columns": header, "rows": rows})
         return
+    line = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(f"{x:.17g}" for x in row) for row in rows)
+    lines.extend(line % tuple(row) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -20,8 +20,9 @@ the step's solution itself.
 The step loop runs on Python floats: the state and the seven stages are
 lists, and each stage combination is written out term by term.  On the
 short states this package integrates (four components) numpy's per-call
-cost would outweigh the arithmetic.  The right-hand side still receives a
-fresh 1-D float ndarray.  The FSAL pattern costs 2 evaluations before the
+cost would outweigh the arithmetic, so the right-hand side receives the
+state as a list of Python floats too, and a tuple of the right length it
+returns is used as it is.  The FSAL pattern costs 2 evaluations before the
 first step (the slope and the initial-step probe), then 6 per attempt,
 plus 2 per accepted step that holds an output time inside it.  Every step
 attempt counts against a budget of MAX_STEPS plus one per output time;
@@ -76,6 +77,7 @@ def _error_norm(e, scale):
 
 def _initial_step(f, t0, y0, f0, t1, rtol, atol):
     """Cheap two-evaluation guess for the first step size."""
+    f0 = np.array(f0, dtype=float)
     scale = atol + rtol * np.abs(y0)
     d0 = _error_norm(y0, scale)
     d1 = _error_norm(f0, scale)
@@ -85,7 +87,7 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol):
             f"no usable first step in dopri.solve at t={t0!r}: the slope "
             f"gives h={h0!r}")
     y1 = y0 + h0 * f0
-    f1 = np.asarray(f(t0 + h0, y1), dtype=float)
+    f1 = np.array(_floats(f(t0 + h0, y1.tolist()), len(y0)), dtype=float)
     d2 = _error_norm(f1 - f0, scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -95,10 +97,24 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol):
 
 
 def _floats(v, n):
-    """A right-hand-side value as a list of n Python floats."""
+    """A right-hand-side value as a sequence of n floats.
+
+    A tuple of length n is taken as it is; anything else is converted.
+    """
     if type(v) is tuple and len(v) == n:
-        return [*map(float, v)]
-    return np.asarray(v, dtype=float).reshape(n).tolist()
+        return v
+    v = np.asarray(v, dtype=float)
+    if v.size != n:
+        raise ParameterError(
+            f"the right-hand side returned {v.size} values for a state of "
+            f"{n}")
+    return v.reshape(n).tolist()
+
+
+def _table(out_t, out_y, late, y):
+    """The recorded rows as arrays; the output times left over, which lie
+    at most 1e-12 past t1, take the final state y."""
+    return np.array(out_t + late), np.array(out_y + [y] * len(late))
 
 
 def _quintic(f, t, h, y, y_new, k1, k3, k4, k5, k6, k7):
@@ -117,12 +133,12 @@ def _quintic(f, t, h, y, y_new, k1, k3, k4, k5, k6, k7):
     r4 = [d - a - b for d, a, b in zip(dy, hk7, bspl)]
     r5 = [h * (D1 * a + D3 * c + D4 * d + D5 * e + D6 * g + D7 * p)
           for a, c, d, e, g, p in zip(k1, k3, k4, k5, k6, k7)]
-    g1 = _floats(f(t + h / 3, np.array(
-        [y_ + (d + (b + (q + r * (2 / 3)) / 3) * (2 / 3)) / 3
-         for y_, d, b, q, r in zip(y, dy, bspl, r4, r5)])), n)
-    g2 = _floats(f(t + 2 * h / 3, np.array(
-        [y_ + (d + (b + (q + r / 3) * (2 / 3)) / 3) * (2 / 3)
-         for y_, d, b, q, r in zip(y, dy, bspl, r4, r5)])), n)
+    g1 = _floats(f(t + h / 3, [
+        y_ + (d + (b + (q + r * (2 / 3)) / 3) * (2 / 3)) / 3
+        for y_, d, b, q, r in zip(y, dy, bspl, r4, r5)]), n)
+    g2 = _floats(f(t + 2 * h / 3, [
+        y_ + (d + (b + (q + r / 3) * (2 / 3)) / 3) * (2 / 3)
+        for y_, d, b, q, r in zip(y, dy, bspl, r4, r5)]), n)
     # the quintic's coefficients as combinations of increments only
     return [
         (y_, a,
@@ -140,21 +156,25 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
 
     Parameters
     ----------
-    f : callable(t, y) -> array_like of len(y0) values; y is a fresh 1-D
-        float ndarray.
+    f : callable(t, y) -> len(y0) values, as a tuple of floats or anything
+        numpy reads as an array of that size; y is a list of len(y0) Python
+        floats, which f must not modify.
     t_eval : nondecreasing times in [t0, t1] at which to record the
-        solution; defaults to (t0, t1).  They do not move the steps.
+        solution; defaults to (t0, t1).  They do not move the steps.  Times
+        up to 1e-12 outside [t0, t1] take the state at the nearer end.
     step_callback : callable(t, y), invoked after every accepted step with
-        the state as an ndarray; may raise to abort the run.
+        the state as the same kind of list; may raise to abort the run.
 
     Returns
     -------
     (ts, ys) : recorded times (ndarray) and states (ndarray, one row per time)
 
-    Raises ParameterError for t1 < t0, a y0 that is not 1-D or a t_eval
-    outside [t0, t1] or decreasing, StepSizeUnderflow when the step falls
-    below the resolution of the time axis and BudgetExceeded after
-    len(t_eval) + MAX_STEPS step attempts.
+    Raises ParameterError for t1 < t0, a y0 that is not 1-D, a t_eval
+    outside [t0, t1] or decreasing or an f value of the wrong size,
+    StepSizeUnderflow when the step falls below the resolution of the time
+    axis and BudgetExceeded after len(t_eval) + MAX_STEPS step attempts.
+    A step that would leave t1 a residual below that resolution is
+    stretched to land on t1.
     """
     t0 = float(t0)
     t1 = float(t1)
@@ -167,7 +187,8 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
         t_eval = np.array([t0, t1])
     else:
         t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.size and (t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12):
+        # written so that a nan fails it too
+        if not np.all((t0 - 1e-12 <= t_eval) & (t_eval <= t1 + 1e-12)):
             raise ParameterError("t_eval outside [t0, t1]")
         if np.any(np.diff(t_eval) < 0):
             raise ParameterError("t_eval must be nondecreasing")
@@ -184,11 +205,10 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
         out_y.append(y)
         i_next += 1
     if t1 == t0:
-        return np.array(out_t), np.array(out_y)
+        return _table(out_t, out_y, t_out[i_next:], y)
 
-    f1 = np.asarray(f(t, y_arr), dtype=float)
-    h = min(_initial_step(f, t, y_arr, f1, t1, rtol, atol), max_step)
-    k1 = f1.reshape(n).tolist()
+    k1 = _floats(f(t, y), n)
+    h = min(_initial_step(f, t, y_arr, k1, t1, rtol, atol), max_step)
     err_prev = 1e-4  # bootstrap value for the PI controller
     budget = n_out + MAX_STEPS
     attempts = 0
@@ -196,7 +216,12 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
     while t < t1:
         h = min(h, max_step)
         h_try = min(h, t1 - t)
-        if h_try < 1e-14 * max(1.0, abs(t)):
+        floor = 1e-14 * max(1.0, abs(t))
+        if t1 - t - h_try < floor:
+            # a step that would leave t1 a residual below the floor, which
+            # the next step could not take, is stretched to land on t1
+            h_try = t1 - t
+        if h_try < floor:
             raise StepSizeUnderflow(
                 f"step size underflow in dopri.solve at t={t!r}, h={h_try!r}")
         attempts += 1
@@ -205,26 +230,25 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
                 f"step budget exhausted in dopri.solve at t={t!r}, "
                 f"h={h_try!r}: {attempts - 1} step attempts")
 
-        k2 = _floats(f(t + C2 * h_try, np.array(
-            [y_ + h_try * (A21 * a) for y_, a in zip(y, k1)])), n)
-        k3 = _floats(f(t + C3 * h_try, np.array(
-            [y_ + h_try * (A31 * a + A32 * b)
-             for y_, a, b in zip(y, k1, k2)])), n)
-        k4 = _floats(f(t + C4 * h_try, np.array(
-            [y_ + h_try * (A41 * a + A42 * b + A43 * c)
-             for y_, a, b, c in zip(y, k1, k2, k3)])), n)
-        k5 = _floats(f(t + C5 * h_try, np.array(
-            [y_ + h_try * (A51 * a + A52 * b + A53 * c + A54 * d)
-             for y_, a, b, c, d in zip(y, k1, k2, k3, k4)])), n)
-        k6 = _floats(f(t + h_try, np.array(
-            [y_ + h_try * (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
-             for y_, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])), n)
+        k2 = _floats(f(t + C2 * h_try, [
+            y_ + h_try * (A21 * a) for y_, a in zip(y, k1)]), n)
+        k3 = _floats(f(t + C3 * h_try, [
+            y_ + h_try * (A31 * a + A32 * b)
+            for y_, a, b in zip(y, k1, k2)]), n)
+        k4 = _floats(f(t + C4 * h_try, [
+            y_ + h_try * (A41 * a + A42 * b + A43 * c)
+            for y_, a, b, c in zip(y, k1, k2, k3)]), n)
+        k5 = _floats(f(t + C5 * h_try, [
+            y_ + h_try * (A51 * a + A52 * b + A53 * c + A54 * d)
+            for y_, a, b, c, d in zip(y, k1, k2, k3, k4)]), n)
+        k6 = _floats(f(t + h_try, [
+            y_ + h_try * (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
+            for y_, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]), n)
         # the 7th stage argument is the 5th-order solution itself (FSAL)
         y_new = [
             y_ + h_try * (A71 * a + A73 * c + A74 * d + A75 * e + A76 * g)
             for y_, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-        new_arr = np.array(y_new)
-        k7 = _floats(f(t + h_try, new_arr), n)
+        k7 = _floats(f(t + h_try, y_new), n)
 
         sq = 0.0
         for y_, yn, a, c, d, e, g, p in zip(y, y_new, k1, k3, k4, k5, k6, k7):
@@ -254,7 +278,7 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
                 out_y.append(y)
                 i_next += 1
             if step_callback is not None:
-                step_callback(t, new_arr)
+                step_callback(t, y)
             if err == 0.0:
                 factor = _FAC_MAX
             else:
@@ -265,4 +289,4 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
         else:
             h = h_try * max(_FAC_MIN, min(1.0, _SAFETY * err ** (-0.2)))
 
-    return np.array(out_t), np.array(out_y)
+    return _table(out_t, out_y, t_out[i_next:], y)

@@ -258,7 +258,7 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
     coeffs = model.coeffs
 
     def rhs(t, y):
-        sigma, sigma_dot, _, _ = y.tolist()
+        sigma, sigma_dot, _, _ = y
         if not 1e-100 < abs(sigma) < 1e100:
             # past these bounds the powers below can overflow or divide by
             # zero, which raises on a float; a numpy scalar gives inf

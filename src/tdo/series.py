@@ -461,6 +461,9 @@ def linearization_gap(Omega0, k0, nu, omega0, sigma0, sigma_dot0, t0, t1,
 
     if min(t0, t1) <= 0.0 or not t1 > t0:
         raise ParameterError("need 0 < t0 < t1")
+    if sigma0 == 0.0:
+        raise ParameterError("need sigma0 != 0: the full equation is "
+                             "singular at sigma = 0")
 
     def w2(t):
         return Omega0 ** 2 * (k0 ** 2 + nu ** 2 / (t * t))
@@ -468,10 +471,10 @@ def linearization_gap(Omega0, k0, nu, omega0, sigma0, sigma_dot0, t0, t1,
     K = 0.25 * omega0 ** 2
 
     def rhs_full(t, y):
-        return np.array([y[1], -w2(t) * y[0] + K / y[0] ** 3])
+        return (y[1], -w2(t) * y[0] + K / y[0] ** 3)
 
     def rhs_lin(t, y):
-        return np.array([y[1], -w2(t) * y[0]])
+        return (y[1], -w2(t) * y[0])
 
     grid = np.linspace(t0, t1, n)
     y0 = np.array([sigma0, sigma_dot0])

@@ -405,3 +405,14 @@ def test_csv_uses_17_significant_digits(tmp_path):
          "--t0", "0", "--t1", "1", "--dt-out", "1", "--out", str(out)])
     text = out.read_text()
     assert "0.33333333333333331" in text  # exact shortest-17g round trip
+
+
+def test_csv_rows_format_special_values_as_17g(tmp_path):
+    # one printf-style pattern per row writes what per-value 17g writes
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308,
+              1.0 / 3.0, -1e300, 123456789.0, 1e16, 2.5e-5]
+    out = tmp_path / "special.csv"
+    cli._write_table(str(out), "csv", {"a": values, "b": values[::-1]})
+    expected = ["a,b"] + [f"{x:.17g},{y:.17g}"
+                          for x, y in zip(values, values[::-1])]
+    assert out.read_text() == "\n".join(expected) + "\n"

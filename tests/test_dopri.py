@@ -12,7 +12,7 @@ from tdo import BudgetExceeded, ParameterError, StepSizeUnderflow, dopri
 
 def _decay(t, y):
     # y' = -y  =>  y = y0 exp(-t)
-    return -y
+    return np.negative(y)
 
 
 def _harmonic(t, y):
@@ -72,7 +72,8 @@ def test_output_times_on_step_ends_take_the_step_state():
         return _harmonic(t, y)
 
     dopri.solve(counted, 0.0, 10.0, [1.0, 0.0],
-                step_callback=lambda t, y: steps.append((t, y.tobytes())))
+                step_callback=lambda t, y: steps.append(
+                    (t, np.array(y).tobytes())))
     nfev = len(calls)
     grid = [0.0] + [t for t, _ in steps]
     ts, ys = dopri.solve(counted, 0.0, 10.0, [1.0, 0.0], t_eval=grid)
@@ -122,7 +123,7 @@ def test_step_callback_can_abort():
 def test_blow_up_raises_step_size_underflow():
     # y' = y^2, y(0) = 1 has y = 1/(1 - t): the step shrinks to nothing at t = 1
     with pytest.raises(StepSizeUnderflow, match=r"t=0\.9.*h="):
-        dopri.solve(lambda t, y: y * y, 0.0, 2.0, [1.0])
+        dopri.solve(lambda t, y: np.multiply(y, y), 0.0, 2.0, [1.0])
 
 
 def test_zero_span_returns_initial_state():
@@ -139,6 +140,8 @@ def test_invalid_inputs():
     with pytest.raises(ParameterError):
         dopri.solve(_decay, 0.0, 1.0, [1.0], t_eval=[0.0, 2.0])
     with pytest.raises(ParameterError):
+        dopri.solve(_decay, 0.0, 1.0, [1.0], t_eval=[0.5, np.nan, 1.0])
+    with pytest.raises(ParameterError):
         dopri.solve(_decay, 0.0, 1.0, [[1.0]])
 
 
@@ -147,7 +150,7 @@ def test_max_step_is_honored():
 
     def rhs(t, y):
         seen.append(t)
-        return -y
+        return np.negative(y)
 
     dopri.solve(rhs, 0.0, 1.0, [1.0], max_step=0.05)
     # stage times never jump farther than max_step from a step start
@@ -160,7 +163,7 @@ def test_nonfinite_rhs_recovers_by_shrinking():
     def rhs(t, y):
         if y[0] <= 0.1:
             return np.array([np.nan])
-        return -y
+        return np.negative(y)
 
     ts, ys = dopri.solve(rhs, 0.0, 2.0, [1.0])
     assert ys[-1, 0] == pytest.approx(math.exp(-2.0), rel=1e-8)
@@ -184,7 +187,92 @@ def test_step_budget_leaves_room_for_every_output_time(monkeypatch):
 def test_unusable_first_step_raises_step_size_underflow(slope):
     with pytest.raises(StepSizeUnderflow, match="first step"), \
             np.errstate(over="ignore", invalid="ignore"):
-        dopri.solve(lambda t, y: slope * y, 0.0, 1.0, [1.0])
+        dopri.solve(lambda t, y: np.multiply(slope, y), 0.0, 1.0, [1.0])
+
+
+def test_step_leaving_a_residual_below_the_floor_lands_on_t1():
+    # 50 steps of max_step = 0.2 sum to 9.999999999999996, one rounding
+    # short of t1; the 3.6e-15 left is below the 1e-14 |t| underflow
+    # floor, so the 50th step is stretched onto t1
+    steps = []
+    ts, ys = dopri.solve(lambda t, y: (y[1], -y[0]), 0, 10, [1.0, 0.0],
+                         rtol=1e-3, atol=1e3, max_step=0.2,
+                         step_callback=lambda t, y: steps.append(t))
+    assert list(ts) == [0.0, 10.0]
+    assert len(steps) == 50 and steps[-1] == 10.0
+
+
+def test_output_times_just_past_t1_take_the_final_state():
+    ts, ys = dopri.solve(_decay, 0.0, 1.0, [1.0], t_eval=[0.5, 1.0 + 5e-13])
+    assert list(ts) == [0.5, 1.0 + 5e-13]
+    end = dopri.solve(_decay, 0.0, 1.0, [1.0])[1][-1]
+    assert ys[-1].tobytes() == end.tobytes()
+    ts, ys = dopri.solve(_decay, 1.0, 1.0, [2.0],
+                         t_eval=[1.0 - 5e-13, 1.0, 1.0 + 5e-13])
+    assert len(ts) == 3 and list(ys[:, 0]) == [2.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("f, size", [
+    (lambda t, y: np.zeros(3), 3),
+    (lambda t, y: (1.0,), 1),
+    # right at the first slope, one too many at the initial-step probe
+    (lambda t, y: (y[1], -y[0]) if t == 0.0 else (y[1], -y[0], 0.0), 3),
+], ids=["array", "short-tuple", "long-tuple"])
+def test_rhs_value_of_the_wrong_size_is_a_parameter_error(f, size):
+    with pytest.raises(ParameterError,
+                       match=f"returned {size} values for a state of 2"):
+        dopri.solve(f, 0.0, 1.0, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("f, t1, y0, grid, rejects", [
+    (lambda t, y: (y[1], -y[0]), 10.0, [1.0, 0.0], np.linspace(0, 10, 7),
+     True),
+    (_decay, 2.0, [1.0], [0.3, 1.0, 1.0, 1.7, 2.0], False),
+], ids=["harmonic-tuple", "decay-array"])
+def test_rhs_and_callback_receive_lists_of_floats(f, t1, y0, grid, rejects):
+    """Each f call, the two before the first step included, gets a list of
+    n floats, the callback gets the accepted state (that of the step's last
+    stage), and f is called 2 + 6 per attempt + 2 per step holding an
+    output time strictly inside it."""
+    n = len(y0)
+    events = []
+
+    def rhs(t, y):
+        assert type(y) is list and len(y) == n
+        assert all(type(v) is float for v in y)
+        events.append(("f", t, list(y)))
+        return f(t, y)
+
+    ts, ys = dopri.solve(rhs, 0.0, t1, y0, t_eval=grid,
+                         step_callback=lambda t, y: events.append(
+                             ("cb", t, list(y))))
+    assert events[0] == ("f", 0.0, y0)
+    assert events[1][0] == "f"
+    i, t, attempts, rejected, bearing = 2, 0.0, 0, 0, 0
+    while i < len(events):
+        stages = events[i:i + 6]
+        assert [e[0] for e in stages] == ["f"] * 6
+        attempts += 1
+        i += 6
+        if i + 2 < len(events) and events[i + 2][0] == "cb":
+            # two dense-output calls, at a third and two thirds of the step
+            assert all(e[0] == "f" and t < e[1] < events[i + 2][1]
+                       for e in events[i:i + 2])
+            bearing += 1
+            i += 2
+        if i < len(events) and events[i][0] == "cb":
+            assert events[i][2] == stages[-1][2]
+            assert events[i][1] == pytest.approx(stages[-1][1], rel=1e-15)
+            t = events[i][1]
+            i += 1
+        else:
+            rejected += 1
+    assert t == t1 and ys[-1].tolist() == events[-1][2]
+    steps = [0.0] + [e[1] for e in events if e[0] == "cb"]
+    assert bearing == sum(any(a < s < b for s in grid)
+                          for a, b in zip(steps, steps[1:])) > 0
+    assert len(events) - len(steps) + 1 == 2 + 6 * attempts + 2 * bearing
+    assert (rejected > 0) == rejects
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +400,7 @@ def _assert_same_run(f, t0, t1, y0, t_eval=None, **kwargs):
             return f(t, y)
 
         def record(t, y):
-            steps.append((t, y.tobytes()))
+            steps.append((t, np.array(y).tobytes()))
 
         ts, ys = solver(counted, t0, t1, y0, t_eval=grid,
                         step_callback=record, **kwargs)
@@ -337,7 +425,7 @@ def _quadrature(t, y):
 
 
 def _cut_below(t, y):
-    return np.array([np.nan]) if y[0] <= 0.1 else -y
+    return np.array([np.nan]) if y[0] <= 0.1 else np.negative(y)
 
 
 @pytest.mark.parametrize("f, t0, t1, y0, kwargs", [

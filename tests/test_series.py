@@ -266,6 +266,12 @@ def test_linearization_gap_shrinks_with_amplitude():
     assert gaps[0] > 0.1
 
 
+def test_linearization_gap_rejects_a_zero_start():
+    # the full equation's omega0^2 / (4 sigma^3) term is singular there
+    with pytest.raises(ParameterError, match="sigma0"):
+        series.linearization_gap(1.0, 2.0, 0.5, 1.0, 0.0, 0.0, 0.5, 1.0)
+
+
 def test_json_dump_shape():
     s = series.build_series(1.0, 2.0, 1.0, 5)
     d = s.to_json_dict()
