@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dopri, models
-from .errors import (ConstraintViolation, DomainError, NonFiniteResult,
-                     NonRealSigma, ParameterError, SingularityApproached,
-                     UnknownCase)
+from .errors import (BudgetExceeded, ConstraintViolation, DomainError,
+                     NonFiniteResult, NonRealSigma, ParameterError,
+                     SingularityApproached, StepSizeUnderflow, UnknownCase)
 
 DEFAULT_K = 0.25
 SIGMA_FLOOR = 1e-8
@@ -237,12 +237,15 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
     """Integrate the auxiliary equation, phase and balance functional.
 
     State components (sigma, sigma', theta, F) evolve under the same
-    adaptive 5(4) stepper; theta' = 1/sigma^2 and F' = d(Omega^2)/dt * sigma^2.
-    Returns one ErmakovState of columns at t_eval (default: n_out uniform
-    times).
+    adaptive 8th-order stepper (dopri.solve, DOP853); theta' = 1/sigma^2
+    and F' = d(Omega^2)/dt * sigma^2.  Returns one ErmakovState of columns
+    at t_eval (default: n_out uniform times), read from the stepper's
+    continuous extension between steps.
     Raises SingularityApproached when sigma falls below sigma_floor,
     DomainError when [t0, t1] leaves the model's domain and NonFiniteResult
-    when a column leaves the floating-point range.
+    when a column leaves the floating-point range.  The stepper's
+    StepSizeUnderflow and BudgetExceeded come back with the model's name
+    and the sigma of the last accepted step added to their message.
     """
     if K < 0.0:
         raise ParameterError("K < 0 regime is not supported")
@@ -267,14 +270,22 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
         u = sigma ** 2
         return (sigma_dot, -w2 * sigma + K / sigma ** 3, 1.0 / u, w2_dot * u)
 
+    last = [sigma0]  # sigma of the last accepted step
+
     def guard(t, y):
         if y[0] < sigma_floor:
             raise SingularityApproached(
                 f"sigma reached {y[0]:.3e} at t={t:.6g}")
+        last[0] = y[0]
 
     y0 = np.array([sigma0, sigma_dot0, 0.0, 0.0])
-    ts, ys = dopri.solve(rhs, t0, t1, y0, rtol=rtol, atol=atol,
-                         t_eval=t_eval, max_step=max_step, step_callback=guard)
+    try:
+        ts, ys = dopri.solve(rhs, t0, t1, y0, rtol=rtol, atol=atol,
+                             t_eval=t_eval, max_step=max_step,
+                             step_callback=guard)
+    except (StepSizeUnderflow, BudgetExceeded) as exc:
+        raise type(exc)(f"{model.name}: {exc}; last accepted "
+                        f"sigma={float(last[0])!r}") from exc
     sigma, sigma_dot, theta, F = np.reshape(ys, (-1, 4)).T
     k = conserved_k(sigma, sigma_dot, models.omega2(model, ts), K) - F
     state = ErmakovState(t=ts, sigma=sigma, sigma_dot=sigma_dot, theta=theta,

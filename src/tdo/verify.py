@@ -123,16 +123,17 @@ def suite_ermakov():
     checks = []
     mh = models.harmonic()
 
-    # closed form vs direct integration, constant branch
-    st = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0)
-    err = _rel(st.sigma, 2.0 ** -0.5)
+    # closed form vs direct integration, constant branch; this run and the
+    # oscillating one below also give the phase checks
+    st_c = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0)
+    err = _rel(st_c.sigma, 2.0 ** -0.5)
     checks.append(_check("harmonic constant branch vs integration (rel)",
                          err, 1e-6))
 
     # oscillating branch, kconst = 2
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
-    st = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)), 0.0, 20.0)
-    err = _rel(st.sigma, ermakov.sigma_oscillating(1.0, 2.0, 0.0, st.t)[0])
+    st_o = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)), 0.0, 20.0)
+    err = _rel(st_o.sigma, ermakov.sigma_oscillating(1.0, 2.0, 0.0, st_o.t)[0])
     checks.append(_check("harmonic oscillating branch vs integration (rel)",
                          err, 1e-6))
 
@@ -190,14 +191,12 @@ def suite_ermakov():
                          err, 1e-7))
 
     # phases: closed form vs integrated theta, all six cases
-    st = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0)
     err = abs(ermakov.phase_closed_form("harmonic_const", {"omega0": 1.0},
-                                        0.0, 20.0) - st.theta[-1])
+                                        0.0, 20.0) - st_c.theta[-1])
     checks.append(_check("phase: constant branch", err, 1e-6))
-    st = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)), 0.0, 20.0)
     err = abs(ermakov.phase_closed_form(
         "harmonic_oscillating", {"omega0": 1.0, "kconst": 2.0, "c1": 0.0},
-        0.0, 20.0) - st.theta[-1])
+        0.0, 20.0) - st_o.theta[-1])
     checks.append(_check("phase: oscillating branch (branch-corrected "
                          "arctan)", err, 1e-6))
     err = abs(ermakov.phase_closed_form(

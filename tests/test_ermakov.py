@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from tdo import ermakov, models
-from tdo.errors import (ConstraintViolation, NonRealSigma, ParameterError,
-                        SingularityApproached, UnknownCase)
+from tdo import dopri, ermakov, models
+from tdo.errors import (BudgetExceeded, ConstraintViolation, NonRealSigma,
+                        ParameterError, SingularityApproached,
+                        StepSizeUnderflow, UnknownCase)
 
 SQ2 = 2.0 ** -0.5
 
@@ -134,6 +135,24 @@ def test_stalled_phase_stays_nondecreasing_between_steps(omega0):
     states = ermakov.integrate_ep(m, 0.25, init, 0.0, 30 * period,
                                   t_eval=period * np.arange(31))
     assert np.all(np.diff(states.theta) >= 0.0)
+
+
+def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch):
+    # sigma runs away near t = 0.7112 (the CLI's underflow repro): the step
+    # underflows there, one step after sigma has left the float range
+    with pytest.raises(StepSizeUnderflow) as info, np.errstate(all="ignore"):
+        ermakov.integrate_ep(models.exp_frequency(gamma0=1e3), 0.25,
+                             (1.0, 0.0), 0.0, 0.712)
+    message = str(info.value)
+    assert message.startswith("exp_frequency: step size underflow")
+    assert "t=0.711" in message and "h=" in message
+    assert float(message.rsplit("last accepted sigma=", 1)[1]) > 1e150
+    monkeypatch.setattr(dopri, "MAX_STEPS", 100)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^harmonic: .*t=.*h=.*103 step attempts; "
+                             r"last accepted sigma=0\.9"):
+        ermakov.integrate_ep(models.harmonic(), 0.25, (1.0, 0.0), 0.0,
+                             1000.0, n_out=3)
 
 
 def test_sigma_floor_trips():
