@@ -1,10 +1,14 @@
 """First-kind Bessel function J_rho built from its defining expansions.
 
-Ascending power series for 0 < x <= 12, Hankel asymptotic expansion beyond,
-with the switchover fixed at |x| = 12.  Values come with analytic first and
-second derivatives (termwise differentiation of whichever expansion is in
-use), so ODE residual checks need no finite differencing.  Only real
-nonnegative orders are supported.
+Points at or below the switchover |x| = 12 take the ascending power series,
+points above it the Hankel asymptotic expansion.  Each region is evaluated
+in one array pass: every point keeps its own truncation rule through a
+"still converging" mask, so a point's sum stops where a scalar loop over
+that point would stop.  Values come with analytic first and second
+derivatives (termwise differentiation of whichever expansion is in use), so
+ODE residual checks need no finite differencing.  Only real nonnegative
+orders whose series prefactor 1/Gamma(rho + 1) is representable are
+supported.
 """
 
 import math
@@ -17,22 +21,24 @@ SWITCHOVER = 12.0
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def _jv_series(rho, x):
-    # J = sum_m (-1)^m (x/2)^(2m+rho) / (m! Gamma(m+rho+1)); termwise d/dx
+def _jv_series(rho, gamma, x):
+    # J = sum_m (-1)^m (x/2)^(2m+rho) / (m! Gamma(m+rho+1)); termwise d/dx.
+    # A point stops once its term is below 1e-18 of its sum and m > x/2.
     half = 0.5 * x
-    term = half ** rho / math.gamma(rho + 1.0)
-    s0 = s1 = s2 = 0.0
+    term = half ** rho / gamma
+    s0, s1, s2 = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    live = np.ones(x.shape, dtype=bool)
     m = 0
     while True:
         p = 2 * m + rho
-        s0 += term
-        s1 += term * p
-        s2 += term * p * (p - 1.0)
+        t = np.where(live, term, 0.0)
+        s0 += t
+        s1 += t * p
+        s2 += t * p * (p - 1.0)
         m += 1
         term *= -(half * half) / (m * (m + rho))
-        if abs(term) < 1e-18 * (abs(s0) + 1e-300) and m > half:
-            break
-        if m > 400:  # unreachable for x <= SWITCHOVER
+        live &= ~((np.abs(term) < 1e-18 * (np.abs(s0) + 1e-300)) & (m > half))
+        if m > 400 or not live.any():  # m > 400 is unreachable for x <= 12
             break
     return s0, s1 / x, s2 / (x * x)
 
@@ -44,60 +50,68 @@ def _jv_asymptotic(rho, x):
     # G = -sqrt(2/pi) * sum_{k odd}  (-1)^(k//2) A_k x^(-1/2-k),
     # A_k = prod_{j<=k} (4 rho^2 - (2j-1)^2) / (k! 8^k).
     # Each term is an exact power of x, so F', F'', G', G'' are termwise.
+    # The expansion is asymptotic: a point stops at its smallest term,
+    # below 1e-18, or past k = 60.
     mu4 = 4.0 * rho * rho
     chi = x - rho * math.pi / 2.0 - math.pi / 4.0
-    cc, ss = math.cos(chi), math.sin(chi)
-    pref = _SQRT_2_OVER_PI / math.sqrt(x)
-    Fv = Fd = Fdd = 0.0
-    Gv = Gd = Gdd = 0.0
-    t = 1.0  # running A_k / x^k
+    cc, ss = np.cos(chi), np.sin(chi)
+    pref = _SQRT_2_OVER_PI / np.sqrt(x)
+    F = [np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)]
+    G = [np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)]
+    live = np.ones(x.shape, dtype=bool)
+    t = np.ones_like(x)  # running A_k / x^k
     k = 0
     while True:
         p = -0.5 - k
-        v = pref * t * (-1.0) ** (k // 2)
+        v = np.where(live, pref * t * (-1.0) ** (k // 2), 0.0)
         if k % 2 == 1:
             v = -v
-            Gv += v
-            Gd += v * p / x
-            Gdd += v * p * (p - 1.0) / (x * x)
+            acc = G
         else:
-            Fv += v
-            Fd += v * p / x
-            Fdd += v * p * (p - 1.0) / (x * x)
+            acc = F
+        acc[0] += v
+        acc[1] += v * p / x
+        acc[2] += v * p * (p - 1.0) / (x * x)
         k += 1
         t_next = t * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        # truncate at the smallest term: the expansion is asymptotic
-        if abs(t_next) >= abs(t) or abs(t_next) < 1e-18 or k > 60:
+        live &= (np.abs(t_next) < np.abs(t)) & (np.abs(t_next) >= 1e-18)
+        if k > 60 or not live.any():
             break
-        t = t_next
+        t = np.where(live, t_next, 0.0)
+    (Fv, Fd, Fdd), (Gv, Gd, Gdd) = F, G
     j = Fv * cc + Gv * ss
     dj = (Fd + Gv) * cc + (Gd - Fv) * ss
     d2j = (Fdd + 2.0 * Gd - Fv) * cc + (Gdd - 2.0 * Fd - Gv) * ss
     return j, dj, d2j
 
 
-def _jv_scalar(rho, x):
-    if x <= 0.0:
-        raise ParameterError("Bessel evaluator requires x > 0")
-    if x <= SWITCHOVER:
-        return _jv_series(rho, x)
-    return _jv_asymptotic(rho, x)
-
-
 def jv(rho, x):
     """J_rho(x) with first and second derivatives, as a (J, J', J'') triple.
 
-    x may be a scalar or an array; rho must be a real number >= 0.
+    x may be a scalar or an array of finite positive values; each output has
+    the shape of x, and a scalar x gives floats.  rho must be a finite real
+    number >= 0 whose 1/Gamma(rho + 1) does not overflow.
     """
-    if rho < 0:
-        raise ParameterError("order rho must be >= 0")
+    if not 0.0 <= rho < math.inf:
+        raise ParameterError(f"order rho must be finite and >= 0, got {rho!r}")
+    try:
+        gamma = math.gamma(rho + 1.0)
+    except OverflowError:
+        raise ParameterError(f"order rho = {rho!r} overflows the series "
+                             "prefactor 1/Gamma(rho + 1)")
     xs = np.asarray(x, dtype=float)
+    if not np.all((xs > 0.0) & (xs < math.inf)):
+        raise ParameterError("Bessel evaluator requires finite x > 0")
+    flat = xs.ravel()
+    out = np.empty((3, flat.size))
+    low = flat <= SWITCHOVER
+    if low.any():
+        out[:, low] = _jv_series(rho, gamma, flat[low])
+    if not low.all():
+        out[:, ~low] = _jv_asymptotic(rho, flat[~low])
     if xs.ndim == 0:
-        return _jv_scalar(rho, float(xs))
-    out = np.empty((3, xs.size))
-    for i, xi in enumerate(xs.ravel()):
-        out[:, i] = _jv_scalar(rho, xi)
-    return out[0].reshape(xs.shape), out[1].reshape(xs.shape), out[2].reshape(xs.shape)
+        return tuple(float(v) for v in out[:, 0])
+    return tuple(v.reshape(xs.shape) for v in out)
 
 
 def defining_ode_residual(rho, x):

@@ -38,6 +38,8 @@ KEYS = {
     "model": (str, "model", "catalog model name"),
     "suite": (str, "verify",
               "models|ermakov|quantum|minimum|series|bessel|all"),
+    "timings": (str, "verify",
+                "write each suite's wall time in seconds as JSON to this file"),
     "m0": (float, "model", None),
     "omega0": (float, "model series", None),
     "gamma": (float, "model", None),
@@ -306,12 +308,19 @@ def cmd_uncertainty(res):
 
 
 def cmd_verify(res):
+    timings_path = _value(res, "timings")
+    if timings_path == "-":
+        raise ConfigError("--timings needs a file path, not stdout")
+    timings = None if timings_path is None else {}
     try:
         report = verify.run_suite(_value(res, "suite", "all"),
-                                  order=_value(res, "order", 8))
+                                  order=_value(res, "order", 8),
+                                  timings=timings)
     except KeyError as exc:
         raise ConfigError(str(exc))
     _write_json(_value(res, "out", "-"), report)
+    if timings is not None:
+        _write_json(timings_path, timings)
     return 0 if report["pass"] else 1
 
 

@@ -6,8 +6,10 @@ reports the worst error against a pinned tolerance.  No randomness enters
 anywhere, so repeated runs produce byte-identical reports.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from time import perf_counter
 
 import numpy as np
 
@@ -58,13 +60,12 @@ def suite_models():
     for model in models.catalog():
         lo, hi = _MODEL_WINDOWS[model.name]
         ts = np.linspace(lo, hi, 102)[1:-1]  # interior points
+        h = 1e-6 * (1.0 + np.abs(ts))
         worst = 0.0
-        for t in ts:
-            h = 1e-6 * (1.0 + abs(t))
-            for f, fd in ((model.m, model.m_dot), (model.omega, model.omega_dot)):
-                approx = _fd_derivative(lambda s: float(f(s)), t, h)
-                exact = float(fd(t))
-                worst = max(worst, abs(approx - exact) / (1.0 + abs(exact)))
+        for f, fd in ((model.m, model.m_dot), (model.omega, model.omega_dot)):
+            exact = fd(ts)
+            worst = max(worst, np.max(np.abs(_fd_derivative(f, ts, h) - exact)
+                                      / (1.0 + np.abs(exact))))
         checks.append(_check(f"{model.name}: analytic derivatives vs finite "
                              "differences", worst, 1e-6))
 
@@ -74,14 +75,13 @@ def suite_models():
     checks.append(_check("exp_frequency: m*omega constant",
                          float(np.max(np.abs(prod / prod[0] - 1.0))), 1e-12))
 
+    ts = np.linspace(-3.0, 3.0, 21)
     mh = models.harmonic()
-    err = max(abs(models.omega2(mh, t) - mh.params["omega0"] ** 2)
-              for t in np.linspace(-3.0, 3.0, 21))
+    err = np.max(np.abs(models.omega2(mh, ts) - mh.params["omega0"] ** 2))
     checks.append(_check("harmonic: Omega^2 == omega0^2 exactly", err, 0.0))
     mk = models.kanai_caldirola()
     target = mk.params["omega0"] ** 2 - 0.25 * mk.params["gamma"] ** 2
-    err = max(abs(models.omega2(mk, t) - target)
-              for t in np.linspace(-3.0, 3.0, 21))
+    err = np.max(np.abs(models.omega2(mk, ts) - target))
     checks.append(_check("kanai_caldirola: Omega^2 == omega0^2 - gamma^2/4 "
                          "exactly", err, 0.0))
 
@@ -89,26 +89,57 @@ def suite_models():
     worst = 0.0
     for model in models.catalog():
         lo, hi = _MODEL_WINDOWS[model.name]
-        for t in np.linspace(lo + 0.05, hi, 40):
-            generic = (model.omega(t) ** 2
-                       - 0.5 * (model.m_ddot(t) / model.m(t)
-                                - (model.m_dot(t) / model.m(t)) ** 2)
-                       - 0.25 * (model.m_dot(t) / model.m(t)) ** 2)
-            worst = max(worst, _rel(float(models.omega2(model, t)), float(generic)))
+        ts = np.linspace(lo + 0.05, hi, 40)
+        M = model.m_dot(ts) / model.m(ts)
+        generic = (model.omega(ts) ** 2
+                   - 0.5 * (model.m_ddot(ts) / model.m(ts) - M ** 2)
+                   - 0.25 * M ** 2)
+        worst = max(worst, _rel(models.omega2(model, ts), generic))
     checks.append(_check("catalog: Omega^2 shortcut vs generic expression",
                          worst, 1e-10))
 
     q, dq, d2q = models.tsquared_solution(m0=1.0, c=2.0 ** -0.5)
     mt = models.tsquared(m0=1.0, c=2.0 ** -0.5)
-    err = max(abs(models.eom_residual(mt, q, dq, d2q, t)) for t in (0.5, 1.0, 2.0))
+    err = np.max(np.abs(models.eom_residual(mt, q, dq, d2q,
+                                            np.array([0.5, 1.0, 2.0]))))
     checks.append(_check("tsquared: closed-form trajectory satisfies the "
                          "equation of motion", err, 1e-9))
     q, dq, d2q = models.exp_frequency_solution(c1=1.0, c2=0.7)
-    err = max(abs(models.eom_residual(me, q, dq, d2q, t))
-              for t in np.linspace(0.0, 2.0, 41))
+    err = np.max(np.abs(models.eom_residual(me, q, dq, d2q,
+                                            np.linspace(0.0, 2.0, 41))))
     checks.append(_check("exp_frequency: closed-form trajectory satisfies "
                          "the equation of motion", err, 1e-9))
     return checks
+
+
+# ---------------------------------------------------------------------------
+# trajectories read by more than one suite
+
+class SharedRuns:
+    """Trajectories that several suites read, each integrated on first use.
+
+    `run_suite` makes one per call, so no trajectory outlives a report.
+    """
+
+    @functools.cached_property
+    def harmonic_oscillating(self):
+        """{rows: state} of the harmonic oscillating branch (kconst = 2).
+
+        suite_ermakov reads 201 uniform rows on [0, 20] and the quantum
+        catalog 200.  Output times do not move the stepper's steps, so one
+        integration on the union of both grids gives each row set bit for
+        bit.
+        """
+        grids = {n: np.linspace(0.0, 20.0, n) for n in (201, 200)}
+        union = np.union1d(grids[201], grids[200])
+        s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
+        st = ermakov.integrate_ep(models.harmonic(), 0.25,
+                                  (float(s0), float(sd0)), 0.0, 20.0,
+                                  t_eval=union)
+        return {n: ermakov.ErmakovState(**{
+                    key: col[np.isin(union, grid)]
+                    for key, col in vars(st).items()})
+                for n, grid in grids.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +150,9 @@ def _min_init(model, t0, c):
     return c * math.sqrt(m0), 0.5 * c * float(model.m_dot(t0)) / math.sqrt(m0)
 
 
-def suite_ermakov():
+def suite_ermakov(shared=None):
     checks = []
+    shared = shared or SharedRuns()
     mh = models.harmonic()
 
     # closed form vs direct integration, constant branch; this run and the
@@ -132,7 +164,7 @@ def suite_ermakov():
 
     # oscillating branch, kconst = 2
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
-    st_o = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)), 0.0, 20.0)
+    st_o = shared.harmonic_oscillating[201]
     err = _rel(st_o.sigma, ermakov.sigma_oscillating(1.0, 2.0, 0.0, st_o.t)[0])
     checks.append(_check("harmonic oscillating branch vs integration (rel)",
                          err, 1e-6))
@@ -233,13 +265,9 @@ def suite_ermakov():
 # ---------------------------------------------------------------------------
 # quantum / bogolubov
 
-def _catalog_trajectories():
+def _catalog_trajectories(shared):
     """One representative trajectory per catalog model, 200 samples each."""
-    out = []
-    mh = models.harmonic()
-    s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
-    out.append((mh, ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)),
-                                         0.0, 20.0, n_out=200), 0.0))
+    out = [(models.harmonic(), shared.harmonic_oscillating[200], 0.0)]
     mk = models.kanai_caldirola()
     out.append((mk, ermakov.integrate_ep(mk, 0.25, (0.9, 0.1), 0.0, 3.0,
                                          n_out=200), 0.0))
@@ -258,10 +286,11 @@ def _catalog_trajectories():
     return out
 
 
-def suite_quantum():
+def suite_quantum(shared=None):
     checks = []
     norm_err = bound_gap = route_err = ident_err = balance_err = 0.0
-    for i, (model, s, t0) in enumerate(_catalog_trajectories()):
+    trajectories = _catalog_trajectories(shared or SharedRuns())
+    for i, (model, s, t0) in enumerate(trajectories):
         ref = quantum.default_reference(model, t0)
         rep = quantum.quadratures(model, s)
         pair = quantum.bogolubov(model, s, ref)
@@ -468,17 +497,13 @@ def suite_bessel():
     checks.append(_check("evaluator satisfies the defining equation "
                          "(rho in {0, 1/3, 1/2, 1})", worst, 1e-8))
 
-    try:
-        from scipy.special import jv as scipy_jv
-    except ImportError:  # pragma: no cover
-        scipy_jv = None
-    if scipy_jv is not None:
-        worst = 0.0
-        for rho in (0.0, 1.0 / 3.0, 0.5, 1.0):
-            mine = bessel.jv(rho, xs)[0]
-            worst = max(worst, float(np.max(np.abs(mine - scipy_jv(rho, xs)))))
-        checks.append(_check("evaluator matches the library Bessel "
-                             "reference", worst, 1e-10))
+    from scipy.special import jv as scipy_jv
+    worst = 0.0
+    for rho in (0.0, 1.0 / 3.0, 0.5, 1.0):
+        mine = bessel.jv(rho, xs)[0]
+        worst = max(worst, float(np.max(np.abs(mine - scipy_jv(rho, xs)))))
+    checks.append(_check("evaluator matches the library Bessel reference",
+                         worst, 1e-10))
 
     err = series.bessel_reduction_check(1.0, 1.0, 0.5, np.linspace(0.5, 10.0, 200))
     checks.append(_check("reduced trajectory sqrt(t) Z_0 satisfies its "
@@ -500,29 +525,35 @@ SUITES = {
 }
 
 
-def run_suite(name, order=8):
-    """Run one suite (or 'all') and return the JSON-ready report dict."""
-    if name == "all":
-        checks = []
-        for suite_name in ("models", "ermakov", "quantum", "minimum",
-                           "series", "bessel"):
-            for c in _run_one(suite_name, order):
-                checks.append(Check(name=f"{suite_name}: {c.name}",
-                                    passed=c.passed, max_err=c.max_err,
-                                    tol=c.tol))
-    else:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
-        checks = _run_one(name, order)
+def run_suite(name, order=8, timings=None):
+    """Run one suite (or 'all') and return the JSON-ready report dict.
+
+    When `timings` is a dict, each suite's wall time in seconds is stored
+    in it under the suite's name; otherwise nothing is timed.
+    """
+    if name != "all" and name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}")
+    names = (("models", "ermakov", "quantum", "minimum", "series", "bessel")
+             if name == "all" else (name,))
+    shared = SharedRuns()
+    checks = []
+    for suite_name in names:
+        start = perf_counter() if timings is not None else 0.0
+        fn = SUITES[suite_name]
+        if suite_name == "series":
+            suite_checks = fn(order=order)
+        elif suite_name in ("ermakov", "quantum"):
+            suite_checks = fn(shared=shared)
+        else:
+            suite_checks = fn()
+        if timings is not None:
+            timings[suite_name] = perf_counter() - start
+        if name == "all":
+            suite_checks = [replace(c, name=f"{suite_name}: {c.name}")
+                            for c in suite_checks]
+        checks.extend(suite_checks)
     return {
         "suite": name,
         "checks": [c.to_json_dict() for c in checks],
         "pass": all(c.passed for c in checks),
     }
-
-
-def _run_one(name, order):
-    fn = SUITES[name]
-    if fn is suite_series:
-        return fn(order=order)
-    return fn()

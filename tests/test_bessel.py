@@ -2,7 +2,9 @@
 
 The evaluator is accepted through its own defining equation
 Z'' + Z'/x + (1 - rho^2/x^2) Z = 0 and cross-checked against the scipy
-reference implementation and the elementary half-integer closed forms.
+reference implementation, the elementary half-integer closed forms and a
+scalar oracle: the per-point series and Hankel loops the array evaluator
+replaced.
 """
 
 import math
@@ -69,9 +71,104 @@ def test_switchover_is_seamless():
 
 
 def test_invalid_arguments():
-    with pytest.raises(ParameterError):
-        bessel.jv(-0.5, 1.0)
-    with pytest.raises(ParameterError):
-        bessel.jv(0.5, 0.0)
-    with pytest.raises(ParameterError):
-        bessel.jv(0.5, -2.0)
+    cases = [
+        (-0.5, 1.0), (0.5, 0.0), (0.5, -2.0),
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (0.5, math.nan), (0.5, math.inf),
+        (0.5, np.array([1.0, 2.0, math.nan])),
+        (0.5, np.array([[1.0, 20.0], [-math.inf, 3.0]])),
+        (0.5, np.array([13.0, 0.0])),
+        (200.0, 1.0), (200.0, 13.0),  # 1/Gamma(201) overflows
+    ]
+    for rho, x in cases:
+        with pytest.raises(ParameterError):
+            bessel.jv(rho, x)
+
+
+# ---------------------------------------------------------------------------
+# scalar oracle: the per-point loops the array evaluator replaced
+
+def _reference_series(rho, x):
+    half = 0.5 * x
+    term = half ** rho / math.gamma(rho + 1.0)
+    s0 = s1 = s2 = 0.0
+    m = 0
+    while True:
+        p = 2 * m + rho
+        s0 += term
+        s1 += term * p
+        s2 += term * p * (p - 1.0)
+        m += 1
+        term *= -(half * half) / (m * (m + rho))
+        if abs(term) < 1e-18 * (abs(s0) + 1e-300) and m > half:
+            break
+        if m > 400:
+            break
+    return s0, s1 / x, s2 / (x * x)
+
+
+def _reference_asymptotic(rho, x):
+    mu4 = 4.0 * rho * rho
+    chi = x - rho * math.pi / 2.0 - math.pi / 4.0
+    cc, ss = math.cos(chi), math.sin(chi)
+    pref = math.sqrt(2.0 / math.pi) / math.sqrt(x)
+    Fv = Fd = Fdd = 0.0
+    Gv = Gd = Gdd = 0.0
+    t = 1.0
+    k = 0
+    while True:
+        p = -0.5 - k
+        v = pref * t * (-1.0) ** (k // 2)
+        if k % 2 == 1:
+            v = -v
+            Gv += v
+            Gd += v * p / x
+            Gdd += v * p * (p - 1.0) / (x * x)
+        else:
+            Fv += v
+            Fd += v * p / x
+            Fdd += v * p * (p - 1.0) / (x * x)
+        k += 1
+        t_next = t * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
+        if abs(t_next) >= abs(t) or abs(t_next) < 1e-18 or k > 60:
+            break
+        t = t_next
+    j = Fv * cc + Gv * ss
+    dj = (Fd + Gv) * cc + (Gd - Fv) * ss
+    d2j = (Fdd + 2.0 * Gd - Fv) * cc + (Gdd - 2.0 * Fd - Gv) * ss
+    return j, dj, d2j
+
+
+def _reference_jv(rho, x):
+    if x <= bessel.SWITCHOVER:
+        return _reference_series(rho, x)
+    return _reference_asymptotic(rho, x)
+
+
+# both sides of the switchover: at rho = 7 the two expansions differ there
+# by ~0.4, so the grid also pins which side 12.0 itself takes
+ORACLE_GRID = np.concatenate([np.linspace(0.04, 40.0, 1000),
+                              [12.0, np.nextafter(12.0, 13.0)]])
+
+
+@pytest.mark.parametrize("rho", (0.0, 1.0 / 3.0, 0.5, 1.0, 2.5, 7.0))
+def test_matches_scalar_oracle(rho):
+    got = bessel.jv(rho, ORACLE_GRID)
+    ref = np.array([_reference_jv(rho, float(x)) for x in ORACLE_GRID]).T
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) < 1e-11
+
+
+@pytest.mark.parametrize("x, shape", [
+    (3.0, None), (np.float64(15.0), None), (np.array(3.0), None),
+    (np.array([3.0, 15.0]), (2,)), (np.array([[3.0, 15.0, 0.5]] * 2), (2, 3)),
+    (np.array([]), (0,)), (np.empty((0, 4)), (0, 4)),
+])
+def test_output_shapes(x, shape):
+    out = bessel.jv(0.5, x)
+    assert len(out) == 3
+    for v in out:
+        if shape is None:
+            assert type(v) is float
+        else:
+            assert isinstance(v, np.ndarray) and v.shape == shape

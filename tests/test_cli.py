@@ -177,6 +177,8 @@ KEY_CASES = {
     "format": ("--format", "solve", "json", _HARMONIC),
     "model": ("--model", "solve", "kanai_caldirola", _HARMONIC),
     "suite": ("--suite", "verify", "series", {}),
+    # the sidecar lands outside the compared directory: its seconds differ
+    "timings": ("--timings", "verify", "../timings.json", {"suite": "models"}),
     "m0": ("--m0", "uncertainty", 1.5, _KC),
     "omega0": ("--omega0", "solve", 1.5, _HARMONIC),
     "gamma": ("--gamma", "solve", 0.5, _KC),
@@ -416,3 +418,23 @@ def test_csv_rows_format_special_values_as_17g(tmp_path):
     expected = ["a,b"] + [f"{x:.17g},{y:.17g}"
                           for x, y in zip(values, values[::-1])]
     assert out.read_text() == "\n".join(expected) + "\n"
+
+
+def test_verify_timings_sidecar_leaves_stdout_unchanged(tmp_path, capsys):
+    assert run(["verify", "--suite", "quantum"]) == 0
+    plain = capsys.readouterr().out
+    path = tmp_path / "timings.json"
+    assert run(["verify", "--suite", "quantum", "--timings", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+    timings = json.loads(path.read_text())
+    assert list(timings) == ["quantum"] and timings["quantum"] > 0.0
+
+    out = tmp_path / "report.json"
+    assert run(["verify", "--suite", "quantum", "--out", str(out),
+                "--timings", str(path)]) == 0
+    assert out.read_text() == plain
+
+
+def test_verify_timings_needs_a_file(capsys):
+    assert run(["verify", "--suite", "quantum", "--timings", "-"]) == 2
+    assert capsys.readouterr().out == ""
