@@ -51,7 +51,7 @@ KEYS = {
     # after nu and k0, so they win when both are given
     "lam": (float, "model series", None),
     "mu": (float, "model series", None),
-    "order": (int, "model series verify", None),
+    "order": (int, "model series", None),
     "t0": (float, "run check", None),
     "t1": (float, "run check", None),
     "dt_out": (float, "run", None),
@@ -200,21 +200,22 @@ def _tolerance(res, key, default):
     return val
 
 
-def _initial_conditions(res, model, t0, t1):
+def _initial_conditions(res, model, t0, t1, K):
     sigma_dot0 = _value(res, "sigma_dot0", 0.0)
     sigma0 = _value(res, "sigma0")
     if sigma0 is not None:
         return sigma0, sigma_dot0
     # default: minimal branch when the criterion holds, else the constant
-    # branch of the frozen effective frequency, else unit amplitude
+    # branch of the frozen effective frequency, else unit amplitude; the
+    # first two solve K = 1/4, and (4K)^(1/4) sigma solves K
+    scale = (4.0 * K) ** 0.25 if K > 0.0 else 1.0
     report = minimum.check_criterion(model, t0=t0, t1=t1)
     if report.is_minimum:
-        m = float(model.m(t0))
-        return (report.c * math.sqrt(m),
-                0.5 * report.c * float(model.m_dot(t0)) / math.sqrt(m))
+        sigma, sigma_dot = minimum.minimal_amplitude(model, report.c, t0)
+        return scale * sigma, scale * sigma_dot
     w2 = float(models.omega2(model, t0))
     if w2 > 0.0:
-        return (2.0 * math.sqrt(w2)) ** -0.5, sigma_dot0
+        return scale * (2.0 * math.sqrt(w2)) ** -0.5, sigma_dot0
     return 1.0, sigma_dot0
 
 
@@ -275,10 +276,11 @@ def _run_solve_like(res, columns, unread=()):
 def _trajectory(res):
     model = _build_model(res)
     grid = _time_grid(res)
-    init = _initial_conditions(res, model, grid[0], grid[-1])
+    K = _value(res, "K", ermakov.DEFAULT_K)
+    init = _initial_conditions(res, model, grid[0], grid[-1], K)
     traj = ermakov.integrate_ep(
-        model, _value(res, "K", ermakov.DEFAULT_K), init,
-        grid[0], grid[-1], t_eval=grid, rtol=_tolerance(res, "tol", 1e-10))
+        model, K, init, grid[0], grid[-1], t_eval=grid,
+        rtol=_tolerance(res, "tol", 1e-10))
     return model, traj
 
 
@@ -313,9 +315,7 @@ def cmd_verify(res):
         raise ConfigError("--timings needs a file path, not stdout")
     timings = None if timings_path is None else {}
     try:
-        report = verify.run_suite(_value(res, "suite", "all"),
-                                  order=_value(res, "order", 8),
-                                  timings=timings)
+        report = verify.run_suite(_value(res, "suite", "all"), timings)
     except KeyError as exc:
         raise ConfigError(str(exc))
     _write_json(_value(res, "out", "-"), report)
@@ -328,8 +328,12 @@ def cmd_series(res):
     lam = _value(res, "lam")
     if lam is None:
         raise ConfigError("--lambda is required")
-    s = series.build_series(_value(res, "omega0", 1.0), lam,
-                            _value(res, "mu", 0.0), _value(res, "order", 10))
+    try:
+        s = series.build_series(_value(res, "omega0", 1.0), lam,
+                                _value(res, "mu", 0.0),
+                                _value(res, "order", 10))
+    except TdoError as exc:
+        raise ConfigError(str(exc))
     _write_json(_value(res, "out", "-"), s.to_json_dict())
     return 0
 

@@ -90,12 +90,21 @@ def _theta_and_F(mmodel, t0, t):
     return theta, F
 
 
+def minimal_amplitude(model, c, t):
+    """Minimal-branch (sigma, sigma') = (c sqrt(m), c m' / (2 sqrt(m))) at t.
+
+    c is the constant of the model's criterion report and K = 1/4; t is a
+    float or a column.
+    """
+    root_m = np.sqrt(np.asarray(model.m(t), dtype=float))
+    m_dot = np.asarray(model.m_dot(t), dtype=float)
+    return c * root_m, 0.5 * c * m_dot / root_m
+
+
 def _minimal_state(mmodel, t, theta, F):
-    """sigma = c sqrt(m) and its rate at t (float or column), with k."""
-    base, c = mmodel.base, mmodel.c
-    root_m = np.sqrt(np.asarray(base.m(t), dtype=float))
-    sigma = c * root_m
-    sigma_dot = 0.5 * c * np.asarray(base.m_dot(t), dtype=float) / root_m
+    """The minimal-branch state at t (float or column), with k."""
+    base = mmodel.base
+    sigma, sigma_dot = minimal_amplitude(base, mmodel.c, t)
     k = conserved_k(sigma, sigma_dot, models.omega2(base, t), DEFAULT_K) - F
     return ErmakovState(t=t, sigma=sigma, sigma_dot=sigma_dot, theta=theta,
                         k=k, F=F)

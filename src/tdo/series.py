@@ -26,6 +26,9 @@ from . import bessel
 from .errors import ConvergenceWarning, NonPositiveAlpha, ParameterError
 
 _RATIONAL_ORDER_CAP = 12
+# the reciprocal recursion costs O(order^2); at lam = 2 and mu_s <= 3 every
+# coefficient past index 112 has already underflowed to 0
+MAX_ORDER = 200
 
 
 @dataclass(frozen=True)
@@ -75,14 +78,6 @@ class AlphaSeries:
             acc = acc * t2 + (2 * k + 1.0) * (2 * k) * self.a[k]
         return acc * t
 
-    def alpha_d3(self, t):
-        t = np.asarray(t, dtype=float)
-        t2 = t * t
-        acc = np.zeros_like(t)
-        for k in range(self.order - 1, 0, -1):
-            acc = acc * t2 + (2 * k + 1.0) * (2 * k) * (2 * k - 1.0) * self.a[k]
-        return acc
-
     def radius_guard(self):
         """Conservative truncation-accuracy window (inf when mu_s == 0)."""
         return math.inf if self.mu_s == 0.0 else 2.0 / abs(self.mu_s)
@@ -122,12 +117,14 @@ def _ratio_step(k, lam_sq, mu_sq):
 def build_series(omega0, lam, mu_s, order):
     """Construct the truncated alpha series and its reciprocal.
 
-    Requires lam**2 > 1 (reality of a1) and order >= 1.  The leading
-    coefficient is a1 = 2*omega0/sqrt(lam**2 - 1); higher odd coefficients
-    follow from the ratio recursion; even ones vanish identically.
+    Requires lam**2 > 1 (reality of a1) and 1 <= order <= MAX_ORDER.  The
+    leading coefficient is a1 = 2*omega0/sqrt(lam**2 - 1); higher odd
+    coefficients follow from the ratio recursion; even ones vanish
+    identically.
     """
-    if not isinstance(order, int) or order < 1:
-        raise ParameterError("order must be an integer >= 1")
+    if not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
+        raise ParameterError(
+            f"order must be an integer in [1, {MAX_ORDER}], got {order!r}")
     if lam * lam <= 1.0:
         raise ParameterError("lam**2 must exceed 1 for a real leading coefficient")
     if omega0 <= 0.0:

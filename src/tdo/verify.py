@@ -6,31 +6,22 @@ reports the worst error against a pinned tolerance.  No randomness enters
 anywhere, so repeated runs produce byte-identical reports.
 """
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
 
 from . import bessel, ermakov, minimum, models, quantum, series
 
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    max_err: float
-    tol: float
-
-    def to_json_dict(self):
-        return {"name": self.name, "pass": self.passed,
-                "max_err": self.max_err, "tol": self.tol}
+SERIES_ORDER = 8  # truncation order of the series suite's numeric checks
 
 
 def _check(name, max_err, tol):
-    return Check(name=name, passed=bool(max_err <= tol),
-                 max_err=float(max_err), tol=float(tol))
+    """One report row."""
+    return {"name": name, "pass": bool(max_err <= tol),
+            "max_err": float(max_err), "tol": float(tol)}
 
 
 def _rel(a, b):
@@ -42,10 +33,6 @@ def _rel(a, b):
 # ---------------------------------------------------------------------------
 # models
 
-def _fd_derivative(f, t, h):
-    return (f(t + h) - f(t - h)) / (2.0 * h)
-
-
 _MODEL_WINDOWS = {
     "harmonic": (0.0, 2.0),
     "kanai_caldirola": (0.0, 2.0),
@@ -55,19 +42,28 @@ _MODEL_WINDOWS = {
 }
 
 
-def suite_models():
+def suite_models(runs):
     checks = []
+    shortcut_err = 0.0  # analytic Omega^2 shortcuts vs the generic expression
     for model in models.catalog():
         lo, hi = _MODEL_WINDOWS[model.name]
         ts = np.linspace(lo, hi, 102)[1:-1]  # interior points
         h = 1e-6 * (1.0 + np.abs(ts))
         worst = 0.0
-        for f, fd in ((model.m, model.m_dot), (model.omega, model.omega_dot)):
-            exact = fd(ts)
-            worst = max(worst, np.max(np.abs(_fd_derivative(f, ts, h) - exact)
+        for f, df in ((model.m, model.m_dot), (model.omega, model.omega_dot)):
+            exact = df(ts)
+            central = (f(ts + h) - f(ts - h)) / (2.0 * h)
+            worst = max(worst, np.max(np.abs(central - exact)
                                       / (1.0 + np.abs(exact))))
         checks.append(_check(f"{model.name}: analytic derivatives vs finite "
                              "differences", worst, 1e-6))
+        ts = np.linspace(lo + 0.05, hi, 40)
+        M = model.m_dot(ts) / model.m(ts)
+        generic = (model.omega(ts) ** 2
+                   - 0.5 * (model.m_ddot(ts) / model.m(ts) - M ** 2)
+                   - 0.25 * M ** 2)
+        shortcut_err = max(shortcut_err,
+                           _rel(models.omega2(model, ts), generic))
 
     me = models.exp_frequency()
     ts = np.linspace(0.0, 2.0, 101)
@@ -85,18 +81,8 @@ def suite_models():
     checks.append(_check("kanai_caldirola: Omega^2 == omega0^2 - gamma^2/4 "
                          "exactly", err, 0.0))
 
-    # analytic Omega^2 shortcuts agree with the generic expression
-    worst = 0.0
-    for model in models.catalog():
-        lo, hi = _MODEL_WINDOWS[model.name]
-        ts = np.linspace(lo + 0.05, hi, 40)
-        M = model.m_dot(ts) / model.m(ts)
-        generic = (model.omega(ts) ** 2
-                   - 0.5 * (model.m_ddot(ts) / model.m(ts) - M ** 2)
-                   - 0.25 * M ** 2)
-        worst = max(worst, _rel(models.omega2(model, ts), generic))
     checks.append(_check("catalog: Omega^2 shortcut vs generic expression",
-                         worst, 1e-10))
+                         shortcut_err, 1e-10))
 
     q, dq, d2q = models.tsquared_solution(m0=1.0, c=2.0 ** -0.5)
     mt = models.tsquared(m0=1.0, c=2.0 ** -0.5)
@@ -118,7 +104,8 @@ def suite_models():
 class SharedRuns:
     """Trajectories that several suites read, each integrated on first use.
 
-    `run_suite` makes one per call, so no trajectory outlives a report.
+    `run_suite` makes one per call and hands it to every suite, so no
+    trajectory outlives a report.
     """
 
     @functools.cached_property
@@ -145,18 +132,20 @@ class SharedRuns:
 # ---------------------------------------------------------------------------
 # ermakov
 
-def _min_init(model, t0, c):
-    m0 = float(model.m(t0))
-    return c * math.sqrt(m0), 0.5 * c * float(model.m_dot(t0)) / math.sqrt(m0)
+def _minimal_run(model, t0, t1, n_out=201):
+    """Integrated minimal branch of `model` from its exact state at t0."""
+    c = minimum.minimum_model(model).c
+    return ermakov.integrate_ep(model, 0.25,
+                                minimum.minimal_amplitude(model, c, t0),
+                                t0, t1, n_out=n_out)
 
 
-def suite_ermakov(shared=None):
+def suite_ermakov(runs):
     checks = []
-    shared = shared or SharedRuns()
     mh = models.harmonic()
 
-    # closed form vs direct integration, constant branch; this run and the
-    # oscillating one below also give the phase checks
+    # closed form vs direct integration, constant branch; this run, the
+    # oscillating and the hyperbolic one below also give the phase checks
     st_c = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0)
     err = _rel(st_c.sigma, 2.0 ** -0.5)
     checks.append(_check("harmonic constant branch vs integration (rel)",
@@ -164,7 +153,7 @@ def suite_ermakov(shared=None):
 
     # oscillating branch, kconst = 2
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
-    st_o = shared.harmonic_oscillating[201]
+    st_o = runs.harmonic_oscillating[201]
     err = _rel(st_o.sigma, ermakov.sigma_oscillating(1.0, 2.0, 0.0, st_o.t)[0])
     checks.append(_check("harmonic oscillating branch vs integration (rel)",
                          err, 1e-6))
@@ -196,68 +185,45 @@ def suite_ermakov(shared=None):
     err = _rel(pair.wronskian(np.linspace(0.0, 20.0, 201)), pair.W0)
     checks.append(_check("basis Wronskian drift (rel)", err, 1e-8))
 
-    # conserved k over 20 periods on constant-Omega models
-    st = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)), 0.0,
-                              20.0 * math.pi, n_out=401)
-    err = np.max(np.abs(st.k - st.k[0]))
-    checks.append(_check("harmonic: conserved k drift over 20 periods",
-                         err, 1e-8))
-    mk2 = models.kanai_caldirola(omega0=1.0, gamma=1.0)
-    Om = math.sqrt(0.75)
-    st = ermakov.integrate_ep(mk2, 0.25, (1.0, 0.0), 0.0, 20.0 * math.pi / Om,
-                              n_out=401)
-    err = np.max(np.abs(st.k - st.k[0]))
-    checks.append(_check("kanai_caldirola: conserved k drift over 20 periods",
-                         err, 1e-8))
-
+    # conserved k over 20 periods on constant-Omega models, and the
     # generalized balance with co-integrated F on time-dependent Omega
-    me = models.exp_frequency()
-    st = ermakov.integrate_ep(me, 0.25, (1.0, 0.3), 0.0, 2.0)
-    err = np.max(np.abs(st.k - st.k[0]))
-    checks.append(_check("exp_frequency: balance constant with co-integrated "
-                         "F", err, 1e-7))
-    mb = models.bessel_type()
-    st = ermakov.integrate_ep(mb, 0.25, (0.3, 0.2), 0.1, 0.8)
-    err = np.max(np.abs(st.k - st.k[0]))
-    checks.append(_check("bessel_type: balance constant with co-integrated F",
-                         err, 1e-7))
+    me, mb = models.exp_frequency(), models.bessel_type()
+    for label, model, init, (t0, t1, n_out), tol in (
+            ("harmonic: conserved k drift over 20 periods", mh,
+             (float(s0), float(sd0)), (0.0, 20.0 * math.pi, 401), 1e-8),
+            ("kanai_caldirola: conserved k drift over 20 periods",
+             models.kanai_caldirola(omega0=1.0, gamma=1.0), (1.0, 0.0),
+             (0.0, 20.0 * math.pi / math.sqrt(0.75), 401), 1e-8),
+            ("exp_frequency: balance constant with co-integrated F", me,
+             (1.0, 0.3), (0.0, 2.0, 201), 1e-7),
+            ("bessel_type: balance constant with co-integrated F", mb,
+             (0.3, 0.2), (0.1, 0.8, 201), 1e-7)):
+        st = ermakov.integrate_ep(model, 0.25, init, t0, t1, n_out=n_out)
+        checks.append(_check(label, np.max(np.abs(st.k - st.k[0])), tol))
 
     # phases: closed form vs integrated theta, all six cases
-    err = abs(ermakov.phase_closed_form("harmonic_const", {"omega0": 1.0},
-                                        0.0, 20.0) - st_c.theta[-1])
-    checks.append(_check("phase: constant branch", err, 1e-6))
-    err = abs(ermakov.phase_closed_form(
-        "harmonic_oscillating", {"omega0": 1.0, "kconst": 2.0, "c1": 0.0},
-        0.0, 20.0) - st_o.theta[-1])
-    checks.append(_check("phase: oscillating branch (branch-corrected "
-                         "arctan)", err, 1e-6))
-    err = abs(ermakov.phase_closed_form(
-        "kc_hyperbolic", {"omega0": 0.3, "gamma": 1.0, "c1": c1, "c2": c2},
-        0.0, 3.0) - st_h.theta[-1])
-    checks.append(_check("phase: hyperbolic branch", err, 1e-6))
-
-    mme = minimum.minimum_model(me)
-    st = ermakov.integrate_ep(me, 0.25, _min_init(me, 0.0, mme.c), 0.0, 1.0)
-    err = abs(ermakov.phase_closed_form(
-        "exp_frequency", {"omega0": 1.0, "gamma0": 1.0}, 0.0, 1.0)
-        - st.theta[-1])
-    checks.append(_check("phase: exp_frequency minimal branch", err, 1e-6))
-    mt = models.tsquared()
-    mmt = minimum.minimum_model(mt)
-    st = ermakov.integrate_ep(mt, 0.25, _min_init(mt, 1.0, mmt.c), 1.0, 2.0)
-    err = abs(ermakov.phase_closed_form(
-        "tsquared", {"m0": 1.0, "c": 1.0}, 1.0, 2.0) - st.theta[-1])
-    checks.append(_check("phase: tsquared minimal branch", err, 1e-6))
-    mmb = minimum.minimum_model(mb)
-    st = ermakov.integrate_ep(mb, 0.25, _min_init(mb, 0.5, mmb.c), 0.5, 0.8)
+    st_b = _minimal_run(mb, 0.5, 0.8)
     sseries = series.build_series(1.0, 2.0, 1.0, mb.params["order"])
-    err = abs(ermakov.phase_closed_form(
-        "bessel_series", {"series": sseries}, 0.5, 0.8) - st.theta[-1])
-    checks.append(_check("phase: bessel-type series branch", err, 1e-6))
+    for label, case, params, st in (
+            ("constant branch", "harmonic_const", {"omega0": 1.0}, st_c),
+            ("oscillating branch (branch-corrected arctan)",
+             "harmonic_oscillating",
+             {"omega0": 1.0, "kconst": 2.0, "c1": 0.0}, st_o),
+            ("hyperbolic branch", "kc_hyperbolic",
+             {"omega0": 0.3, "gamma": 1.0, "c1": c1, "c2": c2}, st_h),
+            ("exp_frequency minimal branch", "exp_frequency",
+             {"omega0": 1.0, "gamma0": 1.0}, _minimal_run(me, 0.0, 1.0)),
+            ("tsquared minimal branch", "tsquared", {"m0": 1.0, "c": 1.0},
+             _minimal_run(models.tsquared(), 1.0, 2.0)),
+            ("bessel-type series branch", "bessel_series",
+             {"series": sseries}, st_b)):
+        err = abs(ermakov.phase_closed_form(case, params, st.t[0], st.t[-1])
+                  - st.theta[-1])
+        checks.append(_check(f"phase: {label}", err, 1e-6))
 
     # theta must never decrease
     worst = max(float(np.max(np.maximum(0.0, -np.diff(states.theta))))
-                for states in (st, st_h))
+                for states in (st_b, st_h))
     checks.append(_check("theta nondecreasing along trajectories", worst, 0.0))
     return checks
 
@@ -265,32 +231,23 @@ def suite_ermakov(shared=None):
 # ---------------------------------------------------------------------------
 # quantum / bogolubov
 
-def _catalog_trajectories(shared):
+def _catalog_trajectories(runs):
     """One representative trajectory per catalog model, 200 samples each."""
-    out = [(models.harmonic(), shared.harmonic_oscillating[200], 0.0)]
     mk = models.kanai_caldirola()
-    out.append((mk, ermakov.integrate_ep(mk, 0.25, (0.9, 0.1), 0.0, 3.0,
-                                         n_out=200), 0.0))
-    me = models.exp_frequency()
-    mme = minimum.minimum_model(me)
-    out.append((me, ermakov.integrate_ep(me, 0.25, _min_init(me, 0.0, mme.c),
-                                         0.0, 2.0, n_out=200), 0.0))
-    mt = models.tsquared()
-    mmt = minimum.minimum_model(mt)
-    out.append((mt, ermakov.integrate_ep(mt, 0.25, _min_init(mt, 1.0, mmt.c),
-                                         1.0, 3.0, n_out=200), 1.0))
-    mb = models.bessel_type()
-    mmb = minimum.minimum_model(mb)
-    out.append((mb, ermakov.integrate_ep(mb, 0.25, _min_init(mb, 0.1, mmb.c),
-                                         0.1, 0.8, n_out=200), 0.1))
+    out = [(models.harmonic(), runs.harmonic_oscillating[200], 0.0),
+           (mk, ermakov.integrate_ep(mk, 0.25, (0.9, 0.1), 0.0, 3.0,
+                                     n_out=200), 0.0)]
+    for model, (t0, t1) in ((models.exp_frequency(), (0.0, 2.0)),
+                            (models.tsquared(), (1.0, 3.0)),
+                            (models.bessel_type(), (0.1, 0.8))):
+        out.append((model, _minimal_run(model, t0, t1, n_out=200), t0))
     return out
 
 
-def suite_quantum(shared=None):
+def suite_quantum(runs):
     checks = []
     norm_err = bound_gap = route_err = ident_err = balance_err = 0.0
-    trajectories = _catalog_trajectories(shared or SharedRuns())
-    for i, (model, s, t0) in enumerate(trajectories):
+    for i, (model, s, t0) in enumerate(_catalog_trajectories(runs)):
         ref = quantum.default_reference(model, t0)
         rep = quantum.quadratures(model, s)
         pair = quantum.bogolubov(model, s, ref)
@@ -328,22 +285,17 @@ def suite_quantum(shared=None):
 # ---------------------------------------------------------------------------
 # minimum
 
-def _min_model_cases():
-    return [
-        ("harmonic", models.harmonic(), (0.0, 2.0)),
-        ("exp_frequency", models.exp_frequency(), (0.0, 2.0)),
-        ("tsquared", models.tsquared(), (1.0, 3.0)),
-        ("bessel_type", models.bessel_type(), (0.1, 0.8)),
-    ]
-
-
-def suite_minimum():
+def suite_minimum(runs):
     checks = []
     prod_err = mu_err = nu_err = vac_err = energy_err = resc_err = 0.0
     mass_res = 0.0
-    for name, model, (lo, hi) in _min_model_cases():
+    for model, (lo, hi) in ((models.harmonic(), (0.0, 2.0)),
+                            (models.exp_frequency(), (0.0, 2.0)),
+                            (models.tsquared(), (1.0, 3.0)),
+                            (models.bessel_type(), (0.1, 0.8))):
         mm = minimum.minimum_model(model, t0=lo, t1=hi)
-        s = minimum.sigma_minimum_trajectory(mm, np.linspace(lo, hi, 60))
+        ts = np.linspace(lo, hi, 60)
+        s = minimum.sigma_minimum_trajectory(mm, ts)
         ref = quantum.default_reference(model, lo)
         m0 = float(model.m(lo))
         rep = quantum.quadratures(model, s)
@@ -357,7 +309,7 @@ def suite_minimum():
         resc_err = max(resc_err, _rel(energy * model.m(s.t) / m0,
                                       0.5 * float(model.omega(lo))))
         mass_res = max(mass_res, float(np.max(np.abs(
-            minimum.mass_constraint_residual(mm, np.linspace(lo, hi, 60))))))
+            minimum.mass_constraint_residual(mm, ts)))))
     checks.append(_check("minimal branch: product == hbar/2", prod_err, 1e-10))
     checks.append(_check("minimal branch: |mu - 1|", mu_err, 1e-9))
     checks.append(_check("minimal branch: |nu|", nu_err, 1e-9))
@@ -381,9 +333,7 @@ def suite_minimum():
     base = minimum.sigma_minimum(mmh, 0.5, 0.0)
     worst = 0.0
     for eps in (1e-3, 1e-4):
-        pert = ermakov.ErmakovState(t=base.t, sigma=base.sigma,
-                                    sigma_dot=base.sigma_dot + eps,
-                                    theta=base.theta, k=base.k, F=base.F)
+        pert = dataclasses.replace(base, sigma_dot=base.sigma_dot + eps)
         gap = quantum.quadratures(mh, pert).product - 0.5
         worst = max(worst, abs(gap / (base.sigma ** 2 * eps ** 2) - 1.0))
     checks.append(_check("product grows quadratically away from the minimum",
@@ -394,9 +344,7 @@ def suite_minimum():
 # ---------------------------------------------------------------------------
 # series
 
-def suite_series(order=8):
-    from fractions import Fraction
-
+def suite_series(runs):
     checks = []
     s10 = series.build_series(1.0, 2.0, 1.0, 10)
     pf = series.product_form_ratios(2.0, 1.0, 10)
@@ -424,14 +372,15 @@ def suite_series(order=8):
                          "(k <= 6)", 0.0 if exact else 1.0, 0.0))
 
     vals = [series.alpha_numeric_check(series.build_series(1.0, 2.0, 1.0, n),
-                                       0.1, 0.8) for n in range(3, order + 1)]
+                                       0.1, 0.8)
+            for n in range(3, SERIES_ORDER + 1)]
     ratio = max(b / a for a, b in zip(vals, vals[1:]))
     checks.append(_check("constraint residual strictly decreasing with "
                          "order", ratio, 1.0 - 1e-12))
-    checks.append(_check(f"constraint residual at order {order} on "
+    checks.append(_check(f"constraint residual at order {SERIES_ORDER} on "
                          "[0.1, 0.8]", vals[-1], 1e-6))
 
-    s = series.build_series(1.0, 2.0, 1.0, order)
+    s = series.build_series(1.0, 2.0, 1.0, SERIES_ORDER)
     from scipy.integrate import quad
     th = series.theta_series(s, 0.5, 0.8)
     ref, _ = quad(lambda t: 2.0 / float(s.alpha(t)), 0.5, 0.8,
@@ -456,7 +405,7 @@ def suite_series(order=8):
     checks.append(_check("series vs shooting solution of the constraint",
                          err, 1e-6))
 
-    s_lin = series.build_series(1.0, 2.0, 0.0, order)
+    s_lin = series.build_series(1.0, 2.0, 0.0, SERIES_ORDER)
     err = series.alpha_numeric_check(s_lin, 0.1, 5.0)
     checks.append(_check("mu_s = 0 linear case: residual at any order",
                          err, 1e-12))
@@ -487,23 +436,22 @@ def suite_series(order=8):
 # ---------------------------------------------------------------------------
 # bessel
 
-def suite_bessel():
+def suite_bessel(runs):
+    from scipy.special import jv as scipy_jv
+
     checks = []
     xs = np.linspace(0.1, 20.0, 500)
-    worst = 0.0
+    ode_err = ref_err = 0.0
     for rho in (0.0, 1.0 / 3.0, 0.5, 1.0):
-        worst = max(worst, float(np.max(np.abs(
-            bessel.defining_ode_residual(rho, xs)))))
+        values = bessel.jv(rho, xs)
+        ode_err = max(ode_err, float(np.max(np.abs(
+            bessel.defining_ode_residual(rho, xs, values)))))
+        ref_err = max(ref_err, float(np.max(np.abs(values[0]
+                                                   - scipy_jv(rho, xs)))))
     checks.append(_check("evaluator satisfies the defining equation "
-                         "(rho in {0, 1/3, 1/2, 1})", worst, 1e-8))
-
-    from scipy.special import jv as scipy_jv
-    worst = 0.0
-    for rho in (0.0, 1.0 / 3.0, 0.5, 1.0):
-        mine = bessel.jv(rho, xs)[0]
-        worst = max(worst, float(np.max(np.abs(mine - scipy_jv(rho, xs)))))
+                         "(rho in {0, 1/3, 1/2, 1})", ode_err, 1e-8))
     checks.append(_check("evaluator matches the library Bessel reference",
-                         worst, 1e-10))
+                         ref_err, 1e-10))
 
     err = series.bessel_reduction_check(1.0, 1.0, 0.5, np.linspace(0.5, 10.0, 200))
     checks.append(_check("reduced trajectory sqrt(t) Z_0 satisfies its "
@@ -515,6 +463,8 @@ def suite_bessel():
 
 # ---------------------------------------------------------------------------
 
+# every suite takes the call's SharedRuns and returns its rows; "all" runs
+# them in this order
 SUITES = {
     "models": suite_models,
     "ermakov": suite_ermakov,
@@ -525,7 +475,7 @@ SUITES = {
 }
 
 
-def run_suite(name, order=8, timings=None):
+def run_suite(name, timings=None):
     """Run one suite (or 'all') and return the JSON-ready report dict.
 
     When `timings` is a dict, each suite's wall time in seconds is stored
@@ -533,27 +483,17 @@ def run_suite(name, order=8, timings=None):
     """
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    names = (("models", "ermakov", "quantum", "minimum", "series", "bessel")
-             if name == "all" else (name,))
-    shared = SharedRuns()
+    names = list(SUITES) if name == "all" else [name]
+    runs = SharedRuns()
     checks = []
     for suite_name in names:
         start = perf_counter() if timings is not None else 0.0
-        fn = SUITES[suite_name]
-        if suite_name == "series":
-            suite_checks = fn(order=order)
-        elif suite_name in ("ermakov", "quantum"):
-            suite_checks = fn(shared=shared)
-        else:
-            suite_checks = fn()
+        suite_checks = SUITES[suite_name](runs)
         if timings is not None:
             timings[suite_name] = perf_counter() - start
         if name == "all":
-            suite_checks = [replace(c, name=f"{suite_name}: {c.name}")
+            suite_checks = [{**c, "name": f"{suite_name}: {c['name']}"}
                             for c in suite_checks]
         checks.extend(suite_checks)
-    return {
-        "suite": name,
-        "checks": [c.to_json_dict() for c in checks],
-        "pass": all(c.passed for c in checks),
-    }
+    return {"suite": name, "checks": checks,
+            "pass": all(c["pass"] for c in checks)}

@@ -3,8 +3,7 @@
 The evaluator is accepted through its own defining equation
 Z'' + Z'/x + (1 - rho^2/x^2) Z = 0 and cross-checked against the scipy
 reference implementation, the elementary half-integer closed forms and a
-scalar oracle: the per-point series and Hankel loops the array evaluator
-replaced.
+scalar oracle: the series and Hankel truncation rules as per-point loops.
 """
 
 import math
@@ -30,6 +29,25 @@ def test_defining_ode_residual(rho):
 def test_matches_scipy_reference(rho):
     mine = bessel.jv(rho, GRID)[0]
     assert np.max(np.abs(mine - scipy_jv(rho, GRID))) < 1e-10
+
+
+def test_scipy_reference_or_parameter_error_across_the_domain():
+    # every point either matches J, J' and J'' or raises; orders <= 1 (the
+    # catalog's) never raise, from tiny x (where J' and J'' come from the
+    # series' second term) to well past the switchover
+    from scipy.special import jvp
+    xs = np.concatenate([np.logspace(-12.0, math.log10(40.0), 200),
+                         [bessel.SWITCHOVER, np.nextafter(12.0, 13.0)]])
+    for rho in np.arange(0.0, 10.01, 0.5):
+        for x in xs:
+            try:
+                got = bessel.jv(rho, x)
+            except ParameterError:
+                assert rho > 1.0
+                continue
+            for n, value in enumerate(got):
+                ref = float(jvp(rho, x, n=n))
+                assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), (rho, x)
 
 
 def test_half_integer_closed_form():
@@ -79,6 +97,8 @@ def test_invalid_arguments():
         (0.5, np.array([[1.0, 20.0], [-math.inf, 3.0]])),
         (0.5, np.array([13.0, 0.0])),
         (200.0, 1.0), (200.0, 13.0),  # 1/Gamma(201) overflows
+        (0.0, 1e-170), (1.0 / 3.0, np.array([1.0, 1e-170])),  # below X_MIN
+        (10.0, 12.5), (10.0, np.array([1.0, 12.5, 20.0])),  # Hankel too short
     ]
     for rho, x in cases:
         with pytest.raises(ParameterError):
@@ -86,7 +106,7 @@ def test_invalid_arguments():
 
 
 # ---------------------------------------------------------------------------
-# scalar oracle: the per-point loops the array evaluator replaced
+# scalar oracle: the evaluator's truncation rules as per-point loops
 
 def _reference_series(rho, x):
     half = 0.5 * x
@@ -100,7 +120,11 @@ def _reference_series(rho, x):
         s2 += term * p * (p - 1.0)
         m += 1
         term *= -(half * half) / (m * (m + rho))
-        if abs(term) < 1e-18 * (abs(s0) + 1e-300) and m > half:
+        p = 2 * m + rho
+        if (abs(term) < 1e-18 * (abs(s0) + 1e-300)
+                and abs(term) * p < 1e-18 * (abs(s1) + 1e-300)
+                and abs(term) * p * (p - 1.0) < 1e-18 * (abs(s2) + 1e-300)
+                and m > half):
             break
         if m > 400:
             break
@@ -130,7 +154,9 @@ def _reference_asymptotic(rho, x):
             Fdd += v * p * (p - 1.0) / (x * x)
         k += 1
         t_next = t * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(t_next) >= abs(t) or abs(t_next) < 1e-18 or k > 60:
+        weight = max(1.0, (k + 0.5) * (k + 1.5) / (x * x))
+        if (abs(t_next) * weight < 1e-18 or k > 60
+                or ((2 * k - 1) ** 2 > mu4 and abs(t_next) >= abs(t))):
             break
         t = t_next
     j = Fv * cc + Gv * ss
@@ -145,8 +171,8 @@ def _reference_jv(rho, x):
     return _reference_asymptotic(rho, x)
 
 
-# both sides of the switchover: at rho = 7 the two expansions differ there
-# by ~0.4, so the grid also pins which side 12.0 itself takes
+# both sides of the switchover; at rho = 7 the Hankel terms grow for the
+# first few k before they shrink, so the smallest-term stop must wait
 ORACLE_GRID = np.concatenate([np.linspace(0.04, 40.0, 1000),
                               [12.0, np.nextafter(12.0, 13.0)]])
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tdo import cli
+from tdo import cli, models
 
 
 def run(args):
@@ -39,6 +39,19 @@ def test_solve_constant_trajectory(tmp_path):
     assert rows.shape[0] == 21
     assert np.max(np.abs(rows[:, 1] - 2.0 ** -0.5)) < 1e-8
     assert rows[-1, 3] == pytest.approx(20.0, abs=1e-7)  # theta = 2 w0 t
+
+
+@pytest.mark.parametrize("model,t0,t1", [("harmonic", "0", "3"),
+                                         ("exp_frequency", "0", "2")])
+def test_default_amplitude_follows_K(tmp_path, model, t0, t1):
+    # constant branch (harmonic) and minimal branch (exp_frequency): the
+    # default start scales by (4K)^(1/4), so sigma/sqrt(m) stays constant
+    out = tmp_path / "k.csv"
+    assert run(["solve", "--model", model, "--t0", t0, "--t1", t1,
+                "--dt-out", "0.25", "--K", "1", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    ratio = rows[:, 1] / np.sqrt(models.get_model(model).m(rows[:, 0]))
+    assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
 
 
 def test_solve_domain_error_exit_code(tmp_path, capsys):
@@ -113,8 +126,10 @@ _SOLVE = ["solve", "--model", "harmonic", "--t0", "0", "--t1", "1"]
                  id="check-min-samples-x"),
     pytest.param(["series", "--lambda", "1"], {"omega0": "x"},
                  id="series-omega0-x"),
-    pytest.param(["verify"], {"order": "x"}, id="verify-order-x"),
-    pytest.param(["verify"], {"order": 8.5}, id="verify-order-8.5"),
+    pytest.param(["series", "--lambda", "2"], {"order": "x"},
+                 id="series-order-x"),
+    pytest.param(["series", "--lambda", "2"], {"order": 8.5},
+                 id="series-order-8.5"),
     pytest.param(["solve", "--model", "bessel_type", "--t0", "0.1",
                   "--t1", "1"], {"order": 8.5}, id="bessel-order-8.5"),
     pytest.param(_SOLVE + ["--sweep", "foo=1:2:2"], {}, id="sweep-unknown-key"),
@@ -297,6 +312,13 @@ def test_series_requires_lambda(capsys):
     assert run(["series", "--omega0", "1"]) == 2
 
 
+@pytest.mark.parametrize("args", [["--lambda", "0.5"], ["--order", "0"],
+                                  ["--order", "201"]])
+def test_series_parameter_errors_are_config_errors(capsys, args):
+    assert run(["series", "--lambda", "2"] + args) == 2
+    assert capsys.readouterr().err.startswith("config_error:")
+
+
 def test_check_min_reports(capsys):
     assert run(["check-min", "--model", "exp_frequency"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -322,11 +344,24 @@ def test_verify_unknown_suite(capsys):
 
 def test_verify_failing_check_exits_nonzero(capsys, monkeypatch):
     from tdo import verify
-    bad = [verify.Check(name="synthetic", passed=False, max_err=1.0, tol=0.0)]
-    monkeypatch.setitem(verify.SUITES, "synthetic", lambda: bad)
+    bad = [{"name": "synthetic", "pass": False, "max_err": 1.0, "tol": 0.0}]
+    monkeypatch.setitem(verify.SUITES, "synthetic", lambda runs: bad)
     assert run(["verify", "--suite", "synthetic"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["pass"] is False
+
+
+def test_verify_reads_no_order(tmp_path, monkeypatch, capsys):
+    # the release gate is one fixed report: an order in a shared config
+    # file leaves it alone, and verify has no --order flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": 12}))
+    monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
+    assert run(["verify", "--suite", "series"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--order", "8"])
+    assert exc.value.code == 2
 
 
 def test_nonpositive_tolerance_is_config_error(capsys):

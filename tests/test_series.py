@@ -36,6 +36,9 @@ def test_parameter_validation():
         series.build_series(1.0, 2.0, 1.0, 0)
     with pytest.raises(ParameterError):
         series.build_series(-1.0, 2.0, 1.0, 5)
+    assert series.build_series(1.0, 2.0, 1.0, series.MAX_ORDER).order == 200
+    with pytest.raises(ParameterError):
+        series.build_series(1.0, 2.0, 1.0, series.MAX_ORDER + 1)
 
 
 def test_order_one_is_leading_term_only():
