@@ -193,7 +193,7 @@ def _time_grid(res):
     return t0 + dt * np.arange(int(math.floor(span)) + 1)
 
 
-def _tolerance(res, key, default):
+def _positive(res, key, default):
     val = _value(res, key, default)
     if not val > 0.0:
         raise ConfigError(f"--{key} must be positive")
@@ -277,10 +277,12 @@ def _trajectory(res):
     model = _build_model(res)
     grid = _time_grid(res)
     K = _value(res, "K", ermakov.DEFAULT_K)
+    if not K >= 0.0:
+        raise ConfigError("--K must not be negative")
     init = _initial_conditions(res, model, grid[0], grid[-1], K)
     traj = ermakov.integrate_ep(
         model, K, init, grid[0], grid[-1], t_eval=grid,
-        rtol=_tolerance(res, "tol", 1e-10))
+        rtol=_positive(res, "tol", 1e-10))
     return model, traj
 
 
@@ -289,7 +291,7 @@ def _solve_columns(res):
 
 
 def _uncertainty_columns(res):
-    hbar = _value(res, "hbar", 1.0)
+    hbar = _positive(res, "hbar", 1.0)
     model, s = _trajectory(res)
     rep = quantum.quadratures(model, s, hbar)
     pair = quantum.bogolubov(model, s,
@@ -341,11 +343,15 @@ def cmd_series(res):
 def cmd_check_min(res):
     model = _build_model(res)
     samples = _value(res, "samples", 201)
-    if samples > MAX_ROWS:
-        raise ConfigError(f"--samples must not exceed {MAX_ROWS}")
+    if not 2 <= samples <= MAX_ROWS:
+        raise ConfigError(f"--samples must be between 2 and {MAX_ROWS}")
+    lo, hi = model.domain.sampling_window()
+    t0, t1 = _value(res, "t0", lo), _value(res, "t1", hi)
+    if not t1 > t0:
+        raise ConfigError(f"need t1 > t0, got the window [{t0}, {t1}]")
     report = minimum.check_criterion(
-        model, tol=_tolerance(res, "tol", 1e-8),
-        t0=_value(res, "t0"), t1=_value(res, "t1"), samples=samples)
+        model, tol=_positive(res, "tol", minimum.CRITERION_TOL),
+        t0=t0, t1=t1, samples=samples)
     _write_json(_value(res, "out", "-"), report.to_json_dict())
     return 0
 

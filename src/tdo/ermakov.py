@@ -232,16 +232,15 @@ def conserved_k(sigma, sigma_dot, omega2_val, K=DEFAULT_K):
 # direct integration
 
 def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
-                 rtol=1e-10, atol=1e-12, sigma_floor=SIGMA_FLOOR,
-                 max_step=math.inf):
+                 rtol=1e-10):
     """Integrate the auxiliary equation, phase and balance functional.
 
     State components (sigma, sigma', theta, F) evolve under the same
-    adaptive 8th-order stepper (dopri.solve, DOP853); theta' = 1/sigma^2
-    and F' = d(Omega^2)/dt * sigma^2.  Returns one ErmakovState of columns
-    at t_eval (default: n_out uniform times), read from the stepper's
-    continuous extension between steps.
-    Raises SingularityApproached when sigma falls below sigma_floor,
+    adaptive 8th-order stepper (dopri.solve, DOP853, absolute tolerance
+    1e-12); theta' = 1/sigma^2 and F' = d(Omega^2)/dt * sigma^2.  Returns
+    one ErmakovState of columns at t_eval (default: n_out uniform times),
+    read from the stepper's continuous extension between steps.
+    Raises SingularityApproached when sigma falls below SIGMA_FLOOR,
     DomainError when [t0, t1] leaves the model's domain and NonFiniteResult
     when a column leaves the floating-point range.  The stepper's
     StepSizeUnderflow and BudgetExceeded come back with the model's name
@@ -250,9 +249,9 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
     if K < 0.0:
         raise ParameterError("K < 0 regime is not supported")
     sigma0, sigma_dot0 = init
-    if not sigma0 > sigma_floor:
+    if not sigma0 > SIGMA_FLOOR:
         raise SingularityApproached(
-            f"initial sigma {sigma0} at or below floor {sigma_floor}")
+            f"initial sigma {sigma0} at or below floor {SIGMA_FLOOR}")
     model.domain.require(t0)
     model.domain.require(t1)
     if t_eval is None:
@@ -273,16 +272,15 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
     last = [sigma0]  # sigma of the last accepted step
 
     def guard(t, y):
-        if y[0] < sigma_floor:
+        if y[0] < SIGMA_FLOOR:
             raise SingularityApproached(
                 f"sigma reached {y[0]:.3e} at t={t:.6g}")
         last[0] = y[0]
 
     y0 = np.array([sigma0, sigma_dot0, 0.0, 0.0])
     try:
-        ts, ys = dopri.solve(rhs, t0, t1, y0, rtol=rtol, atol=atol,
-                             t_eval=t_eval, max_step=max_step,
-                             step_callback=guard)
+        ts, ys = dopri.solve(rhs, t0, t1, y0, rtol=rtol, atol=1e-12,
+                             t_eval=t_eval, step_callback=guard)
     except (StepSizeUnderflow, BudgetExceeded) as exc:
         raise type(exc)(f"{model.name}: {exc}; last accepted "
                         f"sigma={float(last[0])!r}") from exc

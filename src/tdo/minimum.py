@@ -19,6 +19,7 @@ from .ermakov import DEFAULT_K, ErmakovState, conserved_k
 from .errors import CriterionViolated, DomainError
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+CRITERION_TOL = 1e-8  # largest relative spread of m*omega that passes
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class MinUncertaintyModel:
     c: float
 
 
-def check_criterion(model, tol=1e-8, t0=None, t1=None, samples=201):
+def check_criterion(model, tol=CRITERION_TOL, t0=None, t1=None, samples=201):
     """Estimate c and measure how far m*omega strays from constant.
 
     best c = (2 * median(m*omega))^(-1/2); the violation is the largest
@@ -70,13 +71,13 @@ def check_criterion(model, tol=1e-8, t0=None, t1=None, samples=201):
                            samples=int(samples))
 
 
-def minimum_model(model, tol=1e-8, t0=None, t1=None, samples=201):
+def minimum_model(model, t0=None, t1=None):
     """Wrap a model after certifying the criterion; CriterionViolated otherwise."""
-    report = check_criterion(model, tol=tol, t0=t0, t1=t1, samples=samples)
+    report = check_criterion(model, t0=t0, t1=t1)
     if not report.is_minimum:
         raise CriterionViolated(
             f"{model.name}: m*omega varies by {report.max_violation:.3e} "
-            f"(tol {tol:g})")
+            f"(tol {CRITERION_TOL:g})")
     return MinUncertaintyModel(base=model, c=report.c)
 
 
@@ -121,6 +122,7 @@ def sigma_minimum(mmodel, t, t0):
 def sigma_minimum_trajectory(mmodel, t_grid):
     """Minimal-branch columns on a grid, phase accumulated from t_grid[0]."""
     t_grid = np.asarray(t_grid, dtype=float)
+    mmodel.base.domain.require(t_grid)
     ts = t_grid.tolist()
     steps = [(0.0, 0.0)] + [_theta_and_F(mmodel, a, b)
                             for a, b in zip(ts, ts[1:])]

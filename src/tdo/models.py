@@ -50,10 +50,11 @@ class Domain:
                 raise DomainError(f"t={ti} outside domain "
                                   f"[{self.lo}, {self.hi}]")
 
-    def sampling_window(self, span=2.0):
-        """Finite default window used by criterion checks and the CLI."""
+    def sampling_window(self):
+        """Finite default window used by criterion checks and the CLI; an
+        infinite end becomes 0 below and lo + 2 above."""
         lo = self.lo if math.isfinite(self.lo) else 0.0
-        hi = self.hi if math.isfinite(self.hi) else lo + span
+        hi = self.hi if math.isfinite(self.hi) else lo + 2.0
         width = hi - lo
         if self.lo_open:
             lo += 1e-9 * width
@@ -214,31 +215,8 @@ def bessel_type(m0=1.0, omega0=1.0, Omega0=1.0, k0=0.5, nu=1.0, order=10,
     if hi <= t_min:
         raise ParameterError("trusted window 2/mu_s falls below t_min")
 
-    def a(t):
-        return alpha.alpha(t)
-
-    def ad(t):
-        return alpha.alpha_dot(t)
-
-    def add(t):
-        return alpha.alpha_ddot(t)
-
-    # Horner rows of alpha and its first three derivatives, top power
-    # first, weighted as in AlphaSeries; the last two have no k = 0 term
-    rows = [(ak, (2 * k + 1.0) * ak, (2 * k + 1.0) * (2 * k) * ak,
-             (2 * k + 1.0) * (2 * k) * (2 * k - 1.0) * ak)
-            for k, ak in reversed(list(enumerate(alpha.a)))]
-
     def coeffs(t):
-        t2 = t * t
-        p0 = p1 = p2 = p3 = 0.0
-        for r0, r1, r2, r3 in rows[:-1]:
-            p0 = p0 * t2 + r0
-            p1 = p1 * t2 + r1
-            p2 = p2 * t2 + r2
-            p3 = p3 * t2 + r3
-        r0, r1 = rows[-1][:2]
-        al, ald, aldd, ald3 = t * (p0 * t2 + r0), p1 * t2 + r1, p2 * t, p3
+        al, ald, aldd, ald3 = alpha.derivatives(t)
         M = ald / al
         Mdot = aldd / al - M * M
         Mddot = ald3 / al - aldd * ald / (al * al) - 2.0 * M * Mdot
@@ -249,11 +227,11 @@ def bessel_type(m0=1.0, omega0=1.0, Omega0=1.0, k0=0.5, nu=1.0, order=10,
 
     return ModelDescriptor(
         name="bessel_type",
-        m=lambda t: m0 * a(t),
-        m_dot=lambda t: m0 * ad(t),
-        m_ddot=lambda t: m0 * add(t),
-        omega=lambda t: omega0 / a(t),
-        omega_dot=lambda t: -omega0 * ad(t) / a(t) ** 2,
+        m=lambda t: m0 * alpha.alpha(t),
+        m_dot=lambda t: m0 * alpha.alpha_dot(t),
+        m_ddot=lambda t: m0 * alpha.alpha_ddot(t),
+        omega=lambda t: omega0 / alpha.alpha(t),
+        omega_dot=lambda t: -omega0 * alpha.alpha_dot(t) / alpha.alpha(t) ** 2,
         coeffs=coeffs,
         domain=Domain(lo=t_min, hi=hi, hi_open=True),
         params={"m0": m0, "omega0": omega0, "Omega0": Omega0, "k0": k0,

@@ -19,6 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -55,28 +56,46 @@ class AlphaSeries:
     def a1(self):
         return self.a[0]
 
-    def _powsum(self, t, weight):
+    @cached_property
+    def _rows(self):
+        # Horner rows of alpha and its first three derivatives, top power
+        # down to k = 1; a_0 enters alpha and alpha' only
+        return tuple((ak, (2 * k + 1.0) * ak, (2 * k + 1.0) * (2 * k) * ak,
+                      (2 * k + 1.0) * (2 * k) * (2 * k - 1.0) * ak)
+                     for k, ak in reversed(tuple(enumerate(self.a))[1:]))
+
+    def _powsum(self, t, column):
         t = np.asarray(t, dtype=float)
         t2 = t * t
         acc = np.zeros_like(t)
-        for k in range(self.order - 1, -1, -1):
-            acc = acc * t2 + weight(k) * self.a[k]
-        return acc
+        for row in self._rows:
+            acc = acc * t2 + row[column]
+        return t, t2, acc
 
     def alpha(self, t):
-        return np.asarray(t, dtype=float) * self._powsum(t, lambda k: 1.0)
+        t, t2, acc = self._powsum(t, 0)
+        return t * (acc * t2 + self.a[0])
 
     def alpha_dot(self, t):
-        return self._powsum(t, lambda k: 2 * k + 1.0)
+        _, t2, acc = self._powsum(t, 1)
+        return acc * t2 + self.a[0]
 
     def alpha_ddot(self, t):
-        t = np.asarray(t, dtype=float)
-        # d2/dt2 sum a_k t^(2k+1) = sum (2k+1)(2k) a_k t^(2k-1)
-        t2 = t * t
-        acc = np.zeros_like(t)
-        for k in range(self.order - 1, 0, -1):
-            acc = acc * t2 + (2 * k + 1.0) * (2 * k) * self.a[k]
+        t, _, acc = self._powsum(t, 2)
         return acc * t
+
+    def derivatives(self, t):
+        """alpha and its first three derivatives at t, in one pass: plain
+        float arithmetic on a float, elementwise on an array."""
+        t2 = t * t
+        p0 = p1 = p2 = p3 = 0.0
+        for r0, r1, r2, r3 in self._rows:
+            p0 = p0 * t2 + r0
+            p1 = p1 * t2 + r1
+            p2 = p2 * t2 + r2
+            p3 = p3 * t2 + r3
+        a0 = self.a[0]
+        return t * (p0 * t2 + a0), p1 * t2 + a0, p2 * t, p3
 
     def radius_guard(self):
         """Conservative truncation-accuracy window (inf when mu_s == 0)."""
@@ -85,8 +104,7 @@ class AlphaSeries:
     def full_coefficients(self):
         """Coefficients (a0, a1, a2, ...) with the even zeros made explicit."""
         out = [0.0] * (2 * self.order)
-        for k, ak in enumerate(self.a):
-            out[2 * k + 1] = ak
+        out[1::2] = self.a
         return out
 
     def to_json_dict(self):
@@ -176,44 +194,29 @@ def product_form_ratios(lam, mu_s, order):
     return out
 
 
+def _convolve(x, y):
+    """Cauchy product of two coefficient lists, each entry summed in index
+    order from 0 * x[0], so Fraction input gives exact Fractions."""
+    out = []
+    for k in range(len(x) + len(y) - 1):
+        acc = 0 * x[0]
+        for j in range(max(0, k - len(y) + 1), min(k, len(x) - 1) + 1):
+            acc += x[j] * y[k - j]
+        out.append(acc)
+    return out
+
+
 def convolution_triple(a):
     """Coefficients of alpha'^2, alpha^2 and alpha*alpha'' for alpha = sum a_k t^k.
 
-    b_k = sum_j (j+1)(k-j+1) a_{j+1} a_{k-j+1},  c_k = sum_j a_j a_{k-j},
-    d_k = sum_j (2+k-j)(1+k-j) a_j a_{k+2-j}; sums run over the retained
-    indices only, so entries are exact up to the truncation degree.
+    b = a' * a', c = a * a and d = a * a'', where a' and a'' are the
+    coefficient lists of the derivatives; products use the retained
+    coefficients only, so entries are exact up to the truncation degree.
     """
-    n = len(a)  # a_0 .. a_{n-1}
-    deg = n - 1
-
-    def get(i):
-        return a[i] if 0 <= i < n else None
-
-    b = []
-    for k in range(0, 2 * deg - 1):
-        acc = 0 * a[0]
-        for j in range(0, k + 1):
-            x, y = get(j + 1), get(k - j + 1)
-            if x is not None and y is not None:
-                acc += (j + 1) * (k - j + 1) * x * y
-        b.append(acc)
-    c = []
-    for k in range(0, 2 * deg + 1):
-        acc = 0 * a[0]
-        for j in range(0, k + 1):
-            x, y = get(j), get(k - j)
-            if x is not None and y is not None:
-                acc += x * y
-        c.append(acc)
-    d = []
-    for k in range(0, 2 * deg - 1):
-        acc = 0 * a[0]
-        for j in range(0, k + 1):
-            x, y = get(j), get(k + 2 - j)
-            if x is not None and y is not None:
-                acc += (2 + k - j) * (1 + k - j) * x * y
-        d.append(acc)
-    return ConvolutionTriple(tuple(b), tuple(c), tuple(d))
+    da = [(i + 1) * a[i + 1] for i in range(len(a) - 1)]
+    dda = [(i + 2) * (i + 1) * a[i + 2] for i in range(len(a) - 2)]
+    return ConvolutionTriple(tuple(_convolve(da, da)), tuple(_convolve(a, a)),
+                             tuple(_convolve(a, dda)))
 
 
 def residual_coefficients(a, four_omega0_sq, mu_sq, lam_sq, n_powers):
@@ -255,8 +258,7 @@ def symbolic_residual(series, a0=0.0, exact=None):
         lam_sq = Fraction(series.lam) * Fraction(series.lam)
         mu_sq = Fraction(series.mu_s) * Fraction(series.mu_s)
         coeffs = [Fraction(0)] * (2 * series.order)
-        for k, r in enumerate(series.ratios):
-            coeffs[2 * k + 1] = r
+        coeffs[1::2] = series.ratios
         res = residual_coefficients(coeffs, lam_sq - 1, mu_sq, lam_sq, n_powers)
         a1_sq = series.a1 * series.a1
         return [a1_sq * float(r) for r in res]
@@ -269,9 +271,7 @@ def symbolic_residual(series, a0=0.0, exact=None):
 def constraint_residual(series, t):
     """2 a a'' - a'^2 - 4 w0^2 + a^2 (mu_s^2 + lam^2/t^2) at times t."""
     t = np.asarray(t, dtype=float)
-    al = series.alpha(t)
-    ald = series.alpha_dot(t)
-    aldd = series.alpha_ddot(t)
+    al, ald, aldd, _ = series.derivatives(t)
     return (2.0 * al * aldd - ald * ald - 4.0 * series.omega0 ** 2
             + al * al * (series.mu_s ** 2 + series.lam ** 2 / (t * t)))
 
@@ -297,13 +297,8 @@ def reciprocal_identity_coefficients(series):
     Exact zeros through t^(2*order-2) when the reciprocal was built
     correctly; returned in the arithmetic of the stored ratios.
     """
-    r, q = series.ratios, series.tilde_ratios
-    out = []
-    for k in range(series.order):
-        acc = 0 * r[0]
-        for j in range(k + 1):
-            acc += r[j] * q[k - j]
-        out.append(acc - (1 if k == 0 else 0))
+    out = _convolve(series.ratios, series.tilde_ratios)[:series.order]
+    out[0] -= 1
     return out
 
 

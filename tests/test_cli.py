@@ -119,8 +119,19 @@ _SOLVE = ["solve", "--model", "harmonic", "--t0", "0", "--t1", "1"]
     pytest.param(_UNC, {**_RUN, key: value}, id=f"{key}-{value}")
     for key, value in [("t1", "inf"), ("dt_out", "x"),
                        ("sigma_dot0", "1e999"), ("dt_out", True),
-                       ("hbar", "nan"), ("K", "x")]
+                       ("hbar", "nan"), ("K", "x"), ("K", -1.0),
+                       ("hbar", 0.0), ("hbar", -1.0)]
 ] + [
+    pytest.param(_SOLVE + ["--K", "-1"], {}, id="solve-K-negative"),
+    pytest.param(["check-min", "--model", "harmonic", "--t0", "2",
+                  "--t1", "1"], {}, id="check-min-empty-window"),
+    # harmonic's default window is [0, 2], so t0 = 5 alone leaves it empty
+    pytest.param(["check-min", "--model", "harmonic", "--t0", "5"], {},
+                 id="check-min-t0-past-the-default-window"),
+    pytest.param(["check-min", "--model", "harmonic", "--samples", "1"], {},
+                 id="check-min-samples-1"),
+    pytest.param(["check-min", "--model", "harmonic"], {"samples": 0},
+                 id="check-min-samples-0"),
     pytest.param(_SOLVE, {"omega0": "x"}, id="solve-omega0-x"),
     pytest.param(["check-min", "--model", "harmonic"], {"samples": "x"},
                  id="check-min-samples-x"),

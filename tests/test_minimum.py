@@ -144,6 +144,20 @@ def test_trajectory_columns_match_single_samples():
         assert s.F == pytest.approx(traj.F[i], abs=1e-12)
 
 
+@pytest.mark.parametrize("model,window,grid", [
+    (models.tsquared(), (1.0, 2.0), [-1.0, 0.0, 1.0]),
+    (models.tsquared(), (1.0, 2.0), [1.0, 2.0, 0.0]),
+    (models.bessel_type(), (0.1, 0.8), [0.5, 2.0]),  # open at 2 / mu_s = 2
+])
+def test_trajectory_grid_outside_the_domain_raises(model, window, grid):
+    # sigma_minimum raises on the same times, so the columns must too
+    mm = minimum.minimum_model(model, t0=window[0], t1=window[1])
+    with pytest.raises(DomainError):
+        minimum.sigma_minimum(mm, grid[-1], grid[0])
+    with pytest.raises(DomainError):
+        minimum.sigma_minimum_trajectory(mm, grid)
+
+
 def test_rescaled_energy_is_conserved():
     m = models.exp_frequency()
     mm = minimum.minimum_model(m)

@@ -281,3 +281,144 @@ def test_json_dump_shape():
     assert set(d) == {"omega0", "lambda", "mu_s", "order", "a", "a_tilde"}
     assert len(d["a"]) == 5 and len(d["a_tilde"]) == 5
     assert d["a"][1] == pytest.approx(-0.0824786, abs=1e-7)
+
+
+# --- the coefficient table and the convolution against reference loops: a
+# Horner sum with per-coefficient weights, a four-column loop over its own
+# table, and the convolution sums written out index by index
+
+def _reference_powsum(s, t, weight):
+    t = np.asarray(t, dtype=float)
+    t2 = t * t
+    acc = np.zeros_like(t)
+    for k in range(s.order - 1, -1, -1):
+        acc = acc * t2 + weight(k) * s.a[k]
+    return acc
+
+
+def _reference_alpha_ddot(s, t):
+    t = np.asarray(t, dtype=float)
+    t2 = t * t
+    acc = np.zeros_like(t)
+    for k in range(s.order - 1, 0, -1):
+        acc = acc * t2 + (2 * k + 1.0) * (2 * k) * s.a[k]
+    return acc * t
+
+
+def _reference_fused(s, t):
+    rows = [(ak, (2 * k + 1.0) * ak, (2 * k + 1.0) * (2 * k) * ak,
+             (2 * k + 1.0) * (2 * k) * (2 * k - 1.0) * ak)
+            for k, ak in reversed(list(enumerate(s.a)))]
+    t2 = t * t
+    p0 = p1 = p2 = p3 = 0.0
+    for r0, r1, r2, r3 in rows[:-1]:
+        p0 = p0 * t2 + r0
+        p1 = p1 * t2 + r1
+        p2 = p2 * t2 + r2
+        p3 = p3 * t2 + r3
+    r0, r1 = rows[-1][:2]
+    return t * (p0 * t2 + r0), p1 * t2 + r1, p2 * t, p3
+
+
+def _reference_convolution_triple(a):
+    n = len(a)
+    deg = n - 1
+
+    def get(i):
+        return a[i] if 0 <= i < n else None
+
+    b = []
+    for k in range(0, 2 * deg - 1):
+        acc = 0 * a[0]
+        for j in range(0, k + 1):
+            x, y = get(j + 1), get(k - j + 1)
+            if x is not None and y is not None:
+                acc += (j + 1) * (k - j + 1) * x * y
+        b.append(acc)
+    c = []
+    for k in range(0, 2 * deg + 1):
+        acc = 0 * a[0]
+        for j in range(0, k + 1):
+            x, y = get(j), get(k - j)
+            if x is not None and y is not None:
+                acc += x * y
+        c.append(acc)
+    d = []
+    for k in range(0, 2 * deg - 1):
+        acc = 0 * a[0]
+        for j in range(0, k + 1):
+            x, y = get(j), get(k + 2 - j)
+            if x is not None and y is not None:
+                acc += (2 + k - j) * (1 + k - j) * x * y
+        d.append(acc)
+    return b, c, d
+
+
+def _reference_reciprocal_identity(s):
+    r, q = s.ratios, s.tilde_ratios
+    out = []
+    for k in range(s.order):
+        acc = 0 * r[0]
+        for j in range(k + 1):
+            acc += r[j] * q[k - j]
+        out.append(acc - (1 if k == 0 else 0))
+    return out
+
+
+def _bits(x):
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+_TIMES = {
+    "float": 0.37,
+    "0-d": np.array(0.37),
+    "1-D": np.concatenate([np.linspace(-0.9, 1.9, 29), [0.0, -0.0, 1e-200]]),
+}
+
+
+# orders 10 and 13 lie on either side of the exact-rational cap
+@pytest.mark.parametrize("order", [1, 2, 10, 13])
+@pytest.mark.parametrize("kind", list(_TIMES))
+def test_alpha_readers_match_the_reference_loops_bit_for_bit(order, kind):
+    s = series.build_series(1.3, 2.0, 1.0, order)
+    t = _TIMES[kind]
+    want = (np.asarray(t, dtype=float) * _reference_powsum(s, t, lambda k: 1.0),
+            _reference_powsum(s, t, lambda k: 2 * k + 1.0),
+            _reference_alpha_ddot(s, t))
+    got = (s.alpha(t), s.alpha_dot(t), s.alpha_ddot(t))
+    assert [_bits(g) for g in got] == [_bits(w) for w in want]
+    fused = s.derivatives(t)
+    assert [_bits(g) for g in fused[:3]] == [_bits(w) for w in want]
+    assert [_bits(g) for g in fused] == [_bits(w)
+                                         for w in _reference_fused(s, t)]
+    if kind == "float":
+        assert all(type(g) is float for g in fused)
+
+
+_FRACTION_LISTS = [
+    [Fraction(3, 7)],
+    [Fraction(0), Fraction(-5, 3)],
+    [Fraction(2, 9), Fraction(1, 5), Fraction(-7, 2)],
+    [Fraction(k * k - 3, 2 * k + 1) for k in range(9)],
+    [Fraction(0)] + [Fraction((-1) ** k, (k + 2) ** 2) if k % 2 == 0
+                     else Fraction(0) for k in range(11)],
+]
+
+
+@pytest.mark.parametrize("a", _FRACTION_LISTS,
+                         ids=[f"len{len(a)}" for a in _FRACTION_LISTS])
+def test_convolution_triple_matches_the_reference_loops_exactly(a):
+    tri = series.convolution_triple(a)
+    assert (list(tri.b), list(tri.c), list(tri.d)) == \
+        _reference_convolution_triple(a)
+    assert all(type(x) is Fraction for x in tri.b + tri.c + tri.d)
+
+
+@pytest.mark.parametrize("order", [1, 2, 9, 12])
+@pytest.mark.parametrize("mu_s", [1.0, 0.3])
+def test_reciprocal_identity_matches_the_reference_loop_exactly(order, mu_s):
+    s = series.build_series(1.0, 2.0, mu_s, order)
+    rec = series.reciprocal_identity_coefficients(s)
+    assert rec == _reference_reciprocal_identity(s)
+    assert all(type(x) is Fraction for x in rec)
