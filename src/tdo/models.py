@@ -8,7 +8,7 @@ domain.  Derived quantities follow the damping-elimination convention:
 
 and the equation of motion is q'' + M q' + omega^2 q = 0.  The catalog holds
 five concrete families; user data enters through tabulated CSV samples with
-monotone-cubic interpolation.
+quintic-spline interpolation.
 """
 
 import csv
@@ -28,38 +28,24 @@ _INF = math.inf
 class Domain:
     lo: float = -_INF
     hi: float = _INF
-    lo_open: bool = False
     hi_open: bool = False
 
-    def contains(self, t):
-        if self.lo_open:
-            if t <= self.lo:
-                return False
-        elif t < self.lo:
-            return False
-        if self.hi_open:
-            if t >= self.hi:
-                return False
-        elif t > self.hi:
-            return False
-        return True
-
     def require(self, t):
-        for ti in np.atleast_1d(np.asarray(t, dtype=float)):
-            if not self.contains(ti):
-                raise DomainError(f"t={ti} outside domain "
-                                  f"[{self.lo}, {self.hi}]")
+        """Raise DomainError unless every time in t is finite and inside."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        inside = (np.isfinite(t) & (t >= self.lo)
+                  & ((t < self.hi) if self.hi_open else (t <= self.hi)))
+        if not inside.all():
+            raise DomainError(f"t={t[~inside][0]} outside domain "
+                              f"[{self.lo}, {self.hi}]")
 
     def sampling_window(self):
         """Finite default window used by criterion checks and the CLI; an
         infinite end becomes 0 below and lo + 2 above."""
         lo = self.lo if math.isfinite(self.lo) else 0.0
         hi = self.hi if math.isfinite(self.hi) else lo + 2.0
-        width = hi - lo
-        if self.lo_open:
-            lo += 1e-9 * width
         if self.hi_open:
-            hi -= 1e-9 * width
+            hi -= 1e-9 * (hi - lo)
         return lo, hi
 
 
@@ -216,14 +202,10 @@ def bessel_type(m0=1.0, omega0=1.0, Omega0=1.0, k0=0.5, nu=1.0, order=10,
         raise ParameterError("trusted window 2/mu_s falls below t_min")
 
     def coeffs(t):
+        # M = alpha'/alpha does not depend on m0, so alpha stands in for m
         al, ald, aldd, ald3 = alpha.derivatives(t)
-        M = ald / al
-        Mdot = aldd / al - M * M
-        Mddot = ald3 / al - aldd * ald / (al * al) - 2.0 * M * Mdot
-        w = omega0 / al
-        wdot = -omega0 * ald / (al * al)
-        return (w * w - 0.5 * Mdot - 0.25 * M * M,
-                2.0 * w * wdot - 0.5 * Mddot - 0.5 * M * Mdot)
+        return _omega2_pair(al, ald, aldd, ald3, omega0 / al,
+                            -omega0 * ald / (al * al))
 
     return ModelDescriptor(
         name="bessel_type",
@@ -376,38 +358,54 @@ def tsquared_solution(m0=1.0, c=1.0, c1=1.0, c2=0.0):
 def tabulated_from_csv(path, name="tabulated"):
     """Model from CSV samples with header `t,m,omega`.
 
-    Requires at least 4 strictly increasing time rows and positive masses.
-    Values are interpolated with a monotone cubic (PCHIP); derivative
-    accuracy is correspondingly looser than for catalog models (tests relax
-    to 1e-4).
+    Requires at least 6 rows of three finite numbers, strictly increasing
+    times, and m and omega positive on the rows and on a grid 8x finer.
+    Both are quintic splines (`make_interp_spline`, k=5), so `coeffs` is the
+    catalog models' expression on spline derivatives, continuous up to m'''.
     """
-    from scipy.interpolate import PchipInterpolator
+    from scipy.interpolate import make_interp_spline
 
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        rows = [row for row in csv.reader(fh) if row]
     if not rows or [c.strip() for c in rows[0]] != ["t", "m", "omega"]:
         raise ParameterError("tabulated model CSV must start with header t,m,omega")
-    data = np.array([[float(x) for x in row] for row in rows[1:]], dtype=float)
-    if data.shape[0] < 4:
-        raise ParameterError("tabulated model needs at least 4 rows")
-    t, m, w = data[:, 0], data[:, 1], data[:, 2]
+    if len(rows[1:]) < 6:
+        raise ParameterError("tabulated model needs at least 6 rows")
+    try:
+        data = np.array([[float(x) for x in row] for row in rows[1:]])
+    except ValueError:  # a cell that is not a number, or rows of unequal length
+        data = np.empty(0)
+    if data.shape[1:] != (3,) or not np.isfinite(data).all():
+        raise ParameterError("tabulated rows must hold three finite numbers t,m,omega")
+    t, m, w = data.T
     if np.any(np.diff(t) <= 0.0):
         raise ParameterError("tabulated times must be strictly increasing")
-    if np.any(m <= 0.0):
-        raise ParameterError("tabulated masses must be positive")
+    if np.any(data[:, 1:] <= 0.0):
+        raise ParameterError("tabulated m and omega must be positive")
 
-    m_ip = PchipInterpolator(t, m)
-    w_ip = PchipInterpolator(t, w)
+    m_sp = make_interp_spline(t, m, k=5)
+    w_sp = make_interp_spline(t, w, k=5)
+    fine = np.linspace(t[:-1], t[1:], 8, endpoint=False)
+    if np.any(m_sp(fine) <= 0.0) or np.any(w_sp(fine) <= 0.0):
+        raise ParameterError("interpolated m and omega must stay positive "
+                             "between the rows")
+    m_dot, m_ddot, m_dddot = (m_sp.derivative(k) for k in (1, 2, 3))
+    w_dot = w_sp.derivative(1)
+    parts = (m_sp, m_dot, m_ddot, m_dddot, w_sp, w_dot)
+
+    def coeffs(t):
+        if isinstance(t, float):
+            return _omega2_pair(*(float(f(t)) for f in parts))
+        return _omega2_pair(*(f(t) for f in parts))
+
     return ModelDescriptor(
         name=name,
-        m=m_ip,
-        m_dot=m_ip.derivative(1),
-        m_ddot=m_ip.derivative(2),
-        omega=w_ip,
-        omega_dot=w_ip.derivative(1),
-        coeffs=_generic_coeffs(m_ip, m_ip.derivative(1), m_ip.derivative(2),
-                               w_ip),
+        m=m_sp,
+        m_dot=m_dot,
+        m_ddot=m_ddot,
+        omega=w_sp,
+        omega_dot=w_dot,
+        coeffs=coeffs,
         domain=Domain(lo=float(t[0]), hi=float(t[-1])),
         params={"rows": int(data.shape[0])},
     )
@@ -442,18 +440,14 @@ def _constant_coeffs(Omega2):
     return coeffs
 
 
-def _generic_coeffs(m, m_dot, m_ddot, omega):
-    """`coeffs` from the generic expression and a central difference."""
-    def Omega2(t):
-        M = m_dot(t) / m(t)
-        Mdot = m_ddot(t) / m(t) - M * M
-        return omega(t) ** 2 - 0.5 * Mdot - 0.25 * M * M
-
-    def coeffs(t):
-        h = 1e-5 * (1.0 + abs(t))
-        return Omega2(t), (Omega2(t + h) - Omega2(t - h)) / (2.0 * h)
-
-    return coeffs
+def _omega2_pair(m, m_dot, m_ddot, m_dddot, w, w_dot):
+    """(Omega^2, dOmega^2/dt) from m with three derivatives, omega and
+    omega': plain float arithmetic on floats, elementwise on arrays."""
+    M = m_dot / m
+    Mdot = m_ddot / m - M * M
+    Mddot = m_dddot / m - m_ddot * m_dot / (m * m) - 2.0 * M * Mdot
+    return (w * w - 0.5 * Mdot - 0.25 * M * M,
+            2.0 * w * w_dot - 0.5 * Mddot - 0.5 * M * Mdot)
 
 
 def _require_finite(name, val):

@@ -158,6 +158,17 @@ def test_trajectory_grid_outside_the_domain_raises(model, window, grid):
         minimum.sigma_minimum_trajectory(mm, grid)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_raise(bad):
+    mm = minimum.minimum_model(models.tsquared(), t0=1.0, t1=2.0)
+    with pytest.raises(DomainError):
+        minimum.sigma_minimum(mm, bad, 1.0)
+    with pytest.raises(DomainError):
+        minimum.sigma_minimum(mm, 1.5, bad)
+    with pytest.raises(DomainError):
+        minimum.sigma_minimum_trajectory(mm, [1.0, bad])
+
+
 def test_rescaled_energy_is_conserved():
     m = models.exp_frequency()
     mm = minimum.minimum_model(m)

@@ -6,12 +6,17 @@ Omega^2 = omega^2 - M'/2 - M^2/4, or a finite-difference cross-check of the
 analytic derivatives.
 """
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tdo import models
+from tdo import ermakov, models
 from tdo.errors import DomainError, ParameterError
 
 
@@ -92,12 +97,16 @@ def test_analytic_derivatives_match_finite_differences(name, window):
         assert abs(fd(model.omega, t, h) - wd) <= 1e-6 * (1.0 + abs(wd))
 
 
-@pytest.mark.parametrize("name,window", CATALOG_WINDOWS)
-def test_coeffs_on_a_float_match_the_array_path(name, window):
+@pytest.mark.parametrize("name,window",
+                         CATALOG_WINDOWS + [("tabulated", (0.2, 1.8))])
+def test_coeffs_on_a_float_match_the_array_path(name, window, tmp_path):
     # the float path may use libm where the array path uses numpy; measured
     # against the column's largest magnitude, since Omega^2 = w^2 - gamma0^2/4
     # cancels near its zero
-    model = models.get_model(name)
+    if name == "tabulated":
+        model = _table(tmp_path, models.bessel_type(), 0.1, 1.9)
+    else:
+        model = models.get_model(name)
     ts = np.linspace(*window, 101)
     columns = model.coeffs(ts)
     for i, t in enumerate(ts.tolist()):
@@ -124,6 +133,17 @@ def test_domain_guards():
         models.coefficients(m, 0.0)
     with pytest.raises(DomainError):
         models.eom_residual(m, lambda t: 0.0, lambda t: 0.0, lambda t: 0.0, -1.0)
+
+
+@pytest.mark.parametrize("model", [models.harmonic(), models.tsquared(),
+                                   models.bessel_type()],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_domain_rejects_non_finite_times(model, bad):
+    with pytest.raises(DomainError, match="outside domain"):
+        model.domain.require(bad)
+    with pytest.raises(DomainError, match="outside domain"):
+        model.domain.require([1.0, bad])
 
 
 def test_unknown_model_name():
@@ -171,18 +191,67 @@ def _write_table(path, model, lo, hi, n=60):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _table(tmp_path, model, lo, hi, n=60):
+    csv_path = tmp_path / "model.csv"
+    _write_table(csv_path, model, lo, hi, n)
+    return models.tabulated_from_csv(csv_path)
+
+
+def _counted_run(model, init, lo, hi):
+    """Final sigma of a run at rtol 1e-10, and the model's `coeffs` calls."""
+    calls = [0]
+
+    def coeffs(t):
+        calls[0] += 1
+        return model.coeffs(t)
+
+    run = ermakov.integrate_ep(dataclasses.replace(model, coeffs=coeffs),
+                               ermakov.DEFAULT_K, init, lo, hi, rtol=1e-10)
+    return float(run.sigma[-1]), calls[0]
+
+
 def test_tabulated_model_roundtrip(tmp_path):
     src = models.kanai_caldirola(omega0=1.0, gamma=0.5)
-    csv_path = tmp_path / "model.csv"
-    _write_table(csv_path, src, 0.0, 2.0)
-    tab = models.tabulated_from_csv(csv_path)
-    # relaxed tolerance for interpolated derivatives
-    for t in np.linspace(0.2, 1.8, 20):
+    tab = _table(tmp_path, src, 0.0, 2.0)
+    ts = np.linspace(0.2, 1.8, 20)
+    for t in ts:
         md = float(src.m_dot(t))
-        assert abs(float(tab.m_dot(t)) - md) <= 1e-4 * (1.0 + abs(md))
+        assert abs(float(tab.m_dot(t)) - md) <= 1e-8 * (1.0 + abs(md))
         assert float(tab.omega(t)) == pytest.approx(1.0, abs=1e-10)
+    for ref, got, tol in zip(src.coeffs(ts), tab.coeffs(ts), (1e-7, 1e-5)):
+        assert np.max(np.abs(got - ref)) <= tol
     with pytest.raises(DomainError):
         models.coefficients(tab, 5.0)
+
+
+def test_kanai_caldirola_table_integrates_like_the_model(tmp_path):
+    # a C1 interpolant such as PCHIP needs 64-74x the analytic model's coeffs
+    # calls here, and ends with sigma off by 1.7e-4
+    src = models.kanai_caldirola(gamma=0.5)
+    tab = _table(tmp_path, src, 0.0, 10.0, n=60)
+    ref, ref_calls = _counted_run(src, (1.0, 0.0), 0.0, 10.0)
+    got, calls = _counted_run(tab, (1.0, 0.0), 0.0, 10.0)
+    assert calls <= 3 * ref_calls
+    assert abs(got - ref) <= 1e-6 * abs(ref)
+
+
+TABLE_CASES = [
+    (models.harmonic(omega0=1.3), (0.0, 10.0), (1.0, 0.0)),
+    (models.kanai_caldirola(gamma=0.5), (0.0, 10.0), (1.0, 0.0)),
+    (models.exp_frequency(gamma0=0.3), (0.0, 10.0), (1.0, 0.0)),
+    (models.tsquared(), (0.5, 3.0), (1.0, 0.0)),
+    (models.bessel_type(), (0.1, 1.5), (0.3, 0.2)),
+]
+
+
+@pytest.mark.parametrize("model,window,init", TABLE_CASES,
+                         ids=[case[0].name for case in TABLE_CASES])
+def test_catalog_models_as_tables(tmp_path, model, window, init):
+    tab = _table(tmp_path, model, *window, n=120)
+    ref, ref_calls = _counted_run(model, init, *window)
+    got, calls = _counted_run(tab, init, *window)
+    assert calls <= 3 * ref_calls
+    assert abs(got - ref) <= 1e-6 * abs(ref)
 
 
 def test_tabulated_model_validation(tmp_path):
@@ -190,12 +259,32 @@ def test_tabulated_model_validation(tmp_path):
     p.write_text("x,y,z\n0,1,1\n1,1,1\n2,1,1\n3,1,1\n")
     with pytest.raises(ParameterError):
         models.tabulated_from_csv(p)
-    p.write_text("t,m,omega\n0,1,1\n1,1,1\n2,1,1\n")
-    with pytest.raises(ParameterError):
-        models.tabulated_from_csv(p)  # too few rows
-    p.write_text("t,m,omega\n0,1,1\n1,1,1\n1,1,1\n2,1,1\n")
-    with pytest.raises(ParameterError):
-        models.tabulated_from_csv(p)  # not strictly increasing
-    p.write_text("t,m,omega\n0,1,1\n1,-1,1\n2,1,1\n3,1,1\n")
-    with pytest.raises(ParameterError):
-        models.tabulated_from_csv(p)  # nonpositive mass
+    good = ["0,1,1", "1,1,1", "2,1,1", "3,1,1", "4,1,1", "5,1,1"]
+    for rows in (
+            good[:5],  # too few rows
+            good[:2] + ["1,1,1"] + good[3:],  # not strictly increasing
+            good[:1] + ["1,-1,1"] + good[2:],  # nonpositive mass
+            good[:1] + ["1,1,0"] + good[2:],  # nonpositive frequency
+            good[:1] + ["1,one,1"] + good[2:],  # not a number
+            good[:1] + ["1,1"] + good[2:],  # short row
+            good[:1] + ["1,nan,1"] + good[2:],
+            good[:1] + ["1,1,inf"] + good[2:],
+            # positive rows whose spline dips below zero between them
+            ["0,1,1", "1,1,1", "2,0.01,1", "3,0.01,1", "4,1,1", "5,1,1"]):
+        p.write_text("\n".join(["t,m,omega"] + rows) + "\n")
+        with pytest.raises(ParameterError):
+            models.tabulated_from_csv(p)
+    p.write_text("\n".join(["t,m,omega"] + good) + "\n")
+    assert models.tabulated_from_csv(p).params == {"rows": 6}
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # tables import scipy.interpolate on first use, not at `import tdo`
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = "import sys, tdo; print('scipy.interpolate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "False", proc.stderr
