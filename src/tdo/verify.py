@@ -144,7 +144,7 @@ def suite_ermakov(runs):
     checks = []
     mh = models.harmonic()
 
-    # closed form vs direct integration, constant branch; this run, the
+    # closed form vs integration, constant branch; this run, the
     # oscillating and the hyperbolic one below also give the phase checks
     st_c = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0)
     err = _rel(st_c.sigma, 2.0 ** -0.5)

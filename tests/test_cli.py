@@ -291,6 +291,10 @@ def test_step_size_underflow_is_solver_error(tmp_path, capsys):
                   "--dt-out", "0.1"],
                  "NonFiniteResult", ["exp_frequency", "k", "t=0.7"],
                  id="run-leaves-float-range"),
+    pytest.param(_SOLVE[:3] + ["--K", "0", "--sigma0", "1", "--t0", "0",
+                               "--t1", "5"],
+                 "SingularityApproached", ["t=1.5708"],
+                 id="K-zero-sigma-reaches-zero"),
 ])
 def test_solver_errors_exit_3_with_one_line(tmp_path, capsys, argv, kind,
                                             fragments):

@@ -1,7 +1,8 @@
 """Auxiliary-equation tests.
 
-The two solution routes (superposition closed form, direct integration) are
-checked against each other and against the first-integral oracle
+The two solution routes (superposition closed form, integration of a
+complex solution of the linear equation) are checked against each other
+and against the first-integral oracle
 sigma'^2 + Omega^2 sigma^2 + K/sigma^2 = const; phases are checked against
 adaptive quadrature of 1/sigma^2.
 """
@@ -153,6 +154,25 @@ def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch):
                              r"last accepted sigma=0\.9"):
         ermakov.integrate_ep(models.harmonic(), 0.25, (1.0, 0.0), 0.0,
                              1000.0, n_out=3)
+
+
+@pytest.mark.parametrize("model", models.catalog(), ids=lambda m: m.name)
+def test_complex_solution_keeps_its_wronskian(model, monkeypatch):
+    # sigma = |x + iv| solves the auxiliary equation while x v' - x' v
+    # stays sqrt(K)
+    window = {"tsquared": (1.0, 3.0), "bessel_type": (0.1, 0.8)}.get(
+        model.name, (0.0, 5.0))
+    solve, solved = dopri.solve, []
+
+    def spy(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(dopri, "solve", spy)
+    ermakov.integrate_ep(model, 0.25, (0.9, 0.1), *window, n_out=50)
+    (_, ys), = solved
+    x, x_dot, v, v_dot = ys[:, :4].T
+    assert np.max(np.abs(x * v_dot - x_dot * v - 0.5)) <= 1e-9 * 0.5
 
 
 def test_sigma_floor_trips():

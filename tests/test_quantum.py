@@ -210,9 +210,13 @@ def test_scalar_and_column_paths_agree(name, monkeypatch):
     traj = ermakov.integrate_ep(model, 0.25, (0.9, 0.1), t0, t1, n_out=50)
     (ts, ys), = solved
     assert np.array_equal(traj.t, ts)
-    for column, y in zip((traj.sigma, traj.sigma_dot, traj.theta, traj.F),
-                         ys.T):
-        assert np.array_equal(column, y)
+    # the stepper's state is (x, x', v, v', theta, F) with sigma = |x + iv|
+    x, x_dot, v, v_dot, theta, F = ys.T
+    sigma = np.hypot(x, v)
+    assert np.array_equal(traj.sigma, sigma)
+    assert np.array_equal(traj.sigma_dot, (x * x_dot + v * v_dot) / sigma)
+    assert np.array_equal(traj.theta, theta)
+    assert np.array_equal(traj.F, F)
 
     hbar = 0.7
     ref = quantum.default_reference(model, t0)
@@ -272,3 +276,23 @@ def test_invariants_along_trajectories(model, sigma0, sigma_dot0, hbar):
     assert np.all(np.diff(traj.theta) >= 0.0)
     if model.name in ("harmonic", "kanai_caldirola"):
         assert np.max(np.abs(traj.k - traj.k[0])) <= 1e-8
+
+
+# the corner of the harmonic box: the grid points (omega0 index, sigma0
+# index, sigma_dot0 index) of the 19x8x5 grid below where k drifted past
+# 1e-8 while sigma itself was integrated (up to 1.58e-8 at the first), and
+# the @example point above last
+HARMONIC_GRID = (np.linspace(0.3, 3.0, 19), np.linspace(0.4, 1.5, 8),
+                 np.linspace(-0.5, 0.5, 5))
+HARMONIC_CORNER = [(13, 2, 0), (14, 2, 1), (8, 0, 0), (15, 2, 1), (14, 2, 2),
+                   (13, 2, 3), (17, 7, 3), (9, 3, 3), (13, 2, 1), (18, 6, 2),
+                   (17, 7, 2), (18, 7, 2)]
+
+
+@pytest.mark.parametrize("index", HARMONIC_CORNER, ids=str)
+def test_harmonic_k_drift_corner(index):
+    omega0, sigma0, sigma_dot0 = (float(axis[i])
+                                  for axis, i in zip(HARMONIC_GRID, index))
+    traj = ermakov.integrate_ep(models.harmonic(omega0=omega0), 0.25,
+                                (sigma0, sigma_dot0), 0.0, 5.0, n_out=60)
+    assert np.max(np.abs(traj.k - traj.k[0])) <= 1e-8
