@@ -19,21 +19,22 @@ step is read from the degree-7 continuous extension of Hairer's contd8
 of the step.  Its coefficients are y_new - y and h*f terms only and y is
 added last, so a slowly moving component (a phase that has stalled) keeps
 its increments' sign instead of drowning in the rounding of y.  The output
-times inside one step are read in one numpy pass over a (rows x n) array,
-in the same operation order as on floats.  An output time equal to a step
+times inside one step are read row by row on floats or, from ARRAY_ROWS
+of them on, in one numpy pass over a (rows x n) array, in the same
+operation order and so to the same bits.  An output time equal to a step
 end takes the step's solution itself.
 
 The step loop runs on Python floats: the state and the stages are lists,
 and each stage combination is written out term by term.  On the short
-states this package integrates (six components) numpy's per-call cost
-would outweigh the arithmetic, so the right-hand side receives the state
-as a list of Python floats too, and a tuple of the right length it returns
-is used as it is.  The right-hand side is evaluated twice before the first
-step (the slope and the initial-step probe), then 12 times per attempt (11
-stages and the slope at the new state, which is the next step's first
-stage), plus 3 times per accepted step that holds an output time inside
-it.  Every step attempt counts against a budget of MAX_STEPS plus one per
-output time; past it the run stops with BudgetExceeded.
+states this package integrates (four or six components) numpy's per-call
+cost would outweigh the arithmetic, so the right-hand side receives the
+state as a list of Python floats too, and a tuple of the right length it
+returns is used as it is.  The right-hand side is evaluated twice before
+the first step (the slope and the initial-step probe), then 12 times per
+attempt (11 stages and the slope at the new state, which is the next
+step's first stage), plus 3 times per accepted step that holds an output
+time inside it.  Every step attempt counts against a budget of MAX_STEPS
+plus one per output time; past it the run stops with BudgetExceeded.
 """
 
 import math
@@ -44,6 +45,9 @@ import numpy as np
 from .errors import BudgetExceeded, ParameterError, StepSizeUnderflow
 
 MAX_STEPS = 10 ** 6  # step attempts allowed beyond one per output time
+# rows inside one step from which one numpy pass beats a float loop: the
+# pass costs ~30 us, a row of six components ~2 us
+ARRAY_ROWS = 16
 
 # Butcher tableau of the 8th-order solution, Cn for the nodes and An_j for
 # stage n's weight on stage j (Hairer's dop853); c1 = 0, c12 = 1, and the
@@ -285,16 +289,20 @@ def _floats(v, n):
     return v.reshape(n).tolist()
 
 
-def _table(t_out, blocks, y):
-    """The times and the recorded rows as arrays.  `blocks` holds the rows
-    recorded so far, as lists of rows or (rows x n) arrays; the output
-    times left over, which lie at most 1e-12 past t1, take the final
-    state y."""
-    late = len(t_out) - sum(map(len, blocks))
-    if late:
-        blocks.append([y] * late)
-    ys = np.concatenate(blocks) if blocks else np.empty((0, len(y)))
-    return np.array(t_out), ys
+def _table(t_out, out_y, y):
+    """The times and the recorded rows as arrays; the output times left
+    over, which lie at most 1e-12 past t1, take the final state y."""
+    out_y += [y] * (len(t_out) - len(out_y))
+    return np.array(t_out), np.array(out_y).reshape(len(t_out), len(y))
+
+
+def _dense(coef, s):
+    """One contd8 row y(t + s h) from a step's coefficients (y, r0..r6),
+    on floats or, the same operations, elementwise on arrays."""
+    v, r0, r1, r2, r3, r4, r5, r6 = coef
+    s1 = 1.0 - s
+    return v + s * (r0 + s1 * (r1 + s * (r2 + s1 * (
+        r3 + s * (r4 + s1 * (r5 + s * r6))))))
 
 
 def _contd8(f, t, h, y, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13):
@@ -356,9 +364,6 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
         floats, which f must not modify.  It is called 2 times, then 12
         times per step attempt and 3 more times per accepted step that
         holds an output time strictly inside it.
-    atol : absolute tolerance, one value for every component or a sequence
-        of len(y0) values, one per component, as scipy's solvers take it;
-        component i is weighted by atol_i + rtol * |y_i|.
     t_eval : nondecreasing times in [t0, t1] at which to record the
         solution; defaults to (t0, t1).  They do not move the steps: a time
         inside a step is read from the degree-7 continuous extension.
@@ -370,9 +375,8 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
     -------
     (ts, ys) : recorded times (ndarray) and states (ndarray, one row per time)
 
-    Raises ParameterError for t1 < t0, a y0 that is not 1-D, an atol of
-    the wrong length, a t_eval outside [t0, t1] or decreasing or an f value
-    of the wrong size,
+    Raises ParameterError for t1 < t0, a y0 that is not 1-D, a t_eval
+    outside [t0, t1] or decreasing or an f value of the wrong size,
     StepSizeUnderflow when the step falls below the resolution of the time
     axis and BudgetExceeded after len(t_eval) + MAX_STEPS step attempts.
     A step that would leave t1 a residual below that resolution is
@@ -398,21 +402,12 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
     n_out = len(t_out)
     y = y_arr.tolist()
     n = len(y)
-    atol = np.array(atol, dtype=float)
-    if atol.ndim == 0:
-        atol = np.full(n, atol)
-    if atol.shape != (n,):
-        raise ParameterError(f"atol has {atol.size} values for a state of {n}")
-    atols = atol.tolist()
 
-    # the rows recorded so far, as lists of rows and (rows x n) arrays
-    blocks = []
     t = t0
     i_next = bisect_right(t_out, t)
-    if i_next:
-        blocks.append([y] * i_next)
+    out_y = [y] * i_next
     if t1 == t0:
-        return _table(t_out, blocks, y)
+        return _table(t_out, out_y, y)
 
     k1 = _floats(f(t, y), n)
     h = min(_initial_step(f, t, y_arr, k1, t1, rtol, atol), max_step)
@@ -482,12 +477,12 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
             in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)]), n)
         y_new = []
         sq5 = sq3 = 0.0
-        for v, q1, q6, q7, q8, q9, q10, q11, q12, a in zip(
-                y, k1, k6, k7, k8, k9, k10, k11, k12, atols):
+        for v, q1, q6, q7, q8, q9, q10, q11, q12 in zip(
+                y, k1, k6, k7, k8, k9, k10, k11, k12):
             vn = v + h_try * (B1 * q1 + B6 * q6 + B7 * q7 + B8 * q8 + B9 * q9
                               + B10 * q10 + B11 * q11 + B12 * q12)
             y_new.append(vn)
-            scale = a + rtol * max(abs(vn), abs(v))
+            scale = atol + rtol * max(abs(vn), abs(v))
             r = (E5_1 * q1 + E5_6 * q6 + E5_7 * q7 + E5_8 * q8 + E5_9 * q9
                  + E5_10 * q10 + E5_11 * q11 + E5_12 * q12) / scale
             sq5 += r * r
@@ -511,18 +506,18 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
             t_new = t1 if h_try == t1 - t else t + h_try
             i_in = bisect_left(t_out, t_new, i_next)
             if i_in > i_next:
-                v, r0, r1, r2, r3, r4, r5, r6 = np.array(_contd8(
-                    f, t, h_try, y, y_new, k1, k6, k7, k8, k9, k10, k11, k12,
-                    k13)).T
-                s = ((t_eval[i_next:i_in] - t) / h_try)[:, None]
-                s1 = 1.0 - s
-                blocks.append(
-                    v + s * (r0 + s1 * (r1 + s * (r2 + s1 * (
-                        r3 + s * (r4 + s1 * (r5 + s * r6)))))))
+                coef = _contd8(f, t, h_try, y, y_new, k1, k6, k7, k8, k9,
+                               k10, k11, k12, k13)
+                if i_in - i_next < ARRAY_ROWS:
+                    for t_row in t_out[i_next:i_in]:
+                        s = (t_row - t) / h_try
+                        out_y.append([_dense(c, s) for c in coef])
+                else:
+                    s = (t_eval[i_next:i_in] - t) / h_try
+                    out_y += _dense(np.array(coef).T, s[:, None]).tolist()
             t, y, k1 = t_new, y_new, k13
             i_next = bisect_right(t_out, t, i_in)
-            if i_next > i_in:
-                blocks.append([y] * (i_next - i_in))
+            out_y += [y] * (i_next - i_in)
             if step_callback is not None:
                 step_callback(t, y)
             if err == 0.0:
@@ -538,4 +533,4 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
             h = h_try * max(_FAC_MIN, _SAFETY * err ** -_EXPO)
             rejected = True
 
-    return _table(t_out, blocks, y)
+    return _table(t_out, out_y, y)

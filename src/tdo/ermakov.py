@@ -1,12 +1,12 @@
 """Auxiliary-equation machinery: closed forms, integration and phases.
 
 The auxiliary equation sigma'' + Omega^2(t) sigma = K / sigma^3 is solved
-two independent ways, both through the reduced linear equation
-y'' + Omega^2 y = 0 and neither stepping the K/sigma^3 term: as the square
-root of a quadratic form in a closed-form basis (superposition closed
-form), and as the modulus of one complex solution with Wronskian sqrt(K),
-integrated adaptively (Milne's construction).  The phase
-theta = integral dt/sigma^2 and the balance functional
+two independent ways: as the square root of a quadratic form in a
+closed-form basis of the reduced linear equation y'' + Omega^2 y = 0
+(superposition closed form), and as the modulus of one complex solution
+of that equation with Wronskian sqrt(K), integrated adaptively (Milne's
+construction) in Cartesian form or, on a slowly varying branch, in polar
+form.  The phase theta = integral dt/sigma^2 and the balance functional
 F = integral d(Omega^2)/dt * sigma^2 dt ride along as extra state
 components of the same stepper, so every quadrature shares the
 trajectory's error control.  A trajectory is one `ErmakovState` whose
@@ -235,21 +235,34 @@ def conserved_k(sigma, sigma_dot, omega2_val, K=DEFAULT_K):
 # integration
 
 def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
-                 rtol=1e-10):
+                 rtol=1e-10, on_branch=False):
     """Integrate the auxiliary equation, phase and balance functional.
 
-    sigma is the modulus of a complex solution z = x + i v of the linear
-    equation z'' + Omega^2 z = 0 whose Wronskian x v' - x' v is sqrt(K)
-    (Milne, Phys. Rev. 35, 863, 1930; Pinney, Proc. AMS 1, 681, 1950):
-    z(t0) = sigma0 and z'(t0) = sigma0' + i sqrt(K)/sigma0.  The state
-    (x, x', v, v', theta, F) evolves under the same adaptive 8th-order
-    stepper (dopri.solve, DOP853); theta' = 1/|z|^2 and F' = d(Omega^2)/dt
-    * |z|^2.  The absolute tolerance is 1e-12 on the first five components
-    and max(1e-12, rtol |k0|) on F, which enters the results only through
-    k and so is held on k's scale.  sigma = |z| and
-    sigma' = (x x' + v v')/sigma.  Returns one ErmakovState of columns at
-    t_eval (default: n_out uniform times), read from the stepper's
-    continuous extension between steps.
+    sigma is the modulus of z = sigma exp(i sqrt(K) theta), the complex
+    solution of the linear equation z'' + Omega^2 z = 0 with z(t0) = sigma0
+    and z'(t0) = sigma0' + i sqrt(K)/sigma0, whose Wronskian x v' - x' v
+    is sqrt(K) (Milne, Phys. Rev. 35, 863, 1930; Pinney, Proc. AMS 1, 681,
+    1950).  The adaptive 8th-order stepper (dopri.solve, DOP853, absolute
+    tolerance 1e-12) takes z in one of two coordinate pairs, with
+    theta' = 1/sigma^2 and F' = d(Omega^2)/dt * sigma^2 riding along:
+
+    - Cartesian (the default): the state is (x, x', v, v', theta, F/s)
+      with z = x + i v and a linear right-hand side; sigma = hypot(x, v),
+      sigma' = (x x' + v v')/sigma and, for K > 0, theta = arg z / sqrt(K)
+      on the turn the stepped theta lies on.  z turns once per period
+      whatever sigma does, so this is the cheaper pair when sigma
+      oscillates.
+    - polar (on_branch=True): the state is (sigma, sigma', theta, F/s)
+      under the auxiliary equation sigma'' + Omega^2 sigma = K/sigma^3
+      itself.  Pass it when init lies on a slowly varying branch (a
+      minimal branch, or the constant branch of a constant frequency),
+      where sigma barely moves while z still turns.
+
+    F, which enters the results only through k, is stepped as F/s with
+    s = max(1, rtol |k0| / 1e-12) and k0 the balance at t0; its absolute
+    tolerance is so 1e-12 s, on k's scale.  Returns one ErmakovState of
+    columns at t_eval (default: n_out uniform times), read from the
+    stepper's continuous extension between steps.
     Raises SingularityApproached when sigma falls below SIGMA_FLOOR at an
     accepted step, DomainError when [t0, t1] leaves the model's domain and
     NonFiniteResult when a column leaves the floating-point range.  The
@@ -269,37 +282,65 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
         t_eval = np.linspace(t0, t1, n_out)
 
     coeffs = model.coeffs
+    atol = 1e-12
+    k0 = conserved_k(sigma0, sigma_dot0, coeffs(float(t0))[0], K)
+    s = max(1.0, rtol * abs(k0) / atol)
 
-    def rhs(t, y):
-        x, x_dot, v, v_dot, _, _ = y
-        w2, w2_dot = coeffs(t)
-        u = x * x + v * v
-        # u underflows to 0 or overflows to inf on a float without raising;
-        # only the division must be kept off 0
-        return (x_dot, -w2 * x, v_dot, -w2 * v, 1.0 / u if u else math.inf,
-                w2_dot * u)
+    if on_branch:
+        def rhs(t, y):
+            sigma, sigma_dot, _, _ = y
+            if not 1e-100 < abs(sigma) < 1e100:
+                # past these bounds the powers below can overflow or divide
+                # by zero, which raises on a float; a numpy scalar gives inf
+                sigma = np.float64(sigma)
+            w2, w2_dot = coeffs(t)
+            u = sigma ** 2
+            return (sigma_dot, -w2 * sigma + K / sigma ** 3, 1.0 / u,
+                    w2_dot * u / s)
+
+        y0 = [sigma0, sigma_dot0, 0.0, 0.0]
+    else:
+        def rhs(t, y):
+            x, x_dot, v, v_dot, _, _ = y
+            w2, w2_dot = coeffs(t)
+            u = x * x + v * v
+            # u underflows to 0 or overflows to inf on a float without
+            # raising; only the division must be kept off 0
+            return (x_dot, -w2 * x, v_dot, -w2 * v,
+                    1.0 / u if u else math.inf, w2_dot * u / s)
+
+        y0 = [sigma0, sigma_dot0, 0.0, math.sqrt(K) / sigma0, 0.0, 0.0]
 
     last = [sigma0]  # sigma of the last accepted step
 
     def guard(t, y):
-        sigma = math.hypot(y[0], y[2])
+        sigma = y[0] if on_branch else math.hypot(y[0], y[2])
         if sigma < SIGMA_FLOOR:
             raise SingularityApproached(
                 f"sigma reached {sigma:.3e} at t={t:.6g}")
         last[0] = sigma
 
-    k0 = conserved_k(sigma0, sigma_dot0, coeffs(float(t0))[0], K)
-    atol = [1e-12] * 5 + [max(1e-12, rtol * abs(k0))]
-    y0 = [sigma0, sigma_dot0, 0.0, math.sqrt(K) / sigma0, 0.0, 0.0]
     try:
         ts, ys = dopri.solve(rhs, t0, t1, y0, rtol=rtol, atol=atol,
                              t_eval=t_eval, step_callback=guard)
     except (StepSizeUnderflow, BudgetExceeded) as exc:
         raise type(exc)(f"{model.name}: {exc}; last accepted "
                         f"sigma={float(last[0])!r}") from exc
-    x, x_dot, v, v_dot, theta, F = ys.T
-    sigma = np.hypot(x, v)
-    sigma_dot = (x * x_dot + v * v_dot) / sigma
+    if on_branch:
+        sigma, sigma_dot, theta, F = ys.T
+    else:
+        x, x_dot, v, v_dot, theta, F = ys.T
+        sigma = np.hypot(x, v)
+        sigma_dot = (x * x_dot + v * v_dot) / sigma
+        if K > 0.0:
+            # sqrt(K) theta is the angle of z (arg z0 = 0), as accurate as
+            # z itself; the stepped theta picks its turn.  Where theta
+            # stalls, the angle's rounding (a few ulp) must not turn it back
+            root_k = math.sqrt(K)
+            turn = np.arctan2(v, x) - root_k * theta
+            turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
+            theta = np.maximum.accumulate(theta + turn / root_k)
+    F = s * F
     k = conserved_k(sigma, sigma_dot, models.omega2(model, ts), K) - F
     state = ErmakovState(t=ts, sigma=sigma, sigma_dot=sigma_dot, theta=theta,
                          k=k, F=F)

@@ -14,7 +14,6 @@ quintic-spline interpolation.
 import csv
 import inspect
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,11 +362,8 @@ def tabulated_from_csv(path, name="tabulated"):
     times, and m and omega positive on the rows and on a grid 8x finer.
     Both are quintic splines (`make_interp_spline`, k=5), so `coeffs` is the
     catalog models' expression on spline derivatives, continuous up to m'''.
-    `coeffs` locates the knot interval once and reads m, m', m'', m''',
-    omega and omega' from their power-basis pieces by Horner's rule, in the
-    same operations on a float and on an array.
     """
-    from scipy.interpolate import PPoly, make_interp_spline
+    from scipy.interpolate import make_interp_spline
 
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -393,37 +389,22 @@ def tabulated_from_csv(path, name="tabulated"):
     if np.any(m_sp(fine) <= 0.0) or np.any(w_sp(fine) <= 0.0):
         raise ParameterError("interpolated m and omega must stay positive "
                              "between the rows")
-    # both splines have the knots of the same times; per knot interval, the
-    # coefficients of m, m', m'', m''', omega and omega' in powers of
-    # t - knot, highest first, each padded with leading zeros to a quintic
-    breaks = PPoly.from_spline(m_sp).x[5:-5]
-    columns = []
-    for sp, n_derivatives in ((m_sp, 3), (w_sp, 1)):
-        c = PPoly.from_spline(sp).c[:, 5:-5]
-        for _ in range(n_derivatives + 1):
-            columns.append(np.pad(c, ((6 - len(c), 0), (0, 0))))
-            c = c[:-1] * np.arange(len(c) - 1, 0, -1)[:, None]
-    polys = np.array(columns)
-    knots = breaks.tolist()
-    pieces = np.moveaxis(polys, 2, 0).tolist()
-    last = len(pieces) - 1
+    m_dot, m_ddot, m_dddot = (m_sp.derivative(k) for k in (1, 2, 3))
+    w_dot = w_sp.derivative(1)
+    parts = (m_sp, m_dot, m_ddot, m_dddot, w_sp, w_dot)
 
     def coeffs(t):
         if isinstance(t, float):
-            i = min(max(bisect_right(knots, t) - 1, 0), last)
-            x, piece = t - knots[i], pieces[i]
-        else:
-            i = np.clip(np.searchsorted(breaks, t, "right") - 1, 0, last)
-            x, piece = t - breaks[i], polys[:, :, i]
-        return _omega2_pair(*[_quintic(c, x) for c in piece])
+            return _omega2_pair(*(float(f(t)) for f in parts))
+        return _omega2_pair(*(f(t) for f in parts))
 
     return ModelDescriptor(
         name=name,
         m=m_sp,
-        m_dot=m_sp.derivative(1),
-        m_ddot=m_sp.derivative(2),
+        m_dot=m_dot,
+        m_ddot=m_ddot,
         omega=w_sp,
-        omega_dot=w_sp.derivative(1),
+        omega_dot=w_dot,
         coeffs=coeffs,
         domain=Domain(lo=float(t[0]), hi=float(t[-1])),
         params={"rows": int(data.shape[0])},
@@ -457,12 +438,6 @@ def _constant_coeffs(Omega2):
         return np.full(np.shape(t), Omega2), np.zeros(np.shape(t))
 
     return coeffs
-
-
-def _quintic(c, x):
-    """c[0] x^5 + ... + c[5] by Horner's rule, on floats or arrays."""
-    c0, c1, c2, c3, c4, c5 = c
-    return ((((c0 * x + c1) * x + c2) * x + c3) * x + c4) * x + c5
 
 
 def _omega2_pair(m, m_dot, m_ddot, m_dddot, w, w_dot):

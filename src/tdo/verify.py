@@ -137,16 +137,18 @@ def _minimal_run(model, t0, t1, n_out=201):
     c = minimum.minimum_model(model).c
     return ermakov.integrate_ep(model, 0.25,
                                 minimum.minimal_amplitude(model, c, t0),
-                                t0, t1, n_out=n_out)
+                                t0, t1, n_out=n_out, on_branch=True)
 
 
 def suite_ermakov(runs):
     checks = []
     mh = models.harmonic()
 
-    # closed form vs integration, constant branch; this run, the
-    # oscillating and the hyperbolic one below also give the phase checks
-    st_c = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0)
+    # closed form vs integration, constant branch (in the polar pair, as
+    # the CLI's default initial data are); this run, the oscillating and
+    # the hyperbolic one below also give the phase checks
+    st_c = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0,
+                                on_branch=True)
     err = _rel(st_c.sigma, 2.0 ** -0.5)
     checks.append(_check("harmonic constant branch vs integration (rel)",
                          err, 1e-6))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tdo import cli, models
+from tdo import cli, ermakov, models
 
 
 def run(args):
@@ -108,6 +108,31 @@ def test_nan_initial_sigma_is_config_error(capsys):
     assert run(["solve", "--model", "harmonic", "--t0", "0", "--t1", "1",
                 "--sigma0", "nan"]) == 2
     assert capsys.readouterr().err.startswith("config_error:")
+
+
+@pytest.mark.parametrize("argv,on_branch", [
+    (["--model", "harmonic"], True),
+    (["--model", "exp_frequency"], True),
+    (["--model", "kanai_caldirola"], True),
+    (["--model", "kanai_caldirola", "--sigma-dot0", "0.1"], False),
+    (["--model", "kanai_caldirola", "--gamma", "2.2"], False),
+    (["--model", "harmonic", "--sigma0", "0.8"], False),
+    (["--model", "harmonic", "--K", "0"], False),
+])
+def test_default_initial_data_step_in_the_polar_pair(tmp_path, monkeypatch,
+                                                     argv, on_branch):
+    # a minimal or constant branch (the defaults) moves slowly, so its
+    # sigma is stepped itself; any other start steps x + iv
+    integrate, seen = ermakov.integrate_ep, []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["on_branch"])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(ermakov, "integrate_ep", spy)
+    assert run(["solve", *argv, "--t0", "0", "--t1", "1",
+                "--out", str(tmp_path / "x.csv")]) == 0
+    assert seen == [on_branch]
 
 
 _UNC = ["uncertainty", "--model", "harmonic"]

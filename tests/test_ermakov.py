@@ -7,6 +7,7 @@ sigma'^2 + Omega^2 sigma^2 + K/sigma^2 = const; phases are checked against
 adaptive quadrature of 1/sigma^2.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -141,13 +142,15 @@ def test_stalled_phase_stays_nondecreasing_between_steps(omega0):
 def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch):
     # sigma runs away near t = 0.7112 (the CLI's underflow repro): the step
     # underflows there, one step after sigma has left the float range
-    with pytest.raises(StepSizeUnderflow) as info, np.errstate(all="ignore"):
-        ermakov.integrate_ep(models.exp_frequency(gamma0=1e3), 0.25,
-                             (1.0, 0.0), 0.0, 0.712)
-    message = str(info.value)
-    assert message.startswith("exp_frequency: step size underflow")
-    assert "t=0.711" in message and "h=" in message
-    assert float(message.rsplit("last accepted sigma=", 1)[1]) > 1e150
+    for on_branch in (False, True):
+        with (pytest.raises(StepSizeUnderflow) as info,
+              np.errstate(all="ignore")):
+            ermakov.integrate_ep(models.exp_frequency(gamma0=1e3), 0.25,
+                                 (1.0, 0.0), 0.0, 0.712, on_branch=on_branch)
+        message = str(info.value)
+        assert message.startswith("exp_frequency: step size underflow")
+        assert "t=0.711" in message and "h=" in message
+        assert float(message.rsplit("last accepted sigma=", 1)[1]) > 1e150
     monkeypatch.setattr(dopri, "MAX_STEPS", 100)
     with pytest.raises(BudgetExceeded,
                        match=r"^harmonic: .*t=.*h=.*103 step attempts; "
@@ -156,12 +159,14 @@ def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch):
                              1000.0, n_out=3)
 
 
+# a window inside each catalog model's domain
+WINDOWS = {"tsquared": (1.0, 3.0), "bessel_type": (0.1, 0.8)}
+
+
 @pytest.mark.parametrize("model", models.catalog(), ids=lambda m: m.name)
 def test_complex_solution_keeps_its_wronskian(model, monkeypatch):
     # sigma = |x + iv| solves the auxiliary equation while x v' - x' v
     # stays sqrt(K)
-    window = {"tsquared": (1.0, 3.0), "bessel_type": (0.1, 0.8)}.get(
-        model.name, (0.0, 5.0))
     solve, solved = dopri.solve, []
 
     def spy(*args, **kwargs):
@@ -169,10 +174,45 @@ def test_complex_solution_keeps_its_wronskian(model, monkeypatch):
         return solved[-1]
 
     monkeypatch.setattr(dopri, "solve", spy)
-    ermakov.integrate_ep(model, 0.25, (0.9, 0.1), *window, n_out=50)
+    ermakov.integrate_ep(model, 0.25, (0.9, 0.1),
+                         *WINDOWS.get(model.name, (0.0, 5.0)), n_out=50)
     (_, ys), = solved
     x, x_dot, v, v_dot = ys[:, :4].T
     assert np.max(np.abs(x * v_dot - x_dot * v - 0.5)) <= 1e-9 * 0.5
+
+
+@pytest.mark.parametrize("model", models.catalog(), ids=lambda m: m.name)
+def test_polar_and_cartesian_pairs_agree(model):
+    # the same z stepped as (sigma, sqrt(K) theta) under the auxiliary
+    # equation and as (x, v) under the linear one
+    cart, polar = (ermakov.integrate_ep(
+        model, 0.25, (0.9, 0.1), *WINDOWS.get(model.name, (0.0, 5.0)),
+        n_out=50, on_branch=on_branch) for on_branch in (False, True))
+    assert np.array_equal(cart.t, polar.t)
+    assert np.max(np.abs(cart.sigma / polar.sigma - 1.0)) <= 1e-8
+    assert np.max(np.abs(cart.sigma_dot - polar.sigma_dot)) <= 1e-8
+    assert np.max(np.abs(cart.theta[1:] / polar.theta[1:] - 1.0)) <= 1e-8
+    assert np.max(np.abs(cart.k - polar.k)) <= 1e-8 * np.max(np.abs(polar.k))
+
+
+def test_polar_pair_steps_a_branch_in_few_calls():
+    # on the constant branch sigma stands still while z turns once per
+    # period: over 40 periods the polar pair needs a fraction of the calls
+    m = models.harmonic()
+    calls = []
+    for on_branch in (False, True):
+        n = [0]
+
+        def coeffs(t):
+            n[0] += 1
+            return m.coeffs(t)
+
+        st = ermakov.integrate_ep(dataclasses.replace(m, coeffs=coeffs),
+                                  0.25, (2.0 ** -0.5, 0.0), 0.0, 80 * math.pi,
+                                  on_branch=on_branch)
+        assert np.max(np.abs(st.sigma * 2.0 ** 0.5 - 1.0)) <= 1e-9
+        calls.append(n[0])
+    assert 4 * calls[1] < calls[0]
 
 
 def test_sigma_floor_trips():
@@ -231,6 +271,18 @@ def test_phase_oscillating_matches_quadrature():
         "harmonic_oscillating", {"omega0": 1.0, "kconst": kconst, "c1": c1},
         0.0, 20.0)
     assert th == pytest.approx(ref, abs=1e-8)
+
+
+@pytest.mark.parametrize("on_branch", [False, True])
+def test_integrated_phase_matches_the_closed_form(on_branch):
+    # the oscillating branch over three periods, at every row
+    s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
+    st = ermakov.integrate_ep(models.harmonic(), 0.25, (float(s0), float(sd0)),
+                              0.0, 20.0, n_out=41, on_branch=on_branch)
+    ref = [ermakov.phase_closed_form(
+        "harmonic_oscillating", {"omega0": 1.0, "kconst": 2.0, "c1": 0.0},
+        0.0, float(t)) for t in st.t]
+    assert np.max(np.abs(st.theta - ref)) <= 1e-9
 
 
 def test_phase_oscillating_is_nondecreasing_across_poles():

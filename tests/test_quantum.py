@@ -210,13 +210,19 @@ def test_scalar_and_column_paths_agree(name, monkeypatch):
     traj = ermakov.integrate_ep(model, 0.25, (0.9, 0.1), t0, t1, n_out=50)
     (ts, ys), = solved
     assert np.array_equal(traj.t, ts)
-    # the stepper's state is (x, x', v, v', theta, F) with sigma = |x + iv|
+    # the stepper's state is (x, x', v, v', theta, F/s) with sigma =
+    # |x + iv|, theta = arg(x + iv) / sqrt(K) on the stepped theta's turn
+    # and s = max(1, rtol |k0| / atol)
     x, x_dot, v, v_dot, theta, F = ys.T
     sigma = np.hypot(x, v)
+    turn = np.arctan2(v, x) - 0.5 * theta
+    turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
+    k0 = ermakov.conserved_k(0.9, 0.1, model.coeffs(float(t0))[0], 0.25)
     assert np.array_equal(traj.sigma, sigma)
     assert np.array_equal(traj.sigma_dot, (x * x_dot + v * v_dot) / sigma)
-    assert np.array_equal(traj.theta, theta)
-    assert np.array_equal(traj.F, F)
+    assert np.array_equal(traj.theta,
+                          np.maximum.accumulate(theta + turn / 0.5))
+    assert np.array_equal(traj.F, max(1.0, 1e-10 * abs(k0) / 1e-12) * F)
 
     hbar = 0.7
     ref = quantum.default_reference(model, t0)
