@@ -201,11 +201,11 @@ def _positive(res, key, default):
 
 
 def _initial_conditions(res, model, t0, t1, K):
-    """(sigma0, sigma0') and whether they lie on a slowly varying branch."""
+    """(sigma0, sigma0') from the flags, else from the model."""
     sigma_dot0 = _value(res, "sigma_dot0", 0.0)
     sigma0 = _value(res, "sigma0")
     if sigma0 is not None:
-        return (sigma0, sigma_dot0), False
+        return sigma0, sigma_dot0
     # default: minimal branch when the criterion holds, else the constant
     # branch of the frozen effective frequency, else unit amplitude; the
     # first two solve K = 1/4, and (4K)^(1/4) sigma solves K
@@ -213,12 +213,11 @@ def _initial_conditions(res, model, t0, t1, K):
     report = minimum.check_criterion(model, t0=t0, t1=t1)
     if report.is_minimum:
         sigma, sigma_dot = minimum.minimal_amplitude(model, report.c, t0)
-        return (scale * sigma, scale * sigma_dot), K > 0.0
+        return scale * sigma, scale * sigma_dot
     w2 = float(models.omega2(model, t0))
     if w2 > 0.0:
-        return ((scale * (2.0 * math.sqrt(w2)) ** -0.5, sigma_dot0),
-                K > 0.0 and sigma_dot0 == 0.0)
-    return (1.0, sigma_dot0), False
+        return scale * (2.0 * math.sqrt(w2)) ** -0.5, sigma_dot0
+    return 1.0, sigma_dot0
 
 
 def _sweep_members(res, spec, unread):
@@ -281,10 +280,10 @@ def _trajectory(res):
     K = _value(res, "K", ermakov.DEFAULT_K)
     if not K >= 0.0:
         raise ConfigError("--K must not be negative")
-    init, on_branch = _initial_conditions(res, model, grid[0], grid[-1], K)
+    init = _initial_conditions(res, model, grid[0], grid[-1], K)
     traj = ermakov.integrate_ep(
         model, K, init, grid[0], grid[-1], t_eval=grid,
-        rtol=_positive(res, "tol", 1e-10), on_branch=on_branch)
+        rtol=_positive(res, "tol", 1e-10))
     return model, traj
 
 

@@ -5,10 +5,11 @@ two independent ways: as the square root of a quadratic form in a
 closed-form basis of the reduced linear equation y'' + Omega^2 y = 0
 (superposition closed form), and as the modulus of one complex solution
 of that equation with Wronskian sqrt(K), integrated adaptively (Milne's
-construction) in Cartesian form or, on a slowly varying branch, in polar
-form.  The phase theta = integral dt/sigma^2 and the balance functional
-F = integral d(Omega^2)/dt * sigma^2 dt ride along as extra state
-components of the same stepper, so every quadrature shares the
+construction): in polar form when the start lies on a slowly varying
+branch, which the integrator tests itself, and in Cartesian form
+otherwise.  The phase theta = integral dt/sigma^2 and the balance
+functional F = integral d(Omega^2)/dt * sigma^2 dt ride along as extra
+state components of the same stepper, so every quadrature shares the
 trajectory's error control.  A trajectory is one `ErmakovState` whose
 fields are equal-length columns, one entry per output time.
 """
@@ -25,6 +26,12 @@ from .errors import (BudgetExceeded, ConstraintViolation, DomainError,
 
 DEFAULT_K = 0.25
 SIGMA_FLOOR = 1e-8
+# A start this close (relative) to a slowly varying branch is stepped in
+# the polar pair.  Starts built from the closed forms lie within a few ulp,
+# and the pair's gain fades fast off the branch: harmonic over 40 periods
+# from (2^-1/2 (1 + d), 0) makes 1,633 / 4,150 / 8,353 / 10,249 coeffs
+# calls in it at d = 0 / 1e-9 / 1e-6 / 1e-5, and 9,781 in the Cartesian.
+BRANCH_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -234,8 +241,30 @@ def conserved_k(sigma, sigma_dot, omega2_val, K=DEFAULT_K):
 # ---------------------------------------------------------------------------
 # integration
 
-def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
-                 rtol=1e-10, on_branch=False):
+def _on_a_branch(model, K, sigma0, sigma_dot0, t0):
+    """Whether (sigma0, sigma0') at t0 lies, within BRANCH_RTOL, on the
+    minimal branch (nu(t0) = 0: K/sigma0^4 = omega^2, sigma0'/sigma0 = M/2)
+    or on the constant branch of the frozen Omega^2 (K/sigma0^4 = Omega^2,
+    sigma0' = 0).  Rates are measured against z's turning rate
+    sqrt(K)/sigma0^2; K = 0 and non-finite intermediates give False."""
+    sigma0, sigma_dot0 = float(sigma0), float(sigma_dot0)
+    # float ** raises OverflowError; products overflow to inf, quotients to 0
+    rate2 = float(K) / (sigma0 * sigma0) / (sigma0 * sigma0)
+    if not 0.0 < rate2 < math.inf:
+        return False
+    t0 = float(t0)
+    with np.errstate(all="ignore"):
+        w = float(model.omega(t0))
+        half_M = 0.5 * float(model.m_dot(t0) / model.m(t0))
+    # a nan or inf target fails its comparison
+    return any(abs(rate2 - w2) <= BRANCH_RTOL * rate2
+               and abs(sigma_dot0 / sigma0 - half_rate)
+               <= BRANCH_RTOL * math.sqrt(rate2)
+               for w2, half_rate in ((w * w, half_M),
+                                     (model.coeffs(t0)[0], 0.0)))
+
+
+def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201, rtol=1e-10):
     """Integrate the auxiliary equation, phase and balance functional.
 
     sigma is the modulus of z = sigma exp(i sqrt(K) theta), the complex
@@ -244,19 +273,20 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
     is sqrt(K) (Milne, Phys. Rev. 35, 863, 1930; Pinney, Proc. AMS 1, 681,
     1950).  The adaptive 8th-order stepper (dopri.solve, DOP853, absolute
     tolerance 1e-12) takes z in one of two coordinate pairs, with
-    theta' = 1/sigma^2 and F' = d(Omega^2)/dt * sigma^2 riding along:
+    theta' = 1/sigma^2 and F' = d(Omega^2)/dt * sigma^2 riding along.  The
+    start picks the pair (`_on_a_branch`):
 
-    - Cartesian (the default): the state is (x, x', v, v', theta, F/s)
-      with z = x + i v and a linear right-hand side; sigma = hypot(x, v),
-      sigma' = (x x' + v v')/sigma and, for K > 0, theta = arg z / sqrt(K)
-      on the turn the stepped theta lies on.  z turns once per period
-      whatever sigma does, so this is the cheaper pair when sigma
-      oscillates.
-    - polar (on_branch=True): the state is (sigma, sigma', theta, F/s)
+    - polar, when init starts a slowly varying branch (the minimal branch,
+      or the constant branch of the frozen Omega^2), where sigma barely
+      moves while z still turns: the state is (sigma, sigma', theta, F/s)
       under the auxiliary equation sigma'' + Omega^2 sigma = K/sigma^3
-      itself.  Pass it when init lies on a slowly varying branch (a
-      minimal branch, or the constant branch of a constant frequency),
-      where sigma barely moves while z still turns.
+      itself.
+    - Cartesian, from any other start: the state is (x, x', v, v', theta,
+      F/s) with z = x + i v and a linear right-hand side; sigma =
+      hypot(x, v), sigma' = (x x' + v v')/sigma and, for K > 0, theta =
+      arg z / sqrt(K) on the turn the stepped theta lies on.  z turns once
+      per period whatever sigma does, so this is the cheaper pair when
+      sigma oscillates.
 
     F, which enters the results only through k, is stepped as F/s with
     s = max(1, rtol |k0| / 1e-12) and k0 the balance at t0; its absolute
@@ -286,7 +316,8 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
     k0 = conserved_k(sigma0, sigma_dot0, coeffs(float(t0))[0], K)
     s = max(1.0, rtol * abs(k0) / atol)
 
-    if on_branch:
+    polar = _on_a_branch(model, K, sigma0, sigma_dot0, t0)
+    if polar:
         def rhs(t, y):
             sigma, sigma_dot, _, _ = y
             if not 1e-100 < abs(sigma) < 1e100:
@@ -314,7 +345,7 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
     last = [sigma0]  # sigma of the last accepted step
 
     def guard(t, y):
-        sigma = y[0] if on_branch else math.hypot(y[0], y[2])
+        sigma = y[0] if polar else math.hypot(y[0], y[2])
         if sigma < SIGMA_FLOOR:
             raise SingularityApproached(
                 f"sigma reached {sigma:.3e} at t={t:.6g}")
@@ -326,7 +357,7 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201,
     except (StepSizeUnderflow, BudgetExceeded) as exc:
         raise type(exc)(f"{model.name}: {exc}; last accepted "
                         f"sigma={float(last[0])!r}") from exc
-    if on_branch:
+    if polar:
         sigma, sigma_dot, theta, F = ys.T
     else:
         x, x_dot, v, v_dot, theta, F = ys.T

@@ -358,15 +358,21 @@ def tsquared_solution(m0=1.0, c=1.0, c1=1.0, c2=0.0):
 def tabulated_from_csv(path, name="tabulated"):
     """Model from CSV samples with header `t,m,omega`.
 
-    Requires at least 6 rows of three finite numbers, strictly increasing
-    times, and m and omega positive on the rows and on a grid 8x finer.
-    Both are quintic splines (`make_interp_spline`, k=5), so `coeffs` is the
-    catalog models' expression on spline derivatives, continuous up to m'''.
+    Requires UTF-8 text, at least 6 rows of three finite numbers, strictly
+    increasing times, m and omega positive on the rows and on a grid 8x
+    finer, and on that grid finite splines, spline derivatives and
+    (Omega^2, dOmega^2/dt).  Both are quintic splines (`make_interp_spline`,
+    k=5), so `coeffs` is the catalog models' expression on spline
+    derivatives, continuous up to m'''.  Every malformed table raises
+    ParameterError.
     """
     from scipy.interpolate import make_interp_spline
 
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParameterError(f"tabulated model CSV is unreadable: {exc}")
     if not rows or [c.strip() for c in rows[0]] != ["t", "m", "omega"]:
         raise ParameterError("tabulated model CSV must start with header t,m,omega")
     if len(rows[1:]) < 6:
@@ -383,15 +389,25 @@ def tabulated_from_csv(path, name="tabulated"):
     if np.any(data[:, 1:] <= 0.0):
         raise ParameterError("tabulated m and omega must be positive")
 
-    m_sp = make_interp_spline(t, m, k=5)
-    w_sp = make_interp_spline(t, w, k=5)
-    fine = np.linspace(t[:-1], t[1:], 8, endpoint=False)
-    if np.any(m_sp(fine) <= 0.0) or np.any(w_sp(fine) <= 0.0):
-        raise ParameterError("interpolated m and omega must stay positive "
-                             "between the rows")
-    m_dot, m_ddot, m_dddot = (m_sp.derivative(k) for k in (1, 2, 3))
-    w_dot = w_sp.derivative(1)
-    parts = (m_sp, m_dot, m_ddot, m_dddot, w_sp, w_dot)
+    # extreme spacings or values overflow to inf or nan, rejected below
+    with np.errstate(all="ignore"):
+        try:
+            m_sp = make_interp_spline(t, m, k=5)
+            w_sp = make_interp_spline(t, w, k=5)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise ParameterError(f"tabulated times admit no spline: {exc}")
+        m_dot, m_ddot, m_dddot = (m_sp.derivative(k) for k in (1, 2, 3))
+        w_dot = w_sp.derivative(1)
+        parts = (m_sp, m_dot, m_ddot, m_dddot, w_sp, w_dot)
+        fine = np.linspace(t[:-1], t[1:], 8, endpoint=False)
+        values = [f(fine) for f in parts]
+        if np.any(values[0] <= 0.0) or np.any(values[4] <= 0.0):
+            raise ParameterError("interpolated m and omega must stay positive "
+                                 "between the rows")
+        if not all(np.isfinite(v).all()
+                   for v in (*values, *_omega2_pair(*values))):
+            raise ParameterError("interpolated m, omega and Omega^2 must stay "
+                                 "finite between the rows")
 
     def coeffs(t):
         if isinstance(t, float):

@@ -9,9 +9,11 @@ or a library reference); no tolerance is tuned to the implementation.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,10 +283,15 @@ def test_criterion_8_vacuum_constants():
 
 def test_criterion_9_determinism_and_runtime(tmp_path):
     cmd = [sys.executable, "-m", "tdo.cli", "verify", "--suite", "all"]
+    # the subprocess imports tdo from this checkout's src/, as pytest does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
     start = time.monotonic()
-    first = subprocess.run(cmd, capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
     elapsed = time.monotonic() - start
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
     identical = first.stdout == second.stdout and first.returncode == 0 \
         and second.returncode == 0
     ok = report(9, "verify --suite all byte-identical across runs",

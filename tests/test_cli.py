@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tdo import cli, ermakov, models
+from tdo import cli, dopri, ermakov, models
 
 
 def run(args):
@@ -110,7 +110,26 @@ def test_nan_initial_sigma_is_config_error(capsys):
     assert capsys.readouterr().err.startswith("config_error:")
 
 
-@pytest.mark.parametrize("argv,on_branch", [
+def _count_pairs(monkeypatch):
+    """Spy on dopri.solve: the state width of each integration (4 is the
+    polar pair, 6 the Cartesian) and the right-hand-side calls it made."""
+    solve, seen = dopri.solve, []
+
+    def spy(rhs, t0, t1, y0, *args, **kwargs):
+        calls = [len(y0), 0]
+        seen.append(calls)
+
+        def counted(t, y):
+            calls[1] += 1
+            return rhs(t, y)
+
+        return solve(counted, t0, t1, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dopri, "solve", spy)
+    return seen
+
+
+@pytest.mark.parametrize("argv,polar", [
     (["--model", "harmonic"], True),
     (["--model", "exp_frequency"], True),
     (["--model", "kanai_caldirola"], True),
@@ -118,21 +137,47 @@ def test_nan_initial_sigma_is_config_error(capsys):
     (["--model", "kanai_caldirola", "--gamma", "2.2"], False),
     (["--model", "harmonic", "--sigma0", "0.8"], False),
     (["--model", "harmonic", "--K", "0"], False),
+    (["--model", "harmonic", "--sigma0", "0.7071067811865476"], True),
 ])
 def test_default_initial_data_step_in_the_polar_pair(tmp_path, monkeypatch,
-                                                     argv, on_branch):
-    # a minimal or constant branch (the defaults) moves slowly, so its
-    # sigma is stepped itself; any other start steps x + iv
-    integrate, seen = ermakov.integrate_ep, []
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["on_branch"])
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(ermakov, "integrate_ep", spy)
+                                                     argv, polar):
+    # a minimal or constant branch (the defaults, or the same start typed
+    # out) moves slowly, so its sigma is stepped itself; any other start
+    # steps x + iv
+    seen = _count_pairs(monkeypatch)
     assert run(["solve", *argv, "--t0", "0", "--t1", "1",
                 "--out", str(tmp_path / "x.csv")]) == 0
-    assert seen == [on_branch]
+    assert [width for width, _ in seen] == [4 if polar else 6]
+
+
+def test_a_typed_branch_start_is_stepped_cheaply(tmp_path, monkeypatch):
+    # the constant branch typed as --sigma0 takes the polar pair by itself:
+    # over 40 periods it needs under a quarter of the Cartesian pair's calls
+    argv = ["solve", "--model", "harmonic", "--sigma0", "0.7071067811865476",
+            "--t0", "0", "--t1", "250", "--out", str(tmp_path / "x.csv")]
+    seen = _count_pairs(monkeypatch)
+    assert run(argv) == 0
+    monkeypatch.setattr(ermakov, "_on_a_branch", lambda *args: False)
+    assert run(argv) == 0
+    (polar, polar_calls), (cartesian, cartesian_calls) = seen
+    assert (polar, cartesian) == (4, 6)
+    assert 4 * polar_calls < cartesian_calls
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["--sigma0", "1e200"],
+     "StepSizeUnderflow: harmonic: no usable first step in dopri.solve at "
+     "t=0.0: the slope gives h=nan; last accepted sigma=1e+200"),
+    (["--K", "1e300"],
+     "StepSizeUnderflow: harmonic: step size underflow in dopri.solve at "
+     "t=0.0, h=2.4892061111444567e-62; last accepted "
+     "sigma=1.0000000000000001e+75"),
+])
+def test_huge_amplitudes_fail_as_solver_errors(capsys, argv, line):
+    # K/sigma0^4 overflows or underflows in the branch test without raising
+    assert run(["solve", "--model", "harmonic", "--t0", "0", "--t1", "1",
+                *argv]) == 3
+    assert capsys.readouterr().err == line + "\n"
 
 
 _UNC = ["uncertainty", "--model", "harmonic"]

@@ -16,12 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from tdo import dopri, ermakov, models
+from tdo import cli, dopri, ermakov, models
 from tdo.errors import (BudgetExceeded, ConstraintViolation, NonRealSigma,
                         ParameterError, SingularityApproached,
                         StepSizeUnderflow, UnknownCase)
 
 SQ2 = 2.0 ** -0.5
+
+
+@pytest.fixture
+def force_pair(monkeypatch):
+    """force(polar): integrate_ep steps the polar pair, or the Cartesian."""
+    def force(polar):
+        monkeypatch.setattr(ermakov, "_on_a_branch", lambda *args: polar)
+    return force
 
 
 # --- superposition closed form ----------------------------------------------
@@ -139,19 +147,22 @@ def test_stalled_phase_stays_nondecreasing_between_steps(omega0):
     assert np.all(np.diff(states.theta) >= 0.0)
 
 
-def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch):
+def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch,
+                                                        force_pair):
     # sigma runs away near t = 0.7112 (the CLI's underflow repro): the step
     # underflows there, one step after sigma has left the float range
-    for on_branch in (False, True):
+    for polar in (False, True):
+        force_pair(polar)
         with (pytest.raises(StepSizeUnderflow) as info,
               np.errstate(all="ignore")):
             ermakov.integrate_ep(models.exp_frequency(gamma0=1e3), 0.25,
-                                 (1.0, 0.0), 0.0, 0.712, on_branch=on_branch)
+                                 (1.0, 0.0), 0.0, 0.712)
         message = str(info.value)
         assert message.startswith("exp_frequency: step size underflow")
         assert "t=0.711" in message and "h=" in message
         assert float(message.rsplit("last accepted sigma=", 1)[1]) > 1e150
     monkeypatch.setattr(dopri, "MAX_STEPS", 100)
+    force_pair(False)
     with pytest.raises(BudgetExceeded,
                        match=r"^harmonic: .*t=.*h=.*103 step attempts; "
                              r"last accepted sigma=0\.9"):
@@ -182,12 +193,16 @@ def test_complex_solution_keeps_its_wronskian(model, monkeypatch):
 
 
 @pytest.mark.parametrize("model", models.catalog(), ids=lambda m: m.name)
-def test_polar_and_cartesian_pairs_agree(model):
+def test_polar_and_cartesian_pairs_agree(model, force_pair):
     # the same z stepped as (sigma, sqrt(K) theta) under the auxiliary
     # equation and as (x, v) under the linear one
-    cart, polar = (ermakov.integrate_ep(
-        model, 0.25, (0.9, 0.1), *WINDOWS.get(model.name, (0.0, 5.0)),
-        n_out=50, on_branch=on_branch) for on_branch in (False, True))
+    def run(polar):
+        force_pair(polar)
+        return ermakov.integrate_ep(model, 0.25, (0.9, 0.1),
+                                    *WINDOWS.get(model.name, (0.0, 5.0)),
+                                    n_out=50)
+
+    cart, polar = run(False), run(True)
     assert np.array_equal(cart.t, polar.t)
     assert np.max(np.abs(cart.sigma / polar.sigma - 1.0)) <= 1e-8
     assert np.max(np.abs(cart.sigma_dot - polar.sigma_dot)) <= 1e-8
@@ -195,12 +210,13 @@ def test_polar_and_cartesian_pairs_agree(model):
     assert np.max(np.abs(cart.k - polar.k)) <= 1e-8 * np.max(np.abs(polar.k))
 
 
-def test_polar_pair_steps_a_branch_in_few_calls():
+def test_polar_pair_steps_a_branch_in_few_calls(force_pair):
     # on the constant branch sigma stands still while z turns once per
     # period: over 40 periods the polar pair needs a fraction of the calls
     m = models.harmonic()
     calls = []
-    for on_branch in (False, True):
+    for polar in (False, True):
+        force_pair(polar)
         n = [0]
 
         def coeffs(t):
@@ -208,11 +224,22 @@ def test_polar_pair_steps_a_branch_in_few_calls():
             return m.coeffs(t)
 
         st = ermakov.integrate_ep(dataclasses.replace(m, coeffs=coeffs),
-                                  0.25, (2.0 ** -0.5, 0.0), 0.0, 80 * math.pi,
-                                  on_branch=on_branch)
+                                  0.25, (2.0 ** -0.5, 0.0), 0.0, 80 * math.pi)
         assert np.max(np.abs(st.sigma * 2.0 ** 0.5 - 1.0)) <= 1e-9
         calls.append(n[0])
     assert 4 * calls[1] < calls[0]
+
+
+@pytest.mark.parametrize("model", models.catalog(), ids=lambda m: m.name)
+def test_the_default_starts_lie_on_a_branch(model):
+    # the CLI's default start is a minimal or a constant branch; 1e-6 off
+    # it, or with K = 0, it is not
+    t0, t1 = WINDOWS.get(model.name, (0.0, 5.0))
+    sigma0, sigma_dot0 = cli._initial_conditions({}, model, t0, t1, 0.25)
+    assert ermakov._on_a_branch(model, 0.25, sigma0, sigma_dot0, t0)
+    assert not ermakov._on_a_branch(model, 0.25, sigma0 * (1.0 + 1e-6),
+                                    sigma_dot0, t0)
+    assert not ermakov._on_a_branch(model, 0.0, sigma0, sigma_dot0, t0)
 
 
 def test_sigma_floor_trips():
@@ -273,12 +300,13 @@ def test_phase_oscillating_matches_quadrature():
     assert th == pytest.approx(ref, abs=1e-8)
 
 
-@pytest.mark.parametrize("on_branch", [False, True])
-def test_integrated_phase_matches_the_closed_form(on_branch):
+@pytest.mark.parametrize("polar", [False, True])
+def test_integrated_phase_matches_the_closed_form(polar, force_pair):
     # the oscillating branch over three periods, at every row
+    force_pair(polar)
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
     st = ermakov.integrate_ep(models.harmonic(), 0.25, (float(s0), float(sd0)),
-                              0.0, 20.0, n_out=41, on_branch=on_branch)
+                              0.0, 20.0, n_out=41)
     ref = [ermakov.phase_closed_form(
         "harmonic_oscillating", {"omega0": 1.0, "kconst": 2.0, "c1": 0.0},
         0.0, float(t)) for t in st.t]

@@ -7,14 +7,18 @@ analytic derivatives.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tdo import ermakov, models
 from tdo.errors import DomainError, ParameterError
@@ -270,12 +274,66 @@ def test_tabulated_model_validation(tmp_path):
             good[:1] + ["1,nan,1"] + good[2:],
             good[:1] + ["1,1,inf"] + good[2:],
             # positive rows whose spline dips below zero between them
-            ["0,1,1", "1,1,1", "2,0.01,1", "3,0.01,1", "4,1,1", "5,1,1"]):
+            ["0,1,1", "1,1,1", "2,0.01,1", "3,0.01,1", "4,1,1", "5,1,1"],
+            # spacings and values whose splines leave the float range
+            [f"{i * 5e-324!r},1,1" for i in range(6)],
+            [f"{t!r},1,1" for t in (0, 1e-300, 1, 2, 3, 1e300)],
+            [f"{i * 1e-300!r},1,1" for i in range(6)],
+            [f"{i},1e308,1e308" for i in range(6)]):
         p.write_text("\n".join(["t,m,omega"] + rows) + "\n")
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError), warnings.catch_warnings():
+            warnings.simplefilter("error")
             models.tabulated_from_csv(p)
+    p.write_bytes(b"t,m,omega\n0,1,1\n1,1,1\n2,1,1\n3,1,\xff\n4,1,1\n5,1,1\n")
+    with pytest.raises(ParameterError):  # not UTF-8
+        models.tabulated_from_csv(p)
     p.write_text("\n".join(["t,m,omega"] + good) + "\n")
     assert models.tabulated_from_csv(p).params == {"rows": 6}
+
+
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "-0", "5e-324", "1e-300", "1e300", "1e308", "x",
+                     " 1", "1,", '"1"']),
+    st.text(max_size=4))
+
+
+@st.composite
+def _increasing_tables(draw):
+    """Strictly increasing times with spacings and values from every scale."""
+    n = draw(st.integers(6, 9))
+    steps = draw(st.lists(
+        st.one_of(st.floats(0.1, 10.0), st.floats(5e-324, 1e299)),
+        min_size=n - 1, max_size=n - 1))
+    start = draw(st.one_of(st.just(0.0), st.floats(-1e300, 1e300)))
+    values = st.one_of(st.floats(0.1, 10.0), st.floats(5e-324, 1e308))
+    rows = [f"{t!r},{draw(values)!r},{draw(values)!r}"
+            for t in itertools.accumulate([start] + steps)]
+    return "\n".join(["t,m,omega"] + rows) + "\n"
+
+
+_CSV_TEXTS = st.one_of(
+    _increasing_tables(),
+    _increasing_tables(),
+    st.lists(st.lists(_CELLS, min_size=2, max_size=4).map(",".join),
+             min_size=5, max_size=8).map(
+        lambda rows: "\n".join(["t,m,omega"] + rows) + "\n"),
+    st.text(max_size=60))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(_CSV_TEXTS.map(str.encode), st.binary(max_size=60)))
+def test_any_csv_text_gives_a_model_or_a_parameter_error(tmp_path, text):
+    p = tmp_path / "fuzz.csv"
+    p.write_bytes(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert isinstance(models.tabulated_from_csv(p),
+                              models.ModelDescriptor)
+        except ParameterError:
+            pass
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
