@@ -353,6 +353,23 @@ def _contd8(f, t, h, y, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13):
     return coef
 
 
+def output_times(t0, t1, t_eval):
+    """`solve`'s output times as a float array: t_eval, or (t0, t1) when it
+    is None.  Raises ParameterError for t1 < t0 and for a t_eval that
+    decreases or leaves [t0, t1] by more than 1e-12."""
+    if not t1 >= t0:
+        raise ParameterError("t1 must be >= t0")
+    if t_eval is None:
+        return np.array([t0, t1], dtype=float)
+    t_eval = np.asarray(t_eval, dtype=float)
+    # written so that a nan fails it too
+    if not np.all((t0 - 1e-12 <= t_eval) & (t_eval <= t1 + 1e-12)):
+        raise ParameterError("t_eval outside [t0, t1]")
+    if np.any(np.diff(t_eval) < 0):
+        raise ParameterError("t_eval must be nondecreasing")
+    return t_eval
+
+
 def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
           step_callback=None):
     """Integrate y' = f(t, y) forward from t0 to t1 with DOP853.
@@ -384,20 +401,10 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
     """
     t0 = float(t0)
     t1 = float(t1)
-    if not t1 >= t0:
-        raise ParameterError("t1 must be >= t0")
+    t_eval = output_times(t0, t1, t_eval)
     y_arr = np.array(y0, dtype=float)
     if y_arr.ndim != 1:
         raise ParameterError("y0 must be one-dimensional")
-    if t_eval is None:
-        t_eval = np.array([t0, t1])
-    else:
-        t_eval = np.asarray(t_eval, dtype=float)
-        # written so that a nan fails it too
-        if not np.all((t0 - 1e-12 <= t_eval) & (t_eval <= t1 + 1e-12)):
-            raise ParameterError("t_eval outside [t0, t1]")
-        if np.any(np.diff(t_eval) < 0):
-            raise ParameterError("t_eval must be nondecreasing")
     t_out = t_eval.tolist()
     n_out = len(t_out)
     y = y_arr.tolist()

@@ -4,10 +4,13 @@ The auxiliary equation sigma'' + Omega^2(t) sigma = K / sigma^3 is solved
 two independent ways: as the square root of a quadratic form in a
 closed-form basis of the reduced linear equation y'' + Omega^2 y = 0
 (superposition closed form), and as the modulus of one complex solution
-of that equation with Wronskian sqrt(K), integrated adaptively (Milne's
-construction): in polar form when the start lies on a slowly varying
-branch, which the integrator tests itself, and in Cartesian form
-otherwise.  The phase theta = integral dt/sigma^2 and the balance
+z of that equation with Wronskian sqrt(K) (Milne's construction,
+`integrate_ep`).  z takes one of three routes, picked by `integrate_ep`
+from the model and the start: in closed form when the model declares a
+constant Omega^2 and K > 0 (harmonic, kanai_caldirola), and otherwise
+stepped adaptively, in polar form when the start lies on a slowly
+varying branch and in Cartesian form from any other start.  On the
+stepped routes the phase theta = integral dt/sigma^2 and the balance
 functional F = integral d(Omega^2)/dt * sigma^2 dt ride along as extra
 state components of the same stepper, so every quadrature shares the
 trajectory's error control.  A trajectory is one `ErmakovState` whose
@@ -28,9 +31,11 @@ DEFAULT_K = 0.25
 SIGMA_FLOOR = 1e-8
 # A start this close (relative) to a slowly varying branch is stepped in
 # the polar pair.  Starts built from the closed forms lie within a few ulp,
-# and the pair's gain fades fast off the branch: harmonic over 40 periods
-# from (2^-1/2 (1 + d), 0) makes 1,633 / 4,150 / 8,353 / 10,249 coeffs
-# calls in it at d = 0 / 1e-9 / 1e-6 / 1e-5, and 9,781 in the Cartesian.
+# and the pair's gain fades fast off the branch: the harmonic oscillator,
+# stepped over 40 periods (its constant Omega^2 undeclared, as a table
+# has it; declared, it is evaluated in closed form) from
+# (2^-1/2 (1 + d), 0), makes 1,633 / 4,150 / 8,353 / 10,249 coeffs calls
+# in it at d = 0 / 1e-9 / 1e-6 / 1e-5, and 9,781 in the Cartesian.
 BRANCH_RTOL = 1e-9
 
 
@@ -271,34 +276,43 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201, rtol=1e-10):
     solution of the linear equation z'' + Omega^2 z = 0 with z(t0) = sigma0
     and z'(t0) = sigma0' + i sqrt(K)/sigma0, whose Wronskian x v' - x' v
     is sqrt(K) (Milne, Phys. Rev. 35, 863, 1930; Pinney, Proc. AMS 1, 681,
-    1950).  The adaptive 8th-order stepper (dopri.solve, DOP853, absolute
-    tolerance 1e-12) takes z in one of two coordinate pairs, with
-    theta' = 1/sigma^2 and F' = d(Omega^2)/dt * sigma^2 riding along.  The
-    start picks the pair (`_on_a_branch`):
+    1950).  z takes one of three routes, picked from the model and the
+    start, never by the caller:
 
-    - polar, when init starts a slowly varying branch (the minimal branch,
-      or the constant branch of the frozen Omega^2), where sigma barely
-      moves while z still turns: the state is (sigma, sigma', theta, F/s)
-      under the auxiliary equation sigma'' + Omega^2 sigma = K/sigma^3
-      itself.
-    - Cartesian, from any other start: the state is (x, x', v, v', theta,
-      F/s) with z = x + i v and a linear right-hand side; sigma =
-      hypot(x, v), sigma' = (x x' + v v')/sigma and, for K > 0, theta =
-      arg z / sqrt(K) on the turn the stepped theta lies on.  z turns once
-      per period whatever sigma does, so this is the cheaper pair when
-      sigma oscillates.
+    - exact, when the model declares a constant Omega^2
+      (`ModelDescriptor.constant_omega2`: harmonic, kanai_caldirola) and
+      K > 0: z is evaluated in closed form at the output times and theta
+      = arg z / sqrt(K) takes its turn from an exact half-period count
+      (`_propagate`); F = 0.
+    - polar, stepped, when init starts a slowly varying branch (the
+      minimal branch, or the constant branch of the frozen Omega^2;
+      `_on_a_branch`), where sigma barely moves while z still turns: the
+      state is (sigma, sigma', theta, F/s) under the auxiliary equation
+      sigma'' + Omega^2 sigma = K/sigma^3 itself.
+    - Cartesian, stepped, from any other start: the state is (x, x', v,
+      v', theta, F/s) with z = x + i v and a linear right-hand side.  z
+      turns once per period whatever sigma does, so this is the cheaper
+      pair when sigma oscillates.
 
-    F, which enters the results only through k, is stepped as F/s with
-    s = max(1, rtol |k0| / 1e-12) and k0 the balance at t0; its absolute
-    tolerance is so 1e-12 s, on k's scale.  Returns one ErmakovState of
-    columns at t_eval (default: n_out uniform times), read from the
-    stepper's continuous extension between steps.
-    Raises SingularityApproached when sigma falls below SIGMA_FLOOR at an
-    accepted step, DomainError when [t0, t1] leaves the model's domain and
-    NonFiniteResult when a column leaves the floating-point range.  The
-    stepper's StepSizeUnderflow and BudgetExceeded come back with the
-    model's name and the sigma of the last accepted step added to their
-    message.
+    The stepped routes (K = 0, tables and the time-dependent models) use
+    the adaptive 8th-order stepper (dopri.solve, DOP853, absolute
+    tolerance 1e-12) with theta' = 1/sigma^2 and F' = d(Omega^2)/dt *
+    sigma^2 riding along, and read the rows from its continuous extension
+    between steps.  F, which enters the results only through k, is
+    stepped as F/s with s = max(1, rtol |k0| / 1e-12) and k0 the balance
+    at t0; its absolute tolerance is so 1e-12 s, on k's scale.  The exact
+    and the Cartesian route share what follows: sigma = hypot(x, v),
+    sigma' = (x x' + v v')/sigma and, for K > 0, theta = arg z / sqrt(K)
+    on the turn the stepped (or counted) theta lies on.  Returns one
+    ErmakovState of columns at t_eval (default: n_out uniform times).
+
+    Raises NonFiniteResult when k0 or a column leaves the floating-point
+    range, SingularityApproached when sigma falls below SIGMA_FLOOR at an
+    accepted step and DomainError when [t0, t1] leaves the model's
+    domain.  The stepper's StepSizeUnderflow and BudgetExceeded come back
+    with the model's name and the sigma of the last accepted step added
+    to their message; the exact route raises StepSizeUnderflow when the
+    float times cannot resolve its half period.
     """
     if K < 0.0:
         raise ParameterError("K < 0 regime is not supported")
@@ -311,12 +325,106 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201, rtol=1e-10):
     if t_eval is None:
         t_eval = np.linspace(t0, t1, n_out)
 
-    coeffs = model.coeffs
     atol = 1e-12
-    k0 = conserved_k(sigma0, sigma_dot0, coeffs(float(t0))[0], K)
+    k0 = conserved_k(sigma0, sigma_dot0, model.coeffs(float(t0))[0], K)
+    if not math.isfinite(k0):
+        raise NonFiniteResult(
+            f"{model.name}: k is first not finite at t={float(t0)!r}")
     s = max(1.0, rtol * abs(k0) / atol)
 
-    polar = _on_a_branch(model, K, sigma0, sigma_dot0, t0)
+    polar = False
+    if model.constant_omega2 is not None and K > 0.0:
+        ts, ys = _propagate(model, K, sigma0, sigma_dot0, t0, t1, t_eval)
+    else:
+        polar = _on_a_branch(model, K, sigma0, sigma_dot0, t0)
+        ts, ys = _step(model, K, sigma0, sigma_dot0, t0, t1, t_eval, rtol,
+                       atol, s, polar)
+    if polar:
+        sigma, sigma_dot, theta, F = ys.T
+    else:
+        x, x_dot, v, v_dot, theta, F = ys.T
+        sigma = np.hypot(x, v)
+        sigma_dot = (x * x_dot + v * v_dot) / sigma
+        if K > 0.0:
+            # sqrt(K) theta is the angle of z (arg z0 = 0), as accurate as
+            # z itself; the stepped or counted theta picks its turn.  Where
+            # theta stalls, the angle's rounding (a few ulp) must not turn
+            # it back
+            root_k = math.sqrt(K)
+            turn = np.arctan2(v, x) - root_k * theta
+            turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
+            theta = np.maximum.accumulate(theta + turn / root_k)
+    F = s * F
+    k = conserved_k(sigma, sigma_dot, models.omega2(model, ts), K) - F
+    state = ErmakovState(t=ts, sigma=sigma, sigma_dot=sigma_dot, theta=theta,
+                         k=k, F=F)
+    for name, column in vars(state).items():
+        bad = ~np.isfinite(column)
+        if bad.any():
+            raise NonFiniteResult(
+                f"{model.name}: {name} is first not finite at "
+                f"t={float(ts[bad.argmax()])!r}")
+    return state
+
+
+def _propagate(model, K, sigma0, sigma_dot0, t0, t1, t_eval):
+    """Rows (x, x', v, v', theta, F/s) of z = x + i v at t_eval in closed
+    form, for a model that declares a constant Omega^2, and K > 0.
+
+    With tau = t - t0 and the basis C, S of z'' + Omega^2 z = 0 with
+    C(0) = S'(0) = 1 and C'(0) = S(0) = 0 (cos(w tau) and sin(w tau)/w for
+    Omega^2 = w^2, cosh(L tau) and sinh(L tau)/L for Omega^2 = -L^2, 1 and
+    tau for 0), z = sigma0 C + (sigma0' + i sqrt(K)/sigma0) S.  theta =
+    arg z / sqrt(K) takes its turn from an exact half-period count: z(tau
+    + pi/w) = -z(tau) and arg z grows, so on the n-th half period arg z
+    lies in [n pi, (n + 1) pi), however far apart the rows are.  For
+    Omega^2 <= 0, v >= 0 and arg z stays in [0, pi].  F = 0.  Returns
+    (ts, ys) as dopri.solve does for the Cartesian pair, output times up
+    to 1e-12 outside [t0, t1] taking the state at the nearer end.
+
+    Raises StepSizeUnderflow when the half period lies below the stepper's
+    floor 1e-14 max(1, |t0|, |t1|), where float times cannot resolve it.
+    """
+    t0, t1 = float(t0), float(t1)
+    ts = dopri.output_times(t0, t1, t_eval)
+    tau = np.clip(ts, t0, t1) - t0
+    omega2 = model.constant_omega2
+    w = math.sqrt(abs(omega2))  # the frequency, or the growth rate L
+    half = math.pi / w if omega2 > 0.0 else math.inf
+    floor = 1e-14 * max(1.0, abs(t0), abs(t1))
+    if half < floor:
+        raise StepSizeUnderflow(
+            f"{model.name}: no usable first step at t={t0!r}: the half "
+            f"period {half!r} is below the step floor {floor!r}")
+    root_k = math.sqrt(K)
+    # past the float range the columns turn inf or nan, which the caller
+    # reports
+    with np.errstate(all="ignore"):
+        if omega2 == 0.0:
+            c, c_dot = np.ones_like(tau), np.zeros_like(tau)
+            s, s_dot = tau, np.ones_like(tau)
+        else:
+            pair = harmonic_basis(w) if omega2 > 0.0 else hyperbolic_basis(w)
+            c, c_dot = pair.y1(tau), pair.y1_dot(tau)
+            s, s_dot = pair.y2(tau) / pair.W0, pair.y2_dot(tau) / pair.W0
+        x = sigma0 * c + sigma_dot0 * s
+        x_dot = sigma0 * c_dot + sigma_dot0 * s_dot
+        v, v_dot = root_k / sigma0 * s, root_k / sigma0 * s_dot
+        # the true angle lies within pi/2 of its half period's middle (of
+        # pi/2 when there is no half period)
+        phase = np.arctan2(v, x)
+        middle = (np.floor(tau / half) + 0.5) * math.pi
+        phase += 2.0 * math.pi * np.round((middle - phase) / (2.0 * math.pi))
+    return ts, np.column_stack((x, x_dot, v, v_dot, phase / root_k,
+                                np.zeros_like(tau)))
+
+
+def _step(model, K, sigma0, sigma_dot0, t0, t1, t_eval, rtol, atol, s,
+          polar):
+    """Rows of the polar pair (sigma, sigma', theta, F/s) or of the
+    Cartesian pair (x, x', v, v', theta, F/s) at t_eval, stepped by
+    dopri.solve; see integrate_ep."""
+    coeffs = model.coeffs
     if polar:
         def rhs(t, y):
             sigma, sigma_dot, _, _ = y
@@ -352,36 +460,11 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201, rtol=1e-10):
         last[0] = sigma
 
     try:
-        ts, ys = dopri.solve(rhs, t0, t1, y0, rtol=rtol, atol=atol,
-                             t_eval=t_eval, step_callback=guard)
+        return dopri.solve(rhs, t0, t1, y0, rtol=rtol, atol=atol,
+                           t_eval=t_eval, step_callback=guard)
     except (StepSizeUnderflow, BudgetExceeded) as exc:
         raise type(exc)(f"{model.name}: {exc}; last accepted "
                         f"sigma={float(last[0])!r}") from exc
-    if polar:
-        sigma, sigma_dot, theta, F = ys.T
-    else:
-        x, x_dot, v, v_dot, theta, F = ys.T
-        sigma = np.hypot(x, v)
-        sigma_dot = (x * x_dot + v * v_dot) / sigma
-        if K > 0.0:
-            # sqrt(K) theta is the angle of z (arg z0 = 0), as accurate as
-            # z itself; the stepped theta picks its turn.  Where theta
-            # stalls, the angle's rounding (a few ulp) must not turn it back
-            root_k = math.sqrt(K)
-            turn = np.arctan2(v, x) - root_k * theta
-            turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
-            theta = np.maximum.accumulate(theta + turn / root_k)
-    F = s * F
-    k = conserved_k(sigma, sigma_dot, models.omega2(model, ts), K) - F
-    state = ErmakovState(t=ts, sigma=sigma, sigma_dot=sigma_dot, theta=theta,
-                         k=k, F=F)
-    for name, column in vars(state).items():
-        bad = ~np.isfinite(column)
-        if bad.any():
-            raise NonFiniteResult(
-                f"{model.name}: {name} is first not finite at "
-                f"t={float(ts[bad.argmax()])!r}")
-    return state
 
 
 # ---------------------------------------------------------------------------

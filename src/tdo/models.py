@@ -56,8 +56,13 @@ class ModelDescriptor:
     All callables accept scalars or numpy arrays.  `coeffs(t)` returns
     (Omega2, dOmega2/dt) in one pass: on a float with plain float
     arithmetic, on an ndarray elementwise.  The integrator calls it once
-    per right-hand-side evaluation.  Instances are immutable; every
-    operation on them is a pure function.
+    per right-hand-side evaluation.  `constant_omega2` is Omega^2 when the
+    model declares it constant in t, and None otherwise; with it
+    `ermakov.integrate_ep` evaluates the amplitude in closed form instead
+    of stepping it.  Only the catalog's constant-Omega^2 families
+    (harmonic, kanai_caldirola) declare it; tables and the time-dependent
+    families leave it None.  Instances are immutable; every operation on
+    them is a pure function.
     """
 
     name: str
@@ -69,6 +74,7 @@ class ModelDescriptor:
     coeffs: callable
     domain: Domain
     params: dict = field(default_factory=dict)
+    constant_omega2: float = None
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,7 @@ def harmonic(m0=1.0, omega0=1.0):
         coeffs=_constant_coeffs(Omega2),
         domain=Domain(),
         params={"m0": m0, "omega0": omega0},
+        constant_omega2=float(Omega2),
     )
 
 
@@ -118,6 +125,7 @@ def kanai_caldirola(m0=1.0, omega0=1.0, gamma=1.0):
         coeffs=_constant_coeffs(Omega2),
         domain=Domain(),
         params={"m0": m0, "omega0": omega0, "gamma": gamma},
+        constant_omega2=float(Omega2),
     )
 
 
@@ -394,10 +402,11 @@ def tabulated_from_csv(path, name="tabulated"):
         try:
             m_sp = make_interp_spline(t, m, k=5)
             w_sp = make_interp_spline(t, w, k=5)
+            # knots that coincide in floats leave no derivative
+            m_dot, m_ddot, m_dddot = (m_sp.derivative(k) for k in (1, 2, 3))
+            w_dot = w_sp.derivative(1)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise ParameterError(f"tabulated times admit no spline: {exc}")
-        m_dot, m_ddot, m_dddot = (m_sp.derivative(k) for k in (1, 2, 3))
-        w_dot = w_sp.derivative(1)
         parts = (m_sp, m_dot, m_ddot, m_dddot, w_sp, w_dot)
         fine = np.linspace(t[:-1], t[1:], 8, endpoint=False)
         values = [f(fine) for f in parts]

@@ -7,7 +7,6 @@ anywhere, so repeated runs produce byte-identical reports.
 """
 
 import dataclasses
-import functools
 import math
 from time import perf_counter
 
@@ -42,7 +41,7 @@ _MODEL_WINDOWS = {
 }
 
 
-def suite_models(runs):
+def suite_models():
     checks = []
     shortcut_err = 0.0  # analytic Omega^2 shortcuts vs the generic expression
     for model in models.catalog():
@@ -99,38 +98,15 @@ def suite_models(runs):
 
 
 # ---------------------------------------------------------------------------
-# trajectories read by more than one suite
-
-class SharedRuns:
-    """Trajectories that several suites read, each integrated on first use.
-
-    `run_suite` makes one per call and hands it to every suite, so no
-    trajectory outlives a report.
-    """
-
-    @functools.cached_property
-    def harmonic_oscillating(self):
-        """{rows: state} of the harmonic oscillating branch (kconst = 2).
-
-        suite_ermakov reads 201 uniform rows on [0, 20] and the quantum
-        catalog 200.  Output times do not move the stepper's steps, so one
-        integration on the union of both grids gives each row set bit for
-        bit.
-        """
-        grids = {n: np.linspace(0.0, 20.0, n) for n in (201, 200)}
-        union = np.union1d(grids[201], grids[200])
-        s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
-        st = ermakov.integrate_ep(models.harmonic(), 0.25,
-                                  (float(s0), float(sd0)), 0.0, 20.0,
-                                  t_eval=union)
-        return {n: ermakov.ErmakovState(**{
-                    key: col[np.isin(union, grid)]
-                    for key, col in vars(st).items()})
-                for n, grid in grids.items()}
-
-
-# ---------------------------------------------------------------------------
 # ermakov
+
+def _oscillating_run(n_out):
+    """The harmonic oscillating branch (kconst = 2) on [0, 20]."""
+    s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
+    return ermakov.integrate_ep(models.harmonic(), 0.25,
+                                (float(s0), float(sd0)), 0.0, 20.0,
+                                n_out=n_out)
+
 
 def _minimal_run(model, t0, t1, n_out=201):
     """Integrated minimal branch of `model` from its exact state at t0."""
@@ -140,13 +116,15 @@ def _minimal_run(model, t0, t1, n_out=201):
                                 t0, t1, n_out=n_out)
 
 
-def suite_ermakov(runs):
+def suite_ermakov():
     checks = []
     mh = models.harmonic()
 
-    # closed form vs integration, constant branch (a branch start, so
-    # integrate_ep steps it in the polar pair); this run, the oscillating
-    # and the hyperbolic one below also give the phase checks
+    # closed form vs integration, constant branch.  Both models declare
+    # their constant Omega^2, so integrate_ep evaluates z in closed form
+    # from the initial data, a route independent of the superposition
+    # fits; this run, the oscillating and the hyperbolic one below also
+    # give the phase checks
     st_c = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0)
     err = _rel(st_c.sigma, 2.0 ** -0.5)
     checks.append(_check("harmonic constant branch vs integration (rel)",
@@ -154,7 +132,7 @@ def suite_ermakov(runs):
 
     # oscillating branch, kconst = 2
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
-    st_o = runs.harmonic_oscillating[201]
+    st_o = _oscillating_run(201)
     err = _rel(st_o.sigma, ermakov.sigma_oscillating(1.0, 2.0, 0.0, st_o.t)[0])
     checks.append(_check("harmonic oscillating branch vs integration (rel)",
                          err, 1e-6))
@@ -232,10 +210,10 @@ def suite_ermakov(runs):
 # ---------------------------------------------------------------------------
 # quantum / bogolubov
 
-def _catalog_trajectories(runs):
+def _catalog_trajectories():
     """One representative trajectory per catalog model, 200 samples each."""
     mk = models.kanai_caldirola()
-    out = [(models.harmonic(), runs.harmonic_oscillating[200], 0.0),
+    out = [(models.harmonic(), _oscillating_run(200), 0.0),
            (mk, ermakov.integrate_ep(mk, 0.25, (0.9, 0.1), 0.0, 3.0,
                                      n_out=200), 0.0)]
     for model, (t0, t1) in ((models.exp_frequency(), (0.0, 2.0)),
@@ -245,10 +223,10 @@ def _catalog_trajectories(runs):
     return out
 
 
-def suite_quantum(runs):
+def suite_quantum():
     checks = []
     norm_err = bound_gap = route_err = ident_err = balance_err = 0.0
-    for i, (model, s, t0) in enumerate(_catalog_trajectories(runs)):
+    for i, (model, s, t0) in enumerate(_catalog_trajectories()):
         ref = quantum.default_reference(model, t0)
         rep = quantum.quadratures(model, s)
         pair = quantum.bogolubov(model, s, ref)
@@ -286,7 +264,7 @@ def suite_quantum(runs):
 # ---------------------------------------------------------------------------
 # minimum
 
-def suite_minimum(runs):
+def suite_minimum():
     checks = []
     prod_err = mu_err = nu_err = vac_err = energy_err = resc_err = 0.0
     mass_res = 0.0
@@ -345,7 +323,7 @@ def suite_minimum(runs):
 # ---------------------------------------------------------------------------
 # series
 
-def suite_series(runs):
+def suite_series():
     checks = []
     s10 = series.build_series(1.0, 2.0, 1.0, 10)
     pf = series.product_form_ratios(2.0, 1.0, 10)
@@ -437,7 +415,7 @@ def suite_series(runs):
 # ---------------------------------------------------------------------------
 # bessel
 
-def suite_bessel(runs):
+def suite_bessel():
     from scipy.special import jv as scipy_jv
 
     checks = []
@@ -464,8 +442,7 @@ def suite_bessel(runs):
 
 # ---------------------------------------------------------------------------
 
-# every suite takes the call's SharedRuns and returns its rows; "all" runs
-# them in this order
+# every suite returns its rows; "all" runs them in this order
 SUITES = {
     "models": suite_models,
     "ermakov": suite_ermakov,
@@ -485,11 +462,10 @@ def run_suite(name, timings=None):
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     names = list(SUITES) if name == "all" else [name]
-    runs = SharedRuns()
     checks = []
     for suite_name in names:
         start = perf_counter() if timings is not None else 0.0
-        suite_checks = SUITES[suite_name](runs)
+        suite_checks = SUITES[suite_name]()
         if timings is not None:
             timings[suite_name] = perf_counter() - start
         if name == "all":

@@ -1,5 +1,7 @@
 """Command-line surface tests: formats, exit codes and config precedence."""
 
+import dataclasses
+import functools
 import json
 import math
 
@@ -110,6 +112,22 @@ def test_nan_initial_sigma_is_config_error(capsys):
     assert capsys.readouterr().err.startswith("config_error:")
 
 
+@pytest.fixture
+def undeclared(monkeypatch):
+    """The CLI builds harmonic and kanai_caldirola with their constant
+    Omega^2 undeclared, as a table has it, so integrate_ep steps them."""
+    def stepped(factory):
+        @functools.wraps(factory)
+        def build(**params):
+            return dataclasses.replace(factory(**params),
+                                       constant_omega2=None)
+        return build
+
+    for name in ("harmonic", "kanai_caldirola"):
+        monkeypatch.setitem(models._FACTORIES, name,
+                            stepped(models._FACTORIES[name]))
+
+
 def _count_pairs(monkeypatch):
     """Spy on dopri.solve: the state width of each integration (4 is the
     polar pair, 6 the Cartesian) and the right-hand-side calls it made."""
@@ -140,7 +158,7 @@ def _count_pairs(monkeypatch):
     (["--model", "harmonic", "--sigma0", "0.7071067811865476"], True),
 ])
 def test_default_initial_data_step_in_the_polar_pair(tmp_path, monkeypatch,
-                                                     argv, polar):
+                                                     undeclared, argv, polar):
     # a minimal or constant branch (the defaults, or the same start typed
     # out) moves slowly, so its sigma is stepped itself; any other start
     # steps x + iv
@@ -150,7 +168,45 @@ def test_default_initial_data_step_in_the_polar_pair(tmp_path, monkeypatch,
     assert [width for width, _ in seen] == [4 if polar else 6]
 
 
-def test_a_typed_branch_start_is_stepped_cheaply(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv,widths", [
+    (["--model", "harmonic"], []),
+    (["--model", "harmonic", "--sigma0", "0.8", "--K", "2"], []),
+    (["--model", "kanai_caldirola"], []),
+    (["--model", "kanai_caldirola", "--gamma", "2.2"], []),
+    (["--model", "kanai_caldirola", "--gamma", "2"], []),  # Omega^2 = 0
+    (["--model", "harmonic", "--K", "0"], [6]),
+    (["--model", "kanai_caldirola", "--K", "0"], [6]),
+    (["--model", "exp_frequency"], [4]),
+    (["--model", "exp_frequency", "--sigma0", "0.8"], [6]),
+    (["--model", "tsquared", "--t0", "1", "--t1", "2"], [4]),
+    (["--model", "tsquared", "--t0", "1", "--t1", "2", "--sigma0", "0.8"],
+     [6]),
+    (["--model", "bessel_type", "--t0", "0.1", "--t1", "0.8"], [4]),
+    (["--model", "bessel_type", "--t0", "0.1", "--t1", "0.8",
+      "--sigma0", "0.3"], [6]),
+])
+def test_the_model_and_K_pick_the_exact_route(tmp_path, monkeypatch, argv,
+                                              widths):
+    # a declared constant Omega^2 with K > 0 is evaluated in closed form,
+    # with no stepper call; K = 0 and the time-dependent models are stepped
+    # in the polar (4) or the Cartesian (6) pair
+    seen, exact = _count_pairs(monkeypatch), []
+    propagate = ermakov._propagate
+
+    def spy(*args, **kwargs):
+        exact.append(args[0].name)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(ermakov, "_propagate", spy)
+    window = [] if "--t0" in argv else ["--t0", "0", "--t1", "1"]
+    assert run(["solve", *argv, *window,
+                "--out", str(tmp_path / "x.csv")]) == 0
+    assert [width for width, _ in seen] == widths
+    assert len(exact) == (0 if widths else 1)
+
+
+def test_a_typed_branch_start_is_stepped_cheaply(tmp_path, monkeypatch,
+                                                 undeclared):
     # the constant branch typed as --sigma0 takes the polar pair by itself:
     # over 40 periods it needs under a quarter of the Cartesian pair's calls
     argv = ["solve", "--model", "harmonic", "--sigma0", "0.7071067811865476",
@@ -165,19 +221,33 @@ def test_a_typed_branch_start_is_stepped_cheaply(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,line", [
-    (["--sigma0", "1e200"],
-     "StepSizeUnderflow: harmonic: no usable first step in dopri.solve at "
-     "t=0.0: the slope gives h=nan; last accepted sigma=1e+200"),
-    (["--K", "1e300"],
-     "StepSizeUnderflow: harmonic: step size underflow in dopri.solve at "
-     "t=0.0, h=2.4892061111444567e-62; last accepted "
-     "sigma=1.0000000000000001e+75"),
+    pytest.param(["--model", "harmonic", "--sigma0", "1e200"],
+                 "NonFiniteResult: harmonic: k is first not finite at t=0.0",
+                 id="harmonic-k0-overflows"),
+    pytest.param(["--model", "exp_frequency", "--sigma0", "1e200"],
+                 "NonFiniteResult: exp_frequency: k is first not finite at "
+                 "t=0.0", id="exp_frequency-k0-overflows"),
+    pytest.param(["--model", "exp_frequency", "--K", "1e300",
+                  "--sigma0", "1e75"],
+                 "StepSizeUnderflow: exp_frequency: step size underflow in "
+                 "dopri.solve at t=0.0, h=1.131370849898476e-77; last "
+                 "accepted sigma=1e+75", id="stepper-finds-no-step"),
 ])
 def test_huge_amplitudes_fail_as_solver_errors(capsys, argv, line):
-    # K/sigma0^4 overflows or underflows in the branch test without raising
-    assert run(["solve", "--model", "harmonic", "--t0", "0", "--t1", "1",
-                *argv]) == 3
+    # K/sigma0^4 overflows or underflows in the branch test without raising;
+    # a start whose balance k0 leaves the float range fails before any route
+    assert run(["solve", "--t0", "0", "--t1", "1", *argv]) == 3
     assert capsys.readouterr().err == line + "\n"
+
+
+def test_a_huge_K_on_a_constant_omega2_is_solved_exactly(tmp_path):
+    # the default start scales to the constant branch sigma = 1e75, which
+    # the closed form keeps where the stepper finds no step
+    out = tmp_path / "x.csv"
+    assert run(["solve", "--model", "harmonic", "--t0", "0", "--t1", "1",
+                "--K", "1e300", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert np.max(np.abs(rows[:, 1] / 1e75 - 1.0)) <= 1e-15
 
 
 _UNC = ["uncertainty", "--model", "harmonic"]
@@ -365,6 +435,11 @@ def test_step_size_underflow_is_solver_error(tmp_path, capsys):
                                "--t1", "5"],
                  "SingularityApproached", ["t=1.5708"],
                  id="K-zero-sigma-reaches-zero"),
+    # Omega^2 = 1 - 2500: cosh(L t) overflows near t = 14.2
+    pytest.param(["solve", "--model", "kanai_caldirola", "--gamma", "100",
+                  "--t0", "0", "--t1", "100"],
+                 "NonFiniteResult", ["kanai_caldirola", "sigma", "t=14.5"],
+                 id="closed-form-leaves-float-range"),
 ])
 def test_solver_errors_exit_3_with_one_line(tmp_path, capsys, argv, kind,
                                             fragments):
@@ -375,9 +450,11 @@ def test_solver_errors_exit_3_with_one_line(tmp_path, capsys, argv, kind,
 
 
 def test_step_budget_is_solver_error(tmp_path, capsys, monkeypatch):
+    # a frequency that barely decays keeps the stepper turning z for 1e9
     from tdo import dopri
     monkeypatch.setattr(dopri, "MAX_STEPS", 1000)
-    code = run(["solve", "--model", "harmonic", "--t0", "0", "--t1", "1e9",
+    code = run(["solve", "--model", "exp_frequency", "--gamma0", "1e-12",
+                "--sigma0", "1", "--t0", "0", "--t1", "1e9",
                 "--dt-out", "1e8", "--out", str(tmp_path / "x.csv")])
     assert code == 3
     err, = capsys.readouterr().err.splitlines()
@@ -430,7 +507,7 @@ def test_verify_unknown_suite(capsys):
 def test_verify_failing_check_exits_nonzero(capsys, monkeypatch):
     from tdo import verify
     bad = [{"name": "synthetic", "pass": False, "max_err": 1.0, "tol": 0.0}]
-    monkeypatch.setitem(verify.SUITES, "synthetic", lambda runs: bad)
+    monkeypatch.setitem(verify.SUITES, "synthetic", lambda: bad)
     assert run(["verify", "--suite", "synthetic"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["pass"] is False

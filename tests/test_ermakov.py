@@ -24,6 +24,12 @@ from tdo.errors import (BudgetExceeded, ConstraintViolation, NonRealSigma,
 SQ2 = 2.0 ** -0.5
 
 
+def stepped(model):
+    """model with its constant Omega^2 undeclared, as a table has it, so
+    integrate_ep steps it instead of evaluating it in closed form."""
+    return dataclasses.replace(model, constant_omega2=None)
+
+
 @pytest.fixture
 def force_pair(monkeypatch):
     """force(polar): integrate_ep steps the polar pair, or the Cartesian."""
@@ -137,14 +143,16 @@ def test_stalled_phase_stays_nondecreasing_between_steps(omega0):
     # gamma = 2.2 omega0: sigma grows like cosh, so theta' = 1/sigma^2 dies
     # out and theta stalls at the rounding level; one row per bare period
     # falls inside long steps and is read from the continuous extension
+    # (stepped), or is evaluated in closed form
     m = models.kanai_caldirola(omega0=omega0, gamma=2.2 * omega0)
     w2 = 0.21 * omega0 ** 2
     s_c = (0.25 / w2) ** 0.25
     init = (1.3 * s_c, 0.05 * s_c * math.sqrt(w2))
     period = 2.0 * math.pi / omega0
-    states = ermakov.integrate_ep(m, 0.25, init, 0.0, 30 * period,
-                                  t_eval=period * np.arange(31))
-    assert np.all(np.diff(states.theta) >= 0.0)
+    for model in (stepped(m), m):
+        states = ermakov.integrate_ep(model, 0.25, init, 0.0, 30 * period,
+                                      t_eval=period * np.arange(31))
+        assert np.all(np.diff(states.theta) >= 0.0)
 
 
 def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch,
@@ -166,8 +174,8 @@ def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch,
     with pytest.raises(BudgetExceeded,
                        match=r"^harmonic: .*t=.*h=.*103 step attempts; "
                              r"last accepted sigma=0\.9"):
-        ermakov.integrate_ep(models.harmonic(), 0.25, (1.0, 0.0), 0.0,
-                             1000.0, n_out=3)
+        ermakov.integrate_ep(stepped(models.harmonic()), 0.25, (1.0, 0.0),
+                             0.0, 1000.0, n_out=3)
 
 
 # a window inside each catalog model's domain
@@ -177,14 +185,14 @@ WINDOWS = {"tsquared": (1.0, 3.0), "bessel_type": (0.1, 0.8)}
 @pytest.mark.parametrize("model", models.catalog(), ids=lambda m: m.name)
 def test_complex_solution_keeps_its_wronskian(model, monkeypatch):
     # sigma = |x + iv| solves the auxiliary equation while x v' - x' v
-    # stays sqrt(K)
-    solve, solved = dopri.solve, []
+    # stays sqrt(K), stepped or in closed form (same row layout)
+    solved = []
+    for owner, name in ((dopri, "solve"), (ermakov, "_propagate")):
+        def spy(*args, _route=getattr(owner, name), **kwargs):
+            solved.append(_route(*args, **kwargs))
+            return solved[-1]
 
-    def spy(*args, **kwargs):
-        solved.append(solve(*args, **kwargs))
-        return solved[-1]
-
-    monkeypatch.setattr(dopri, "solve", spy)
+        monkeypatch.setattr(owner, name, spy)
     ermakov.integrate_ep(model, 0.25, (0.9, 0.1),
                          *WINDOWS.get(model.name, (0.0, 5.0)), n_out=50)
     (_, ys), = solved
@@ -198,7 +206,7 @@ def test_polar_and_cartesian_pairs_agree(model, force_pair):
     # equation and as (x, v) under the linear one
     def run(polar):
         force_pair(polar)
-        return ermakov.integrate_ep(model, 0.25, (0.9, 0.1),
+        return ermakov.integrate_ep(stepped(model), 0.25, (0.9, 0.1),
                                     *WINDOWS.get(model.name, (0.0, 5.0)),
                                     n_out=50)
 
@@ -213,7 +221,7 @@ def test_polar_and_cartesian_pairs_agree(model, force_pair):
 def test_polar_pair_steps_a_branch_in_few_calls(force_pair):
     # on the constant branch sigma stands still while z turns once per
     # period: over 40 periods the polar pair needs a fraction of the calls
-    m = models.harmonic()
+    m = stepped(models.harmonic())
     calls = []
     for polar in (False, True):
         force_pair(polar)
@@ -240,6 +248,101 @@ def test_the_default_starts_lie_on_a_branch(model):
     assert not ermakov._on_a_branch(model, 0.25, sigma0 * (1.0 + 1e-6),
                                     sigma_dot0, t0)
     assert not ermakov._on_a_branch(model, 0.0, sigma0, sigma_dot0, t0)
+
+
+# --- closed form for a declared constant Omega^2 ----------------------------
+
+# (model, init): Omega^2 = 1.69, 0.75, -0.16 and 0 (gamma = 2 omega0)
+EXACT_CASES = [
+    (models.harmonic(omega0=1.3), (0.9, 0.1)),
+    (models.kanai_caldirola(omega0=1.0, gamma=1.0), (0.8, -0.1)),
+    (models.kanai_caldirola(omega0=0.3, gamma=1.0), (1.0, 0.05)),
+    (models.kanai_caldirola(omega0=0.5, gamma=1.0), (1.0, 0.05)),
+]
+
+
+def _exact_rows(omega2):
+    """Rows one period apart over 40 periods and on half-period multiples
+    over 10 periods; 41 rows on [0, 5] where Omega^2 <= 0."""
+    if omega2 <= 0.0:
+        return [np.linspace(0.0, 5.0, 41)]
+    period = 2.0 * math.pi / math.sqrt(omega2)
+    return [period * np.arange(41), 0.5 * period * np.arange(21)]
+
+
+@pytest.mark.parametrize("model,init", EXACT_CASES,
+                         ids=["harmonic", "kc-oscillating", "kc-hyperbolic",
+                              "kc-free"])
+def test_closed_form_matches_the_stepper(model, init):
+    for t_eval in _exact_rows(model.constant_omega2):
+        args = (0.25, init, 0.0, float(t_eval[-1]))
+        got = ermakov.integrate_ep(model, *args, t_eval=t_eval)
+        ref = ermakov.integrate_ep(stepped(model), *args, t_eval=t_eval,
+                                   rtol=1e-12)
+        assert np.array_equal(got.t, ref.t)
+        assert np.max(np.abs(got.sigma / ref.sigma - 1.0)) <= 1e-9
+        assert np.max(np.abs(got.sigma_dot - ref.sigma_dot)) \
+            <= 1e-9 * np.max(np.abs(ref.sigma_dot))
+        assert got.theta[0] == ref.theta[0] == 0.0
+        assert np.max(np.abs(got.theta[1:] / ref.theta[1:] - 1.0)) <= 1e-9
+        assert np.max(np.abs(got.k - ref.k)) <= 1e-9 * np.max(np.abs(ref.k))
+        assert np.all(got.F == 0.0)
+        assert np.all(np.diff(got.theta) > 0.0)
+
+
+def _kanai_caldirola_with(omega2):
+    """kanai_caldirola whose Omega^2 = omega0^2 - gamma^2/4 is omega2."""
+    omega0 = math.sqrt(max(omega2, 0.0) + 1.0)
+    return models.kanai_caldirola(
+        omega0=omega0, gamma=2.0 * math.sqrt(omega0 * omega0 - omega2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega2=st.one_of(st.just(0.0), st.floats(-1.0, 25.0)),
+       sigma0=st.floats(0.2, 5.0), sigma_dot0=st.floats(-2.0, 2.0),
+       K=st.floats(0.01, 4.0), t0=st.floats(-5.0, 5.0),
+       span=st.floats(0.0, 3.0))
+def test_closed_form_keeps_its_invariants(omega2, sigma0, sigma_dot0, K, t0,
+                                          span):
+    # the Wronskian x v' - x' v of every row is sqrt(K), theta never
+    # decreases and, for Omega^2 > 0, k keeps its initial value
+    model = _kanai_caldirola_with(omega2)
+    t_eval = np.linspace(t0, t0 + span, 30)
+    ts, ys = ermakov._propagate(model, K, sigma0, sigma_dot0, t0, t0 + span,
+                                t_eval)
+    x, x_dot, v, v_dot, _, F = ys.T
+    root_k = math.sqrt(K)
+    assert np.max(np.abs(x * v_dot - x_dot * v - root_k)) <= 1e-12 * root_k
+    assert np.all(F == 0.0)
+    st_ = ermakov.integrate_ep(model, K, (sigma0, sigma_dot0), t0, t0 + span,
+                               t_eval=t_eval)
+    assert np.array_equal(st_.t, ts)
+    assert np.all(np.diff(st_.theta) >= 0.0)
+    if model.constant_omega2 > 0.0:
+        k0 = ermakov.conserved_k(sigma0, sigma_dot0, model.constant_omega2, K)
+        assert np.max(np.abs(st_.k - k0)) <= 1e-10 * abs(k0)
+
+
+def test_closed_form_checks_its_times():
+    # the same checks as the stepper's, and a half period the float times
+    # at |t| ~ 1e6 cannot resolve (1e-14 * 1e6 = 1e-8 > pi / 1e9)
+    m = models.harmonic()
+    with pytest.raises(ParameterError):
+        ermakov.integrate_ep(m, 0.25, (1.0, 0.0), 0.0, 1.0, t_eval=[0.0, 2.0])
+    with pytest.raises(ParameterError):
+        ermakov.integrate_ep(m, 0.25, (1.0, 0.0), 0.0, 1.0,
+                             t_eval=[0.5, 0.25])
+    with pytest.raises(ParameterError):
+        ermakov.integrate_ep(m, 0.25, (1.0, 0.0), 1.0, 0.0)
+    states = ermakov.integrate_ep(m, 0.25, (1.0, 0.0), 0.0, 1.0,
+                                  t_eval=[0.0, 1.0 + 5e-13])
+    assert states.sigma[1] == ermakov.integrate_ep(
+        m, 0.25, (1.0, 0.0), 0.0, 1.0, t_eval=[0.0, 1.0]).sigma[1]
+    fast = models.harmonic(omega0=1e9)
+    ermakov.integrate_ep(fast, 0.25, (1.0, 0.0), 0.0, 1.0, n_out=3)
+    with pytest.raises(StepSizeUnderflow, match=r"^harmonic: no usable "
+                                                r"first step at t=1000000\.0"):
+        ermakov.integrate_ep(fast, 0.25, (1.0, 0.0), 1e6, 1e6 + 1.0, n_out=3)
 
 
 def test_sigma_floor_trips():
@@ -305,8 +408,8 @@ def test_integrated_phase_matches_the_closed_form(polar, force_pair):
     # the oscillating branch over three periods, at every row
     force_pair(polar)
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
-    st = ermakov.integrate_ep(models.harmonic(), 0.25, (float(s0), float(sd0)),
-                              0.0, 20.0, n_out=41)
+    st = ermakov.integrate_ep(stepped(models.harmonic()), 0.25,
+                              (float(s0), float(sd0)), 0.0, 20.0, n_out=41)
     ref = [ermakov.phase_closed_form(
         "harmonic_oscillating", {"omega0": 1.0, "kconst": 2.0, "c1": 0.0},
         0.0, float(t)) for t in st.t]

@@ -200,17 +200,19 @@ def _samples(states):
 def test_scalar_and_column_paths_agree(name, monkeypatch):
     model = models.get_model(name)
     t0, t1 = CATALOG_WINDOWS[name]
-    solve, solved = dopri.solve, []
+    solved = []
+    # stepped, or in closed form for a declared constant Omega^2: both
+    # give the rows in the same layout
+    for owner, fname in ((dopri, "solve"), (ermakov, "_propagate")):
+        def spy(*args, _route=getattr(owner, fname), **kwargs):
+            solved.append(_route(*args, **kwargs))
+            return solved[-1]
 
-    def spy(*args, **kwargs):
-        solved.append(solve(*args, **kwargs))
-        return solved[-1]
-
-    monkeypatch.setattr(dopri, "solve", spy)
+        monkeypatch.setattr(owner, fname, spy)
     traj = ermakov.integrate_ep(model, 0.25, (0.9, 0.1), t0, t1, n_out=50)
     (ts, ys), = solved
     assert np.array_equal(traj.t, ts)
-    # the stepper's state is (x, x', v, v', theta, F/s) with sigma =
+    # the rows' state is (x, x', v, v', theta, F/s) with sigma =
     # |x + iv|, theta = arg(x + iv) / sqrt(K) on the stepped theta's turn
     # and s = max(1, rtol |k0| / atol)
     x, x_dot, v, v_dot, theta, F = ys.T
