@@ -38,7 +38,8 @@ class StepSizeUnderflow(TdoError):
 
 
 class BudgetExceeded(TdoError):
-    """The stepper used up its step-attempt budget before reaching t1."""
+    """An adaptive method used up its budget: the stepper its step attempts
+    before t1, or the minimal-branch phase rule its panels on an interval."""
 
 
 class NonFiniteResult(TdoError):

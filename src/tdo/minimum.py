@@ -7,19 +7,54 @@ the phase reduces to 2*integral(omega).  The checker estimates c from the
 median of m*omega over a sampling window so endpoint noise in tabulated
 data cannot skew it.  A minimal-branch trajectory is one `ErmakovState` of
 columns, built by the same state formula as a single sample.
+
+On the branch the phase theta = 2*integral(omega) and the balance term
+F = c^2*integral(m dOmega^2/dt) are integrals of the coefficients alone.
+Both come from one composite 16-point Gauss-Legendre rule, evaluated for
+all grid intervals (up to 128 at a time) in one array call per refinement
+level.  A panel is accepted when its rule and the sum of its two halves'
+agree within max(1e-13, 1e-13 |I|) for both integrands; otherwise its
+halves are the next level's panels.  A non-finite integrand raises
+NonFiniteResult, and an interval still open after PANEL_LIMIT panels
+raises BudgetExceeded; both name the model and the interval.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+# unused here: bench/tracing.py wraps minimum.quad by name
+from scipy.integrate import quad  # noqa: F401
 
 from . import models
 from .ermakov import DEFAULT_K, ErmakovState, conserved_k
-from .errors import CriterionViolated, DomainError
+from .errors import (BudgetExceeded, CriterionViolated, DomainError,
+                     NonFiniteResult)
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 CRITERION_TOL = 1e-8  # largest relative spread of m*omega that passes
+PANEL_LIMIT = 200  # Gauss-Legendre panels per grid interval
+_BLOCK = 128  # grid intervals refined together
+_TOL = 1e-13  # absolute and relative agreement of a panel with its halves
+
+# the positive half of numpy.polynomial.legendre.leggauss(16), which is
+# symmetric; a table, since leggauss's eigensolver would load LAPACK (and
+# its memory) into every process that imports the package
+_POSITIVE = np.array([
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+])
+_X = np.concatenate([-_POSITIVE[::-1, 0], _POSITIVE[:, 0]])
+_W = np.concatenate([_POSITIVE[::-1, 1], _POSITIVE[:, 1]])
+# (nodes, weights) of the rule's two halves of [-1, 1], one row each; a
+# panel's first level also evaluates the whole rule
+_HALVES = (np.stack([0.5 * (_X - 1.0), 0.5 * (_X + 1.0)]),
+           np.stack([0.5 * _W, 0.5 * _W]))
+_FIRST = (np.vstack([_X, _HALVES[0]]), np.vstack([_W, _HALVES[1]]))
 
 
 @dataclass(frozen=True)
@@ -81,14 +116,72 @@ def minimum_model(model, t0=None, t1=None):
     return MinUncertaintyModel(base=model, c=report.c)
 
 
-def _theta_and_F(mmodel, t0, t):
+def _panel_sums(mmodel, lo, hi, nodes, weights):
+    """Gauss-Legendre sums of 2 omega and c^2 m dOmega^2/dt on each panel
+    [lo, hi], one per row of `nodes` (reference nodes on [-1, 1]) and
+    `weights`; shape (2, panels, rows)."""
     base, c = mmodel.base, mmodel.c
-    if t == t0:
-        return 0.0, 0.0
-    theta, _ = quad(lambda s: 2.0 * float(base.omega(s)), t0, t, **_QUAD_OPTS)
-    F, _ = quad(lambda s: float(models.omega2_dot(base, s))
-                * c * c * float(base.m(s)), t0, t, **_QUAD_OPTS)
-    return theta, F
+    half = 0.5 * (hi - lo)
+    s = (0.5 * (lo + hi) + half * nodes.reshape(-1, 1)).T.ravel()
+    with np.errstate(all="ignore"):
+        f = np.stack([2.0 * base.omega(s),
+                      c * c * base.m(s) * models.omega2_dot(base, s)])
+        f = f.reshape(2, lo.size, *nodes.shape)
+        return half[:, None] * (f * weights).sum(axis=-1)
+
+
+def _theta_and_F(mmodel, a, b):
+    """theta = 2 int omega and F = c^2 int m dOmega^2/dt over each [a_i, b_i].
+
+    The intervals go through `_refine` _BLOCK at a time, so a grid of any
+    length holds at most _BLOCK * PANEL_LIMIT panels.  Returns the (theta,
+    F) columns.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    blocks = [_refine(mmodel, a[i:i + _BLOCK], b[i:i + _BLOCK])
+              for i in range(0, a.size, _BLOCK)]
+    return np.concatenate([np.zeros((2, 0)), *blocks], axis=1)
+
+
+def _refine(mmodel, a, b):
+    """(theta, F) rows over the intervals [a_i, b_i], each starting as one
+    panel.  Each level evaluates the open panels' halves in one array call
+    (the first level also the panels' own rule), accepts the panels whose
+    rule matches the sum of their halves, and splits the others."""
+    n = a.size
+    owner, lo, hi = np.arange(n), a, b
+    panels = np.ones(n, dtype=int)
+    total = np.zeros((2, n))
+    whole = None
+    while owner.size:
+        sums = _panel_sums(mmodel, lo, hi,
+                           *(_FIRST if whole is None else _HALVES))
+        bad = ~np.isfinite(sums).all(axis=(0, 2))
+        if bad.any():
+            i = owner[bad.argmax()]
+            raise NonFiniteResult(
+                f"{mmodel.base.name}: theta or F integrand is not finite on "
+                f"[{float(a[i])!r}, {float(b[i])!r}]")
+        if whole is None:
+            whole, sums = sums[:, :, 0], sums[:, :, 1:]
+        fine = sums.sum(axis=-1)
+        ok = (np.abs(whole - fine)
+              <= np.maximum(_TOL, _TOL * np.abs(fine))).all(axis=0)
+        np.add.at(total.T, owner[ok], fine[:, ok].T)
+        owner, lo, hi, sums = owner[~ok], lo[~ok], hi[~ok], sums[:, ~ok]
+        panels += np.bincount(owner, minlength=n)
+        if panels.max() > PANEL_LIMIT:
+            i = panels.argmax()
+            raise BudgetExceeded(
+                f"{mmodel.base.name}: theta and F on "
+                f"[{float(a[i])!r}, {float(b[i])!r}] not converged within "
+                f"{PANEL_LIMIT} panels")
+        mid = 0.5 * (lo + hi)
+        owner = np.concatenate([owner, owner])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        whole = np.concatenate([sums[:, :, 0], sums[:, :, 1]], axis=1)
+    return total
 
 
 def minimal_amplitude(model, c, t):
@@ -115,18 +208,16 @@ def sigma_minimum(mmodel, t, t0):
     """Exact minimal-branch sample: sigma = c sqrt(m), phase from t0."""
     mmodel.base.domain.require(t)
     mmodel.base.domain.require(t0)
-    theta, F = _theta_and_F(mmodel, t0, t)
-    return _minimal_state(mmodel, float(t), theta, F)
+    (theta,), (F,) = _theta_and_F(mmodel, t0, t)
+    return _minimal_state(mmodel, float(t), float(theta), float(F))
 
 
 def sigma_minimum_trajectory(mmodel, t_grid):
     """Minimal-branch columns on a grid, phase accumulated from t_grid[0]."""
     t_grid = np.asarray(t_grid, dtype=float)
     mmodel.base.domain.require(t_grid)
-    ts = t_grid.tolist()
-    steps = [(0.0, 0.0)] + [_theta_and_F(mmodel, a, b)
-                            for a, b in zip(ts, ts[1:])]
-    theta, F = np.cumsum(steps, axis=0).T
+    theta, F = (np.concatenate([[0.0], np.cumsum(step)])
+                for step in _theta_and_F(mmodel, t_grid[:-1], t_grid[1:]))
     return _minimal_state(mmodel, t_grid, theta, F)
 
 
