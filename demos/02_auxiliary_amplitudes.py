@@ -5,7 +5,9 @@ the reduced linear equation (square root of a quadratic form), and direct
 adaptive integration.  The phase theta = integral dt/sigma^2 accumulates as
 an extra state component of the same stepper.  `integrate_ep` returns the
 trajectory as one `ErmakovState` whose fields are columns over the output
-times.
+times.  Each branch's closed-form phase is a plain function of that
+branch's constants and the window (t0, t1): `phase_oscillating` and
+`phase_hyperbolic`.
 """
 
 import math
@@ -39,9 +41,7 @@ print(f"closed form vs integration: max |diff| = {worst:.2e}")
 kdrift = np.max(np.abs(states.k - kconst))
 print(f"first-integral drift: {kdrift:.2e}")
 
-th = ermakov.phase_closed_form(
-    "harmonic_oscillating", {"omega0": 1.0, "kconst": kconst, "c1": 0.0},
-    0.0, 20.0)
+th = ermakov.phase_oscillating(1.0, kconst, 0.0, 0.0, 20.0)
 print(f"branch-corrected arctan phase: {th:.10f}  "
       f"(integrated: {states.theta[-1]:.10f})")
 
@@ -57,7 +57,8 @@ worst = np.max(np.abs(states.sigma - closed))
 print(f"cosh-form closed branch vs integration: max |diff| = {worst:.2e}")
 print(f"sigma grows to {states.sigma[-1]:.4f} by t=3 "
       "(tanh-arctan phase stays bounded):")
-print(f"theta(3) = {states.theta[-1]:.10f}")
+print(f"theta(3) = {states.theta[-1]:.10f}   (closed form: "
+      f"{ermakov.phase_hyperbolic(L, c1, c2, 0.0, 3.0):.10f})")
 
 # --- superposition constants are constrained --------------------------------
 

@@ -6,7 +6,8 @@ and the coefficients obey |mu|^2 - |nu|^2 = 1 identically.  On the damped
 model the product oscillates above hbar/2; the gap report at the end shows
 how far the oscillating branch strays from saturation as a function of its
 first-integral constant.  Every quantum function takes the whole trajectory
-(an `ErmakovState` of columns) and returns columns.
+(an `ErmakovState` of columns) and returns columns; `integrate_ep` writes
+its rows at the times passed as `t_eval`.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ import numpy as np
 from tdo import ermakov, models, quantum
 
 m = models.kanai_caldirola(omega0=1.0, gamma=1.0)
-states = ermakov.integrate_ep(m, 0.25, (0.9, 0.1), 0.0, 6.0, n_out=13)
+states = ermakov.integrate_ep(m, 0.25, (0.9, 0.1), 0.0, 6.0,
+                              t_eval=np.linspace(0.0, 6.0, 13))
 ref = quantum.default_reference(m, 0.0)
 
 print("damped oscillator, generic amplitude data:")

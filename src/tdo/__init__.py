@@ -16,13 +16,13 @@ from .errors import (BudgetExceeded, ConstraintViolation, ConvergenceWarning,
                      CriterionViolated, DomainError, NonFiniteResult,
                      NonPositiveAlpha, NonRealSigma, ParameterError,
                      SingularityApproached, StepSizeUnderflow, TdoError,
-                     UnitsError, UnknownCase)
+                     UnitsError)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "bessel", "ermakov", "minimum", "models", "quantum", "series", "verify",
-    "TdoError", "DomainError", "ParameterError", "UnitsError", "UnknownCase",
+    "TdoError", "DomainError", "ParameterError", "UnitsError",
     "NonRealSigma", "ConstraintViolation", "SingularityApproached",
     "StepSizeUnderflow", "BudgetExceeded", "NonFiniteResult",
     "CriterionViolated", "NonPositiveAlpha", "ConvergenceWarning",

@@ -370,7 +370,7 @@ def output_times(t0, t1, t_eval):
     return t_eval
 
 
-def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
+def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None,
           step_callback=None):
     """Integrate y' = f(t, y) forward from t0 to t1 with DOP853.
 
@@ -396,8 +396,8 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
     outside [t0, t1] or decreasing or an f value of the wrong size,
     StepSizeUnderflow when the step falls below the resolution of the time
     axis and BudgetExceeded after len(t_eval) + MAX_STEPS step attempts.
-    A step that would leave t1 a residual below that resolution is
-    stretched to land on t1.
+    The step sizes come from the controller alone, uncapped; a step that
+    would leave t1 a residual below that resolution is stretched onto t1.
     """
     t0 = float(t0)
     t1 = float(t1)
@@ -417,13 +417,12 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None, max_step=np.inf,
         return _table(t_out, out_y, y)
 
     k1 = _floats(f(t, y), n)
-    h = min(_initial_step(f, t, y_arr, k1, t1, rtol, atol), max_step)
+    h = _initial_step(f, t, y_arr, k1, t1, rtol, atol)
     rejected = False
     budget = n_out + MAX_STEPS
     attempts = 0
 
     while t < t1:
-        h = min(h, max_step)
         h_try = min(h, t1 - t)
         floor = 1e-14 * max(1.0, abs(t))
         if t1 - t - h_try < floor:

@@ -14,7 +14,10 @@ stepped routes the phase theta = integral dt/sigma^2 and the balance
 functional F = integral d(Omega^2)/dt * sigma^2 dt ride along as extra
 state components of the same stepper, so every quadrature shares the
 trajectory's error control.  A trajectory is one `ErmakovState` whose
-fields are equal-length columns, one entry per output time.
+fields are equal-length columns, one entry per output time.  The
+closed-form phases of the oscillating and hyperbolic branches,
+`phase_oscillating` and `phase_hyperbolic`, take the branch's constants
+and the window (t0, t1); the constant branch's is 2 omega0 (t1 - t0).
 """
 
 import math
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dopri, models
-from .errors import (BudgetExceeded, ConstraintViolation, DomainError,
-                     NonFiniteResult, NonRealSigma, ParameterError,
-                     SingularityApproached, StepSizeUnderflow, UnknownCase)
+from .errors import (BudgetExceeded, ConstraintViolation, NonFiniteResult,
+                     NonRealSigma, ParameterError, SingularityApproached,
+                     StepSizeUnderflow)
 
 DEFAULT_K = 0.25
 SIGMA_FLOOR = 1e-8
@@ -82,23 +85,21 @@ class ErmakovState:
     F: np.ndarray
 
 
-def harmonic_basis(omega0, q0=1.0):
+def harmonic_basis(omega0):
     """cos/sin basis of the constant-frequency reduced equation."""
-    if omega0 <= 0.0:
-        raise ParameterError("omega0 must be positive")
+    models._require_positive(omega0=omega0)
     return BasisPair(
-        y1=lambda t: q0 * np.cos(omega0 * np.asarray(t, dtype=float)),
-        y1_dot=lambda t: -q0 * omega0 * np.sin(omega0 * np.asarray(t, dtype=float)),
-        y2=lambda t: q0 * np.sin(omega0 * np.asarray(t, dtype=float)),
-        y2_dot=lambda t: q0 * omega0 * np.cos(omega0 * np.asarray(t, dtype=float)),
-        W0=q0 * q0 * omega0,
+        y1=lambda t: np.cos(omega0 * np.asarray(t, dtype=float)),
+        y1_dot=lambda t: -omega0 * np.sin(omega0 * np.asarray(t, dtype=float)),
+        y2=lambda t: np.sin(omega0 * np.asarray(t, dtype=float)),
+        y2_dot=lambda t: omega0 * np.cos(omega0 * np.asarray(t, dtype=float)),
+        W0=omega0,
     )
 
 
 def hyperbolic_basis(L):
     """cosh/sinh basis for a constant negative effective squared frequency."""
-    if L <= 0.0:
-        raise ParameterError("L must be positive")
+    models._require_positive(L=L)
     return BasisPair(
         y1=lambda t: np.cosh(L * np.asarray(t, dtype=float)),
         y1_dot=lambda t: L * np.sinh(L * np.asarray(t, dtype=float)),
@@ -148,24 +149,33 @@ def pinney_residual(pair, comb, omega2_fn, t):
 
 
 # ---------------------------------------------------------------------------
-# constant-frequency closed-form branches and their fits
+# constant-frequency closed-form branches, their fits and phases
 
-def constant_combination(omega0, K=DEFAULT_K, q0=1.0):
-    """Constants giving the time-independent amplitude sigma = (K)^(1/4)/sqrt(omega0)."""
-    A = math.sqrt(K) / (omega0 * q0 * q0)
-    return PinneyCombination(A=A, B=A, C=0.0, K=K)
+def constant_combination(omega0):
+    """Constants giving the time-independent amplitude sigma = K^(1/4)/sqrt(omega0)."""
+    models._require_positive(omega0=omega0)
+    A = math.sqrt(DEFAULT_K) / omega0
+    return PinneyCombination(A=A, B=A, C=0.0, K=DEFAULT_K)
 
 
-def oscillating_combination(omega0, kconst, c1, q0=1.0):
+def _oscillating_S(omega0, kconst):
+    """sqrt(kconst^2 - omega0^2) of the oscillating branch, which requires
+    omega0 > 0 and kconst >= omega0."""
+    models._require_positive(omega0=omega0)
+    if not kconst >= omega0:
+        raise ParameterError(f"oscillating branch requires kconst >= omega0, "
+                             f"got kconst={kconst!r}, omega0={omega0!r}")
+    return math.sqrt(kconst ** 2 - omega0 ** 2)
+
+
+def oscillating_combination(omega0, kconst, c1):
     """Constants reproducing the oscillating branch (K = 1/4) at all times.
 
     sigma^2 = [k - sqrt(k^2 - omega0^2) cos(2 c1 + 2 omega0 t)]/(2 omega0^2);
-    requires kconst >= omega0.
+    requires kconst >= omega0 > 0.
     """
-    if kconst < omega0:
-        raise ParameterError("oscillating branch requires kconst >= omega0")
-    S = math.sqrt(kconst ** 2 - omega0 ** 2)
-    den = 2.0 * omega0 ** 2 * q0 * q0
+    S = _oscillating_S(omega0, kconst)
+    den = models._divisor("2 omega0^2", 2.0 * omega0 ** 2)
     return PinneyCombination(
         A=(kconst - S * math.cos(2.0 * c1)) / den,
         B=(kconst + S * math.cos(2.0 * c1)) / den,
@@ -176,7 +186,7 @@ def oscillating_combination(omega0, kconst, c1, q0=1.0):
 
 def sigma_oscillating(omega0, kconst, c1, t):
     """Oscillating constant-frequency branch: (sigma, sigma') at t."""
-    S = math.sqrt(kconst ** 2 - omega0 ** 2)
+    S = _oscillating_S(omega0, kconst)
     phi = 2.0 * c1 + 2.0 * omega0 * np.asarray(t, dtype=float)
     u = (kconst - S * np.cos(phi)) / (2.0 * omega0 ** 2)
     sigma = np.sqrt(u)
@@ -186,8 +196,7 @@ def sigma_oscillating(omega0, kconst, c1, t):
 
 def fit_oscillating(omega0, sigma0, sigma_dot0, t0):
     """(kconst, c1) of the oscillating branch through (sigma0, sigma0') at t0."""
-    if sigma0 <= 0.0:
-        raise ParameterError("sigma0 must be positive")
+    models._require_positive(sigma0=sigma0)
     u0 = sigma0 * sigma0
     kconst = sigma_dot0 ** 2 + omega0 ** 2 * u0 + 1.0 / (4.0 * u0)
     S = math.sqrt(max(kconst ** 2 - omega0 ** 2, 0.0))
@@ -199,13 +208,36 @@ def fit_oscillating(omega0, sigma0, sigma_dot0, t0):
     return kconst, 0.5 * (phi0 - 2.0 * omega0 * t0)
 
 
+def phase_oscillating(omega0, kconst, c1, t0, t1):
+    """Phase theta(t1) - theta(t0) = integral dt/sigma^2 on the oscillating
+    branch: 2 arctan(gain tan(c1 + omega0 t)) with gain = (kconst +
+    sqrt(kconst^2 - omega0^2))/omega0, on its continuous, nondecreasing
+    branch."""
+    gain = (kconst + _oscillating_S(omega0, kconst)) / omega0
+
+    def th(t):
+        # arctan(gain tan(psi)) continued by pi across each pole of tan
+        psi = np.asarray(c1 + omega0 * t, dtype=float)
+        n = np.floor((psi + 0.5 * math.pi) / math.pi)
+        out = np.arctan(gain * np.tan(psi - n * math.pi)) + n * math.pi
+        return 2.0 * (float(out) if out.ndim == 0 else out)
+
+    return th(t1) - th(t0)
+
+
+def _four_L2(L):
+    """4 L^2 of the hyperbolic branch, which requires L > 0."""
+    models._require_positive(L=L)
+    return models._divisor("4 L^2", 4.0 * L * L)
+
+
 def hyperbolic_combination(L, c1, c2):
     """Constants reproducing the hyperbolic branch on the cosh/sinh basis.
 
     With y1 = cosh(Lt), y2 = sinh(Lt) the quadratic form equals
     c1 + sqrt(c1^2 + 1/(4L^2)) cosh(2 c2 + 2 L t); K = 1/4.
     """
-    R = math.sqrt(c1 * c1 + 1.0 / (4.0 * L * L))
+    R = math.sqrt(c1 * c1 + 1.0 / _four_L2(L))
     return PinneyCombination(A=c1 + R * math.cosh(2.0 * c2),
                              B=R * math.cosh(2.0 * c2) - c1,
                              C=R * math.sinh(2.0 * c2),
@@ -217,7 +249,7 @@ def sigma_hyperbolic(L, c1, c2, t):
 
     sigma^2 = c1 + sqrt(c1^2 + 1/(4 L^2)) cosh(2 c2 + 2 L t).
     """
-    R = math.sqrt(c1 * c1 + 1.0 / (4.0 * L * L))
+    R = math.sqrt(c1 * c1 + 1.0 / _four_L2(L))
     psi = 2.0 * c2 + 2.0 * L * np.asarray(t, dtype=float)
     u = c1 + R * np.cosh(psi)
     sigma = np.sqrt(u)
@@ -227,14 +259,27 @@ def sigma_hyperbolic(L, c1, c2, t):
 
 def fit_hyperbolic(L, sigma0, sigma_dot0, t0):
     """(c1, c2) of the hyperbolic branch through (sigma0, sigma0') at t0."""
-    if sigma0 <= 0.0:
-        raise ParameterError("sigma0 must be positive")
+    models._require_positive(sigma0=sigma0)
+    four_L2 = _four_L2(L)
     u0 = sigma0 * sigma0
     u0_dot = 2.0 * sigma0 * sigma_dot0
-    c1 = (u0 * u0 - (u0_dot ** 2 + 1.0) / (4.0 * L * L)) / (2.0 * u0)
-    R = math.sqrt(c1 * c1 + 1.0 / (4.0 * L * L))
+    c1 = (u0 * u0 - (u0_dot ** 2 + 1.0) / four_L2) / (2.0 * u0)
+    R = math.sqrt(c1 * c1 + 1.0 / four_L2)
     psi0 = math.asinh(u0_dot / (2.0 * L * R))
     return c1, 0.5 * psi0 - L * t0
+
+
+def phase_hyperbolic(L, c1, c2, t0, t1):
+    """Phase theta(t1) - theta(t0) = integral dt/sigma^2 on the hyperbolic
+    branch: 2 arctan(gain tanh(c2 + L t)) with gain = sqrt(4 L^2 c1^2 + 1)
+    - 2 L c1."""
+    models._require_positive(L=L)
+    gain = math.sqrt(4.0 * L * L * c1 * c1 + 1.0) - 2.0 * L * c1
+
+    def th(t):
+        return 2.0 * math.atan(gain * math.tanh(c2 + L * t))
+
+    return th(t1) - th(t0)
 
 
 def conserved_k(sigma, sigma_dot, omega2_val, K=DEFAULT_K):
@@ -269,7 +314,7 @@ def _on_a_branch(model, K, sigma0, sigma_dot0, t0):
                                      (model.coeffs(t0)[0], 0.0)))
 
 
-def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201, rtol=1e-10):
+def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
     """Integrate the auxiliary equation, phase and balance functional.
 
     sigma is the modulus of z = sigma exp(i sqrt(K) theta), the complex
@@ -304,7 +349,7 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201, rtol=1e-10):
     and the Cartesian route share what follows: sigma = hypot(x, v),
     sigma' = (x x' + v v')/sigma and, for K > 0, theta = arg z / sqrt(K)
     on the turn the stepped (or counted) theta lies on.  Returns one
-    ErmakovState of columns at t_eval (default: n_out uniform times).
+    ErmakovState of columns at t_eval (default: 201 uniform times).
 
     Raises NonFiniteResult when k0 or a column leaves the floating-point
     range, SingularityApproached when sigma falls below SIGMA_FLOOR at an
@@ -323,7 +368,7 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, n_out=201, rtol=1e-10):
     model.domain.require(t0)
     model.domain.require(t1)
     if t_eval is None:
-        t_eval = np.linspace(t0, t1, n_out)
+        t_eval = np.linspace(t0, t1, 201)
 
     atol = 1e-12
     k0 = conserved_k(sigma0, sigma_dot0, model.coeffs(float(t0))[0], K)
@@ -465,75 +510,3 @@ def _step(model, K, sigma0, sigma_dot0, t0, t1, t_eval, rtol, atol, s,
     except (StepSizeUnderflow, BudgetExceeded) as exc:
         raise type(exc)(f"{model.name}: {exc}; last accepted "
                         f"sigma={float(last[0])!r}") from exc
-
-
-# ---------------------------------------------------------------------------
-# closed-form phases
-
-def arctan_tan_continuous(gain, psi):
-    """Continuous branch of arctan(gain * tan(psi)): adds pi per pole crossing."""
-    psi = np.asarray(psi, dtype=float)
-    n = np.floor((psi + 0.5 * math.pi) / math.pi)
-    wrapped = psi - n * math.pi
-    branch = math.pi if gain >= 0.0 else -math.pi
-    out = np.arctan(gain * np.tan(wrapped)) + n * branch
-    return float(out) if out.ndim == 0 else out
-
-
-PHASE_CASES = ("harmonic_const", "harmonic_oscillating", "kc_hyperbolic",
-               "exp_frequency", "tsquared", "bessel_series")
-
-
-def phase_closed_form(case, params, t0, t1):
-    """Accumulated phase theta(t1) - theta(t0) of a named closed-form case.
-
-    `params` supplies the case constants (see PHASE_CASES).  Every returned
-    phase is the continuous, nondecreasing branch.
-    """
-    if case == "harmonic_const":
-        return 2.0 * params["omega0"] * (t1 - t0)
-    if case == "harmonic_oscillating":
-        omega0 = params["omega0"]
-        kconst = params["kconst"]
-        c1 = params.get("c1", 0.0)
-        S = math.sqrt(kconst ** 2 - omega0 ** 2)
-        gain = (kconst + S) / omega0
-
-        def th(t):
-            return 2.0 * arctan_tan_continuous(gain, c1 + omega0 * t)
-
-        return th(t1) - th(t0)
-    if case == "kc_hyperbolic":
-        omega0 = params["omega0"]
-        gamma = params["gamma"]
-        Omega2 = omega0 ** 2 - 0.25 * gamma ** 2
-        if Omega2 >= 0.0:
-            raise ParameterError("hyperbolic phase requires omega0^2 < gamma^2/4")
-        L = math.sqrt(-Omega2)
-        c1 = params.get("c1", 0.0)
-        c2 = params.get("c2", 0.0)
-        gain = math.sqrt(4.0 * L * L * c1 * c1 + 1.0) - 2.0 * L * c1
-
-        def th(t):
-            return 2.0 * math.atan(gain * math.tanh(c2 + L * t))
-
-        return th(t1) - th(t0)
-    if case == "exp_frequency":
-        omega0 = params["omega0"]
-        gamma0 = params["gamma0"]
-        return 2.0 * omega0 / gamma0 * (math.exp(-gamma0 * t0)
-                                        - math.exp(-gamma0 * t1))
-    if case == "tsquared":
-        if min(t0, t1) <= 0.0:
-            raise DomainError("tsquared phase requires positive times")
-        b = params["m0"] * params["c"] ** 2
-        return 1.0 / (b * t0) - 1.0 / (b * t1)
-    if case == "bessel_series":
-        from . import series as _series
-        s = params.get("series")
-        if s is None:
-            s = _series.build_series(params["omega0"], params["lam"],
-                                     params["mu_s"], params.get("order", 10))
-        return _series.theta_series(s, t0, t1)
-    raise UnknownCase(f"unknown phase case {case!r}; choose from {PHASE_CASES}")
-

@@ -17,10 +17,6 @@ class UnitsError(TdoError):
     """Non-physical configuration constant (e.g. hbar <= 0)."""
 
 
-class UnknownCase(TdoError):
-    """Unrecognized closed-form case identifier."""
-
-
 class NonRealSigma(TdoError):
     """Quadratic-form radicand not positive: sigma leaves the real branch."""
 

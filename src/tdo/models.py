@@ -301,7 +301,8 @@ def eom_residual(model, q, dq, d2q, t):
 
 
 # ---------------------------------------------------------------------------
-# closed-form trajectories of the two elementary catalog cases
+# closed-form trajectories and minimal-branch phases of the two elementary
+# catalog cases
 
 def exp_frequency_solution(omega0=1.0, gamma0=1.0, c1=1.0, c2=0.0):
     """General trajectory of the exp_frequency model, with derivatives.
@@ -328,6 +329,25 @@ def exp_frequency_solution(omega0=1.0, gamma0=1.0, c1=1.0, c2=0.0):
         return gamma0 ** 2 * zz * d - gamma0 ** 2 * zz * zz * p
 
     return q, dq, d2q
+
+
+def exp_frequency_phase(omega0, gamma0, t0, t1):
+    """Minimal-branch phase 2 integral(omega) of exp_frequency on [t0, t1]:
+    2 omega0/gamma0 (exp(-gamma0 t0) - exp(-gamma0 t1)); gamma0 > 0."""
+    _require_positive(gamma0=gamma0)
+    return 2.0 * omega0 / gamma0 * (math.exp(-gamma0 * t0)
+                                    - math.exp(-gamma0 * t1))
+
+
+def tsquared_phase(m0, c, t0, t1):
+    """Minimal-branch phase 2 integral(omega) of tsquared on [t0, t1]:
+    (1/t0 - 1/t1)/(m0 c^2); m0, c and both times positive."""
+    _require_positive(m0=m0, c=c)
+    if min(t0, t1) <= 0.0:
+        raise DomainError("tsquared phase requires positive times")
+    b = m0 * c ** 2
+    return (1.0 / _divisor("m0 c^2 t0", b * t0)
+            - 1.0 / _divisor("m0 c^2 t1", b * t1))
 
 
 def tsquared_solution(m0=1.0, c=1.0, c1=1.0, c2=0.0):

@@ -242,17 +242,16 @@ def residual_coefficients(a, four_omega0_sq, mu_sq, lam_sq, n_powers):
     return out
 
 
-def symbolic_residual(series, a0=0.0, exact=None):
+def symbolic_residual(series, a0=0.0):
     """Residual coefficients of the truncated series, powers t^-2 .. t^(2N-1).
 
-    All entries vanish (exactly in rational mode, below 1e-12 in floating
-    point) for a series built by `build_series`; forcing a0 != 0 reproduces
-    the leading obstruction lam^2 * a0^2 in the first entry.
+    All entries vanish (exactly when the series keeps rational ratios and
+    a0 = 0, below 1e-12 in floating point) for a series built by
+    `build_series`; forcing a0 != 0 reproduces the leading obstruction
+    lam^2 * a0^2 in the first entry.
     """
     n_powers = 2 * series.order + 2  # powers -2 .. 2*order - 1
-    if exact is None:
-        exact = a0 == 0.0 and isinstance(series.ratios[0], Fraction)
-    if exact:
+    if a0 == 0.0 and isinstance(series.ratios[0], Fraction):
         # work with a1-normalized coefficients; residual scales by a1^2 and
         # 4*omega0^2 = a1^2 (lam^2 - 1)
         lam_sq = Fraction(series.lam) * Fraction(series.lam)
@@ -276,8 +275,8 @@ def constraint_residual(series, t):
             + al * al * (series.mu_s ** 2 + series.lam ** 2 / (t * t)))
 
 
-def alpha_numeric_check(series, t_lo, t_hi, n=201):
-    """Max constraint residual of the truncated series on a uniform grid.
+def alpha_numeric_check(series, t_lo, t_hi):
+    """Max constraint residual of the truncated series on 201 uniform times.
 
     Warns (ConvergenceWarning) when t_hi exceeds the 2/mu_s guard.
     """
@@ -287,7 +286,7 @@ def alpha_numeric_check(series, t_lo, t_hi, n=201):
         warnings.warn(
             f"t_hi={t_hi} exceeds the trusted window 2/mu_s="
             f"{series.radius_guard():g}", ConvergenceWarning, stacklevel=2)
-    grid = np.linspace(t_lo, t_hi, n)
+    grid = np.linspace(t_lo, t_hi, 201)
     return float(np.max(np.abs(constraint_residual(series, grid))))
 
 
@@ -439,14 +438,13 @@ def power_law_check(Omega0, nu, t_grid):
     return worst
 
 
-def linearization_gap(Omega0, k0, nu, omega0, sigma0, sigma_dot0, t0, t1,
-                      n=101):
+def linearization_gap(Omega0, k0, nu, omega0, sigma0, sigma_dot0, t0, t1):
     """Error committed by dropping the omega0^2/(4 sigma^3) restoring term.
 
     Integrates the full amplitude equation
         sigma'' + Omega0^2 (k0^2 + nu^2/t^2) sigma = omega0^2 / (4 sigma^3)
     and its linearization side by side from the same initial data and
-    returns the largest |sigma_full - sigma_linear| on a uniform grid.  The
+    returns the largest |sigma_full - sigma_linear| on 101 uniform times.  The
     caller judges in which regime the linearization is acceptable.
     """
     from . import dopri
@@ -468,7 +466,7 @@ def linearization_gap(Omega0, k0, nu, omega0, sigma0, sigma_dot0, t0, t1,
     def rhs_lin(t, y):
         return (y[1], -w2(t) * y[0])
 
-    grid = np.linspace(t0, t1, n)
+    grid = np.linspace(t0, t1, 101)
     y0 = np.array([sigma0, sigma_dot0])
     _, yf = dopri.solve(rhs_full, t0, t1, y0, t_eval=grid,
                         rtol=1e-10, atol=1e-12)
@@ -477,11 +475,11 @@ def linearization_gap(Omega0, k0, nu, omega0, sigma0, sigma_dot0, t0, t1,
     return float(np.max(np.abs(yf[:, 0] - yl[:, 0])))
 
 
-def large_k0_approx(Omega0, k0, omega0, c1, c2, t, C1=1.0, phi0=0.0):
+def large_k0_approx(Omega0, k0, omega0, c1, c2, t):
     """Oscillatory scale-function approximation valid when k0^2 >> nu^2/t^2.
 
     alpha = c1 + sqrt(c1^2 - omega0^2/(Omega0 k0)^2) * sin(2 Omega0 k0 (t+c2))
-    and the matching trajectory q = C1 sin(phase(t) + phi0), phase being the
+    and the matching trajectory q = sin(phase(t)), phase being the
     continuous arctan form of integral(omega0/alpha dt).  Raises
     ParameterError on a negative radicand and NonPositiveAlpha when alpha
     fails to stay positive on the requested times.
@@ -503,5 +501,4 @@ def large_k0_approx(Omega0, k0, omega0, c1, c2, t, C1=1.0, phi0=0.0):
     n = np.floor((psi + 0.5 * math.pi) / math.pi)
     wrapped = psi - n * math.pi
     phase = np.arctan((c1 * np.tan(wrapped) + amp) * ell / omega0) + n * math.pi
-    q = C1 * np.sin(phase + phi0)
-    return alpha, q
+    return alpha, np.sin(phase)

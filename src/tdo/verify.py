@@ -8,6 +8,7 @@ anywhere, so repeated runs produce byte-identical reports.
 
 import dataclasses
 import math
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -100,20 +101,20 @@ def suite_models():
 # ---------------------------------------------------------------------------
 # ermakov
 
-def _oscillating_run(n_out):
-    """The harmonic oscillating branch (kconst = 2) on [0, 20]."""
+def _oscillating_run(n):
+    """The harmonic oscillating branch (kconst = 2) on [0, 20], n rows."""
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
     return ermakov.integrate_ep(models.harmonic(), 0.25,
                                 (float(s0), float(sd0)), 0.0, 20.0,
-                                n_out=n_out)
+                                t_eval=np.linspace(0.0, 20.0, n))
 
 
-def _minimal_run(model, t0, t1, n_out=201):
+def _minimal_run(model, t0, t1, n=201):
     """Integrated minimal branch of `model` from its exact state at t0."""
     c = minimum.minimum_model(model).c
     return ermakov.integrate_ep(model, 0.25,
                                 minimum.minimal_amplitude(model, c, t0),
-                                t0, t1, n_out=n_out)
+                                t0, t1, t_eval=np.linspace(t0, t1, n))
 
 
 def suite_ermakov():
@@ -167,7 +168,7 @@ def suite_ermakov():
     # conserved k over 20 periods on constant-Omega models, and the
     # generalized balance with co-integrated F on time-dependent Omega
     me, mb = models.exp_frequency(), models.bessel_type()
-    for label, model, init, (t0, t1, n_out), tol in (
+    for label, model, init, (t0, t1, n), tol in (
             ("harmonic: conserved k drift over 20 periods", mh,
              (float(s0), float(sd0)), (0.0, 20.0 * math.pi, 401), 1e-8),
             ("kanai_caldirola: conserved k drift over 20 periods",
@@ -177,27 +178,29 @@ def suite_ermakov():
              (1.0, 0.3), (0.0, 2.0, 201), 1e-7),
             ("bessel_type: balance constant with co-integrated F", mb,
              (0.3, 0.2), (0.1, 0.8, 201), 1e-7)):
-        st = ermakov.integrate_ep(model, 0.25, init, t0, t1, n_out=n_out)
+        st = ermakov.integrate_ep(model, 0.25, init, t0, t1,
+                                  t_eval=np.linspace(t0, t1, n))
         checks.append(_check(label, np.max(np.abs(st.k - st.k[0])), tol))
 
-    # phases: closed form vs integrated theta, all six cases
+    # phases: closed form of the window (t0, t1) vs integrated theta, all
+    # six cases; the constant branch's is 2 omega0 (t1 - t0), omega0 = 1
     st_b = _minimal_run(mb, 0.5, 0.8)
     sseries = series.build_series(1.0, 2.0, 1.0, mb.params["order"])
-    for label, case, params, st in (
-            ("constant branch", "harmonic_const", {"omega0": 1.0}, st_c),
+    for label, phase, st in (
+            ("constant branch", lambda t0, t1: 2.0 * (t1 - t0), st_c),
             ("oscillating branch (branch-corrected arctan)",
-             "harmonic_oscillating",
-             {"omega0": 1.0, "kconst": 2.0, "c1": 0.0}, st_o),
-            ("hyperbolic branch", "kc_hyperbolic",
-             {"omega0": 0.3, "gamma": 1.0, "c1": c1, "c2": c2}, st_h),
-            ("exp_frequency minimal branch", "exp_frequency",
-             {"omega0": 1.0, "gamma0": 1.0}, _minimal_run(me, 0.0, 1.0)),
-            ("tsquared minimal branch", "tsquared", {"m0": 1.0, "c": 1.0},
+             partial(ermakov.phase_oscillating, 1.0, 2.0, 0.0), st_o),
+            ("hyperbolic branch",
+             partial(ermakov.phase_hyperbolic, L, c1, c2), st_h),
+            ("exp_frequency minimal branch",
+             partial(models.exp_frequency_phase, 1.0, 1.0),
+             _minimal_run(me, 0.0, 1.0)),
+            ("tsquared minimal branch",
+             partial(models.tsquared_phase, 1.0, 1.0),
              _minimal_run(models.tsquared(), 1.0, 2.0)),
-            ("bessel-type series branch", "bessel_series",
-             {"series": sseries}, st_b)):
-        err = abs(ermakov.phase_closed_form(case, params, st.t[0], st.t[-1])
-                  - st.theta[-1])
+            ("bessel-type series branch",
+             partial(series.theta_series, sseries), st_b)):
+        err = abs(phase(st.t[0], st.t[-1]) - st.theta[-1])
         checks.append(_check(f"phase: {label}", err, 1e-6))
 
     # theta must never decrease
@@ -215,11 +218,11 @@ def _catalog_trajectories():
     mk = models.kanai_caldirola()
     out = [(models.harmonic(), _oscillating_run(200), 0.0),
            (mk, ermakov.integrate_ep(mk, 0.25, (0.9, 0.1), 0.0, 3.0,
-                                     n_out=200), 0.0)]
+                                     t_eval=np.linspace(0.0, 3.0, 200)), 0.0)]
     for model, (t0, t1) in ((models.exp_frequency(), (0.0, 2.0)),
                             (models.tsquared(), (1.0, 3.0)),
                             (models.bessel_type(), (0.1, 0.8))):
-        out.append((model, _minimal_run(model, t0, t1, n_out=200), t0))
+        out.append((model, _minimal_run(model, t0, t1, n=200), t0))
     return out
 
 

@@ -39,28 +39,31 @@ def _min_init(model, t0, c):
     return c * math.sqrt(m0), 0.5 * c * float(model.m_dot(t0)) / math.sqrt(m0)
 
 
+def _run(model, init, t0, t1, n=200):
+    """integrate_ep at K = 1/4 from init over [t0, t1], n uniform rows."""
+    return ermakov.integrate_ep(model, 0.25, init, t0, t1,
+                                t_eval=np.linspace(t0, t1, n))
+
+
 def catalog_trajectories():
     """One 200-sample trajectory per catalog model (minimal branch where
     the criterion holds, generic data otherwise)."""
     out = {}
     mh = models.harmonic()
-    out["harmonic"] = (mh, ermakov.integrate_ep(
-        mh, 0.25, (SQ2, 0.0), 0.0, 20.0, n_out=200), 0.0)
+    out["harmonic"] = (mh, _run(mh, (SQ2, 0.0), 0.0, 20.0), 0.0)
     mk = models.kanai_caldirola()
-    out["kanai_caldirola"] = (mk, ermakov.integrate_ep(
-        mk, 0.25, (0.9, 0.1), 0.0, 3.0, n_out=200), 0.0)
+    out["kanai_caldirola"] = (mk, _run(mk, (0.9, 0.1), 0.0, 3.0), 0.0)
     me = models.exp_frequency()
     cme = minimum.check_criterion(me).c
-    out["exp_frequency"] = (me, ermakov.integrate_ep(
-        me, 0.25, _min_init(me, 0.0, cme), 0.0, 2.0, n_out=200), 0.0)
+    out["exp_frequency"] = (
+        me, _run(me, _min_init(me, 0.0, cme), 0.0, 2.0), 0.0)
     mt = models.tsquared()
     cmt = minimum.check_criterion(mt, t0=1.0, t1=3.0).c
-    out["tsquared"] = (mt, ermakov.integrate_ep(
-        mt, 0.25, _min_init(mt, 1.0, cmt), 1.0, 3.0, n_out=200), 1.0)
+    out["tsquared"] = (mt, _run(mt, _min_init(mt, 1.0, cmt), 1.0, 3.0), 1.0)
     mb = models.bessel_type()
     cmb = minimum.check_criterion(mb, t0=0.1, t1=0.8).c
-    out["bessel_type"] = (mb, ermakov.integrate_ep(
-        mb, 0.25, _min_init(mb, 0.1, cmb), 0.1, 0.8, n_out=200), 0.1)
+    out["bessel_type"] = (
+        mb, _run(mb, _min_init(mb, 0.1, cmb), 0.1, 0.8), 0.1)
     return out
 
 
@@ -109,14 +112,13 @@ def test_criterion_2_bogolubov_normalization():
 
 def test_criterion_3_closed_form_vs_numeric():
     mh = models.harmonic()
-    states = ermakov.integrate_ep(mh, 0.25, (SQ2, 0.0), 0.0, 20.0, n_out=200)
+    states = _run(mh, (SQ2, 0.0), 0.0, 20.0)
     worst_const = np.max(np.abs(states.sigma - SQ2) / SQ2)
     ok = report(3, "harmonic constant branch rel error on [0, 20]",
                 worst_const, 1e-6)
 
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
-    states = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)),
-                                  0.0, 20.0, n_out=200)
+    states = _run(mh, (float(s0), float(sd0)), 0.0, 20.0)
     ref = ermakov.sigma_oscillating(1.0, 2.0, 0.0, states.t)[0]
     worst_osc = np.max(np.abs(states.sigma - ref) / ref)
     ok &= report(3, "harmonic oscillating branch (k=2) rel error on [0, 20]",
@@ -125,7 +127,7 @@ def test_criterion_3_closed_form_vs_numeric():
     mk = models.kanai_caldirola(omega0=0.3, gamma=1.0)
     L = math.sqrt(0.25 - 0.09)
     c1, c2 = ermakov.fit_hyperbolic(L, 1.0, 0.0, 0.0)
-    states = ermakov.integrate_ep(mk, 0.25, (1.0, 0.0), 0.0, 3.0, n_out=200)
+    states = _run(mk, (1.0, 0.0), 0.0, 3.0)
     ref = ermakov.sigma_hyperbolic(L, c1, c2, states.t)[0]
     worst_hyp = np.max(np.abs(states.sigma - ref) / ref)
     ok &= report(3, "damped hyperbolic branch rel error on [0, 3]",
@@ -136,24 +138,22 @@ def test_criterion_3_closed_form_vs_numeric():
 def test_criterion_4_conservation_drift():
     mh = models.harmonic()
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
-    states = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)),
-                                  0.0, 20.0 * math.pi, n_out=300)
+    states = _run(mh, (float(s0), float(sd0)), 0.0, 20.0 * math.pi, n=300)
     drift_h = np.max(np.abs(states.k - states.k[0]))
     ok = report(4, "conserved k drift, harmonic, 20 periods", drift_h, 1e-8)
 
     mk = models.kanai_caldirola()  # constant Omega^2 = 0.75
     Om = math.sqrt(0.75)
-    states = ermakov.integrate_ep(mk, 0.25, (1.0, 0.0), 0.0,
-                                  20.0 * math.pi / Om, n_out=300)
+    states = _run(mk, (1.0, 0.0), 0.0, 20.0 * math.pi / Om, n=300)
     drift_k = np.max(np.abs(states.k - states.k[0]))
     ok &= report(4, "conserved k drift, damped constant-frequency, 20 "
                  "periods", drift_k, 1e-8)
 
     me = models.exp_frequency()
-    states = ermakov.integrate_ep(me, 0.25, (1.0, 0.3), 0.0, 2.0, n_out=200)
+    states = _run(me, (1.0, 0.3), 0.0, 2.0)
     drift_e = np.max(np.abs(states.k - states.k[0]))
     mb = models.bessel_type()
-    states = ermakov.integrate_ep(mb, 0.25, (0.3, 0.2), 0.1, 0.8, n_out=200)
+    states = _run(mb, (0.3, 0.2), 0.1, 0.8)
     drift_b = np.max(np.abs(states.k - states.k[0]))
     ok &= report(4, "generalized balance drift with F, time-dependent "
                  "frequency", max(drift_e, drift_b), 1e-7)
@@ -164,35 +164,32 @@ def test_criterion_5_phase_cross_checks():
     worst = 0.0
     mh = models.harmonic()
     states = ermakov.integrate_ep(mh, 0.25, (SQ2, 0.0), 0.0, 20.0)
-    worst = max(worst, abs(ermakov.phase_closed_form(
-        "harmonic_const", {"omega0": 1.0}, 0.0, 20.0) - states.theta[-1]))
+    # 2 omega0 (t1 - t0) with omega0 = 1
+    worst = max(worst, abs(2.0 * (20.0 - 0.0) - states.theta[-1]))
 
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
     states = ermakov.integrate_ep(mh, 0.25, (float(s0), float(sd0)), 0.0, 20.0)
-    worst = max(worst, abs(ermakov.phase_closed_form(
-        "harmonic_oscillating", {"omega0": 1.0, "kconst": 2.0, "c1": 0.0},
-        0.0, 20.0) - states.theta[-1]))
+    worst = max(worst, abs(ermakov.phase_oscillating(1.0, 2.0, 0.0, 0.0, 20.0)
+                           - states.theta[-1]))
 
     mk = models.kanai_caldirola(omega0=0.3, gamma=1.0)
     L = math.sqrt(0.25 - 0.09)
     c1, c2 = ermakov.fit_hyperbolic(L, 1.0, 0.0, 0.0)
     states = ermakov.integrate_ep(mk, 0.25, (1.0, 0.0), 0.0, 3.0)
-    worst = max(worst, abs(ermakov.phase_closed_form(
-        "kc_hyperbolic", {"omega0": 0.3, "gamma": 1.0, "c1": c1, "c2": c2},
-        0.0, 3.0) - states.theta[-1]))
+    worst = max(worst, abs(ermakov.phase_hyperbolic(L, c1, c2, 0.0, 3.0)
+                           - states.theta[-1]))
 
     me = models.exp_frequency()
     cme = minimum.check_criterion(me).c
     states = ermakov.integrate_ep(me, 0.25, _min_init(me, 0.0, cme), 0.0, 1.0)
-    th = ermakov.phase_closed_form("exp_frequency",
-                                   {"omega0": 1.0, "gamma0": 1.0}, 0.0, 1.0)
+    th = models.exp_frequency_phase(1.0, 1.0, 0.0, 1.0)
     assert th == pytest.approx(1.2642411176571153, abs=1e-12)
     worst = max(worst, abs(th - states.theta[-1]))
 
     mt = models.tsquared()
     cmt = minimum.check_criterion(mt, t0=1.0, t1=3.0).c
     states = ermakov.integrate_ep(mt, 0.25, _min_init(mt, 1.0, cmt), 1.0, 2.0)
-    th = ermakov.phase_closed_form("tsquared", {"m0": 1.0, "c": 1.0}, 1.0, 2.0)
+    th = models.tsquared_phase(1.0, 1.0, 1.0, 2.0)
     assert th == pytest.approx(0.5, abs=1e-12)
     worst = max(worst, abs(th - states.theta[-1]))
 
@@ -200,8 +197,8 @@ def test_criterion_5_phase_cross_checks():
     cmb = minimum.check_criterion(mb, t0=0.1, t1=0.8).c
     states = ermakov.integrate_ep(mb, 0.25, _min_init(mb, 0.5, cmb), 0.5, 0.8)
     sser = series.build_series(1.0, 2.0, 1.0, 10)
-    worst = max(worst, abs(ermakov.phase_closed_form(
-        "bessel_series", {"series": sser}, 0.5, 0.8) - states.theta[-1]))
+    worst = max(worst, abs(series.theta_series(sser, 0.5, 0.8)
+                           - states.theta[-1]))
 
     assert report(5, "closed-form vs integrated phases, all six cases",
                   worst, 1e-6)

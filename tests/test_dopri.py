@@ -130,19 +130,6 @@ def test_invalid_inputs():
         dopri.solve(_decay, 0.0, 1.0, [[1.0]])
 
 
-def test_max_step_is_honored():
-    seen = []
-
-    def rhs(t, y):
-        seen.append(t)
-        return np.negative(y)
-
-    dopri.solve(rhs, 0.0, 1.0, [1.0], max_step=0.05)
-    # stage times never jump farther than max_step from a step start
-    diffs = np.diff(sorted(set(seen)))
-    assert np.max(diffs) <= 0.05 + 1e-12
-
-
 def test_nonfinite_rhs_recovers_by_shrinking():
     # a right-hand side that blows up for y <= 0.1 must not poison the run
     def rhs(t, y):
@@ -175,13 +162,16 @@ def test_unusable_first_step_raises_step_size_underflow(slope):
         dopri.solve(lambda t, y: np.multiply(slope, y), 0.0, 1.0, [1.0])
 
 
-def test_step_leaving_a_residual_below_the_floor_lands_on_t1():
-    # 50 steps of max_step = 0.2 sum to 9.999999999999996, one rounding
-    # short of t1; the 3.6e-15 left is below the 1e-14 |t| underflow
-    # floor, so the 50th step is stretched onto t1
+def test_step_leaving_a_residual_below_the_floor_lands_on_t1(monkeypatch):
+    # a first step of 0.2 that never grows: 50 steps of 0.2 sum to
+    # 9.999999999999996, one rounding short of t1; the 3.6e-15 left is
+    # below the 1e-14 |t| underflow floor, so the 50th step is stretched
+    # onto t1
+    monkeypatch.setattr(dopri, "_initial_step", lambda *args: 0.2)
+    monkeypatch.setattr(dopri, "_FAC_MAX", 1.0)
     steps = []
     ts, ys = dopri.solve(lambda t, y: (y[1], -y[0]), 0, 10, [1.0, 0.0],
-                         rtol=1e-3, atol=1e3, max_step=0.2,
+                         rtol=1e-3, atol=1e3,
                          step_callback=lambda t, y: steps.append(t))
     assert list(ts) == [0.0, 10.0]
     assert len(steps) == 50 and steps[-1] == 10.0
@@ -385,7 +375,7 @@ def _ref_initial_step(f, t0, y0, f0, t1, rtol, atol):
 
 
 def _reference_solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None,
-                     max_step=np.inf, step_callback=None):
+                     step_callback=None):
     C, A, B, D = DOP853.C, DOP853.A, DOP853.B, DOP853.D
     t0 = float(t0)
     t1 = float(t1)
@@ -405,10 +395,9 @@ def _reference_solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None,
     k = [None] * 16
     if t1 > t0:
         k[0] = np.asarray(f(t, y), dtype=float)
-        h = min(_ref_initial_step(f, t, y, k[0], t1, rtol, atol), max_step)
+        h = _ref_initial_step(f, t, y, k[0], t1, rtol, atol)
     rejected = False
     while t < t1:
-        h = min(h, max_step)
         h_try = min(h, t1 - t)
         floor = 1e-14 * max(1.0, abs(t))
         if t1 - t - h_try < floor:
@@ -509,11 +498,12 @@ def _cut_below(t, y):
     # steps holding fewer and more than ARRAY_ROWS output times
     (_quadrature, 0.0, 7.0, [1.0, 0.0, 0.0],
      {"rtol": 1e-6, "t_eval": np.linspace(0.0, 7.0, 301)}),
-    (_decay, 0.0, 1.0, [1.0], {"max_step": 0.05}),
+    (_harmonic, 0.0, 100.0 * math.pi, [1.0, 0.0],
+     {"t_eval": np.linspace(0.0, 100.0 * math.pi, 41)}),
     (_cut_below, 0.0, 2.0, [1.0], {}),
     (_decay, 1.0, 1.0, [2.0], {"t_eval": [1.0]}),
 ], ids=["decay", "harmonic", "grid", "inner-grid", "coarse", "fine",
-        "quadrature", "dense-rows", "max-step", "nonfinite", "zero-span"])
+        "quadrature", "dense-rows", "many-steps", "nonfinite", "zero-span"])
 def test_float_loop_matches_reference(f, t0, t1, y0, kwargs):
     _assert_same_run(f, t0, t1, y0, **kwargs)
 

@@ -9,6 +9,8 @@ adaptive quadrature of 1/sigma^2.
 
 import dataclasses
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from tdo import cli, dopri, ermakov, models
+from tdo import cli, dopri, ermakov, models, series
 from tdo.errors import (BudgetExceeded, ConstraintViolation, NonRealSigma,
                         ParameterError, SingularityApproached,
-                        StepSizeUnderflow, UnknownCase)
+                        StepSizeUnderflow)
 
 SQ2 = 2.0 ** -0.5
 
@@ -78,10 +80,9 @@ def test_negative_radicand_raises():
 
 
 def test_superposition_residual_is_tiny():
-    pair = ermakov.harmonic_basis(2.0, q0=1.3)
+    pair = ermakov.harmonic_basis(2.0)
     comb = ermakov.PinneyCombination(A=0.4, B=0.7,
-                                     C=math.sqrt(0.4 * 0.7
-                                                 - 0.25 / (1.3 ** 4 * 4.0)),
+                                     C=math.sqrt(0.4 * 0.7 - 0.25 / 4.0),
                                      K=0.25)
     for t in np.linspace(0.0, 4.0, 33):
         res = ermakov.pinney_residual(pair, comb, lambda s: 4.0, t)
@@ -113,8 +114,47 @@ def test_fit_hyperbolic_roundtrip():
     assert float(sd) == pytest.approx(0.3, rel=1e-10)
 
 
+# closed forms called outside their parameter range, with the parameter
+# their ParameterError must name; each of these once ended in a bare
+# ValueError (math domain error) or ZeroDivisionError
+OUT_OF_RANGE = [
+    (ermakov.harmonic_basis, (0.0,), "omega0"),
+    (ermakov.constant_combination, (0.0,), "omega0"),
+    (ermakov.oscillating_combination, (0.0, 1.0, 0.0), "omega0"),
+    (ermakov.oscillating_combination, (1e-200, 1.0, 0.0), "2 omega0^2"),
+    (ermakov.oscillating_combination, (1.0, 0.5, 0.0), "kconst"),
+    (ermakov.sigma_oscillating, (1.0, 0.5, 0.0, 0.3), "kconst"),
+    (ermakov.sigma_oscillating, (0.0, 1.0, 0.0, 0.3), "omega0"),
+    (ermakov.phase_oscillating, (1.0, 0.5, 0.0, 0.0, 1.0), "kconst"),
+    (ermakov.phase_oscillating, (0.0, 1.0, 0.0, 0.0, 1.0), "omega0"),
+    (ermakov.fit_oscillating, (1.0, 0.0, 0.1, 0.0), "sigma0"),
+    (ermakov.hyperbolic_basis, (0.0,), "L"),
+    (ermakov.hyperbolic_combination, (0.0, 0.5, 0.0), "L"),
+    (ermakov.sigma_hyperbolic, (0.0, 0.5, 0.0, 0.3), "L"),
+    (ermakov.sigma_hyperbolic, (1e-200, 0.5, 0.0, 0.3), "4 L^2"),
+    (ermakov.fit_hyperbolic, (0.0, 1.0, 0.0, 0.0), "L"),
+    (ermakov.fit_hyperbolic, (0.4, 0.0, 0.0, 0.0), "sigma0"),
+    (ermakov.phase_hyperbolic, (0.0, 0.5, 0.0, 0.0, 1.0), "L"),
+    (models.exp_frequency_phase, (1.0, 0.0, 0.0, 1.0), "gamma0"),
+    (models.tsquared_phase, (0.0, 1.0, 1.0, 2.0), "m0"),
+    (models.tsquared_phase, (1.0, 0.0, 1.0, 2.0), "c"),
+    (models.tsquared_phase, (1e-200, 1e-200, 1.0, 2.0), "m0 c^2 t0"),
+    (models.tsquared_phase, (1e-160, 1e-80, 1.0, 1e-5), "m0 c^2 t1"),
+]
+
+
+@pytest.mark.parametrize("func, args, name", OUT_OF_RANGE,
+                         ids=[f"{func.__name__}-{name}"
+                              for func, _, name in OUT_OF_RANGE])
+def test_closed_forms_reject_their_parameters_by_name(func, args, name):
+    name = re.escape(name)
+    with pytest.raises(ParameterError,
+                       match=rf"^{name} must be|requires {name} >="):
+        func(*args)
+
+
 def test_wronskian_is_constant():
-    pair = ermakov.harmonic_basis(1.7, q0=0.8)
+    pair = ermakov.harmonic_basis(1.7)
     for t in np.linspace(-3.0, 9.0, 61):
         assert float(pair.wronskian(t)) == pytest.approx(pair.W0, rel=1e-8)
     assert pair.W0 != 0.0
@@ -175,7 +215,7 @@ def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch,
                        match=r"^harmonic: .*t=.*h=.*103 step attempts; "
                              r"last accepted sigma=0\.9"):
         ermakov.integrate_ep(stepped(models.harmonic()), 0.25, (1.0, 0.0),
-                             0.0, 1000.0, n_out=3)
+                             0.0, 1000.0, t_eval=[0.0, 500.0, 1000.0])
 
 
 # a window inside each catalog model's domain
@@ -193,8 +233,9 @@ def test_complex_solution_keeps_its_wronskian(model, monkeypatch):
             return solved[-1]
 
         monkeypatch.setattr(owner, name, spy)
-    ermakov.integrate_ep(model, 0.25, (0.9, 0.1),
-                         *WINDOWS.get(model.name, (0.0, 5.0)), n_out=50)
+    t0, t1 = WINDOWS.get(model.name, (0.0, 5.0))
+    ermakov.integrate_ep(model, 0.25, (0.9, 0.1), t0, t1,
+                         t_eval=np.linspace(t0, t1, 50))
     (_, ys), = solved
     x, x_dot, v, v_dot = ys[:, :4].T
     assert np.max(np.abs(x * v_dot - x_dot * v - 0.5)) <= 1e-9 * 0.5
@@ -204,11 +245,12 @@ def test_complex_solution_keeps_its_wronskian(model, monkeypatch):
 def test_polar_and_cartesian_pairs_agree(model, force_pair):
     # the same z stepped as (sigma, sqrt(K) theta) under the auxiliary
     # equation and as (x, v) under the linear one
+    t0, t1 = WINDOWS.get(model.name, (0.0, 5.0))
+
     def run(polar):
         force_pair(polar)
-        return ermakov.integrate_ep(stepped(model), 0.25, (0.9, 0.1),
-                                    *WINDOWS.get(model.name, (0.0, 5.0)),
-                                    n_out=50)
+        return ermakov.integrate_ep(stepped(model), 0.25, (0.9, 0.1), t0, t1,
+                                    t_eval=np.linspace(t0, t1, 50))
 
     cart, polar = run(False), run(True)
     assert np.array_equal(cart.t, polar.t)
@@ -339,10 +381,11 @@ def test_closed_form_checks_its_times():
     assert states.sigma[1] == ermakov.integrate_ep(
         m, 0.25, (1.0, 0.0), 0.0, 1.0, t_eval=[0.0, 1.0]).sigma[1]
     fast = models.harmonic(omega0=1e9)
-    ermakov.integrate_ep(fast, 0.25, (1.0, 0.0), 0.0, 1.0, n_out=3)
+    ermakov.integrate_ep(fast, 0.25, (1.0, 0.0), 0.0, 1.0,
+                         t_eval=[0.0, 0.5, 1.0])
     with pytest.raises(StepSizeUnderflow, match=r"^harmonic: no usable "
                                                 r"first step at t=1000000\.0"):
-        ermakov.integrate_ep(fast, 0.25, (1.0, 0.0), 1e6, 1e6 + 1.0, n_out=3)
+        ermakov.integrate_ep(fast, 0.25, (1.0, 0.0), 1e6, 1e6 + 1.0)
 
 
 def test_sigma_floor_trips():
@@ -361,7 +404,8 @@ def test_conserved_k_on_constant_omega():
     m = models.harmonic()
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
     states = ermakov.integrate_ep(m, 0.25, (float(s0), float(sd0)),
-                                  0.0, 20.0 * math.pi, n_out=240)
+                                  0.0, 20.0 * math.pi,
+                                  t_eval=np.linspace(0.0, 20.0 * math.pi, 240))
     drift = np.max(np.abs(states.k - states.k[0]))
     assert drift < 1e-8
     assert np.all(states.F == 0.0)
@@ -387,8 +431,11 @@ def test_general_K_first_integral():
 # --- phases ------------------------------------------------------------------
 
 def test_phase_constant_branch():
-    assert ermakov.phase_closed_form("harmonic_const", {"omega0": 1.0},
-                                     0.0, 20.0) == pytest.approx(40.0)
+    # theta' = 1/sigma^2 = 2 omega0 on the constant branch, where sigma =
+    # K^(1/4)/sqrt(omega0) = 1/2 at omega0 = 2
+    states = ermakov.integrate_ep(models.harmonic(omega0=2.0), 0.25,
+                                  (0.5, 0.0), 0.0, 20.0)
+    assert states.theta[-1] == pytest.approx(2.0 * 2.0 * 20.0, abs=1e-9)
 
 
 def test_phase_oscillating_matches_quadrature():
@@ -397,9 +444,7 @@ def test_phase_oscillating_matches_quadrature():
     ref, _ = quad(lambda t: 1.0 / float(
         ermakov.sigma_oscillating(1.0, kconst, c1, t)[0]) ** 2,
         0.0, 20.0, epsabs=1e-12, epsrel=1e-12, limit=400)
-    th = ermakov.phase_closed_form(
-        "harmonic_oscillating", {"omega0": 1.0, "kconst": kconst, "c1": c1},
-        0.0, 20.0)
+    th = ermakov.phase_oscillating(1.0, kconst, c1, 0.0, 20.0)
     assert th == pytest.approx(ref, abs=1e-8)
 
 
@@ -409,10 +454,10 @@ def test_integrated_phase_matches_the_closed_form(polar, force_pair):
     force_pair(polar)
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
     st = ermakov.integrate_ep(stepped(models.harmonic()), 0.25,
-                              (float(s0), float(sd0)), 0.0, 20.0, n_out=41)
-    ref = [ermakov.phase_closed_form(
-        "harmonic_oscillating", {"omega0": 1.0, "kconst": 2.0, "c1": 0.0},
-        0.0, float(t)) for t in st.t]
+                              (float(s0), float(sd0)), 0.0, 20.0,
+                              t_eval=np.linspace(0.0, 20.0, 41))
+    ref = [ermakov.phase_oscillating(1.0, 2.0, 0.0, 0.0, float(t))
+           for t in st.t]
     assert np.max(np.abs(st.theta - ref)) <= 1e-9
 
 
@@ -421,9 +466,8 @@ def test_phase_oscillating_is_nondecreasing_across_poles():
     # climb monotonically through all of them
     kconst = 2.0
     ts = np.linspace(0.0, 20.0, 400)
-    vals = [ermakov.phase_closed_form(
-        "harmonic_oscillating", {"omega0": 1.0, "kconst": kconst, "c1": 0.0},
-        0.0, float(t)) for t in ts]
+    vals = [ermakov.phase_oscillating(1.0, kconst, 0.0, 0.0, float(t))
+            for t in ts]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 2.0 * math.pi  # passed several branches
 
@@ -433,16 +477,13 @@ def test_phase_hyperbolic_matches_quadrature():
     ref, _ = quad(lambda t: 1.0 / float(
         ermakov.sigma_hyperbolic(L, c1, c2, t)[0]) ** 2,
         0.0, 3.0, epsabs=1e-13, epsrel=1e-13)
-    th = ermakov.phase_closed_form(
-        "kc_hyperbolic", {"omega0": 0.3, "gamma": 1.0, "c1": c1, "c2": c2},
-        0.0, 3.0)
+    th = ermakov.phase_hyperbolic(L, c1, c2, 0.0, 3.0)
     assert th == pytest.approx(ref, abs=1e-10)
 
 
 def test_phase_exp_frequency_value():
     # quadrature oracle of 2*integral(omega): 2*(1 - e^-1)
-    th = ermakov.phase_closed_form("exp_frequency",
-                                   {"omega0": 1.0, "gamma0": 1.0}, 0.0, 1.0)
+    th = models.exp_frequency_phase(1.0, 1.0, 0.0, 1.0)
     assert th == pytest.approx(1.2642411176571153, abs=1e-12)
     ref, _ = quad(lambda t: 2.0 * math.exp(-t), 0.0, 1.0,
                   epsabs=1e-13, epsrel=1e-13)
@@ -450,7 +491,7 @@ def test_phase_exp_frequency_value():
 
 
 def test_phase_tsquared_value():
-    th = ermakov.phase_closed_form("tsquared", {"m0": 1.0, "c": 1.0}, 1.0, 2.0)
+    th = models.tsquared_phase(1.0, 1.0, 1.0, 2.0)
     assert th == pytest.approx(0.5, abs=1e-14)
     ref, _ = quad(lambda t: 2.0 * 0.5 / t ** 2, 1.0, 2.0,
                   epsabs=1e-13, epsrel=1e-13)
@@ -458,21 +499,13 @@ def test_phase_tsquared_value():
 
 
 def test_phase_empty_interval_is_zero():
-    for case, params in [
-        ("harmonic_const", {"omega0": 1.0}),
-        ("harmonic_oscillating", {"omega0": 1.0, "kconst": 2.0}),
-        ("kc_hyperbolic", {"omega0": 0.3, "gamma": 1.0}),
-        ("exp_frequency", {"omega0": 1.0, "gamma0": 1.0}),
-        ("tsquared", {"m0": 1.0, "c": 1.0}),
-        ("bessel_series", {"omega0": 1.0, "lam": 2.0, "mu_s": 1.0}),
-    ]:
-        t0 = 1.0
-        assert ermakov.phase_closed_form(case, params, t0, t0) == 0.0
-
-
-def test_phase_unknown_case():
-    with pytest.raises(UnknownCase):
-        ermakov.phase_closed_form("nope", {}, 0.0, 1.0)
+    s10 = series.build_series(1.0, 2.0, 1.0, 10)
+    for phase in (partial(ermakov.phase_oscillating, 1.0, 2.0, 0.0),
+                  partial(ermakov.phase_hyperbolic, 0.4, 0.0, 0.0),
+                  partial(models.exp_frequency_phase, 1.0, 1.0),
+                  partial(models.tsquared_phase, 1.0, 1.0),
+                  partial(series.theta_series, s10)):
+        assert phase(1.0, 1.0) == 0.0
 
 
 def test_superposition_matches_integration_on_damped_model():
@@ -484,7 +517,8 @@ def test_superposition_matches_integration_on_damped_model():
     pair = ermakov.harmonic_basis(Om)
     kconst, c1 = ermakov.fit_oscillating(Om, 0.8, -0.1, 0.0)
     comb = ermakov.oscillating_combination(Om, kconst, c1)
-    states = ermakov.integrate_ep(m, 0.25, (0.8, -0.1), 0.0, 10.0, n_out=101)
+    states = ermakov.integrate_ep(m, 0.25, (0.8, -0.1), 0.0, 10.0,
+                                  t_eval=np.linspace(0.0, 10.0, 101))
     ref = ermakov.sigma_from_basis(pair, comb, states.t)[0]
     assert np.all(np.abs(states.sigma - ref) / ref < 1e-6)
 
@@ -498,7 +532,8 @@ def test_integration_agrees_with_scipy():
         w2 = models.omega2(m, t)
         return [y[1], -w2 * y[0] + 0.25 / y[0] ** 3]
 
-    states = ermakov.integrate_ep(m, 0.25, (1.0, 0.3), 0.0, 2.0, n_out=21)
+    states = ermakov.integrate_ep(m, 0.25, (1.0, 0.3), 0.0, 2.0,
+                                  t_eval=np.linspace(0.0, 2.0, 21))
     ref = solve_ivp(rhs, (0.0, 2.0), [1.0, 0.3], rtol=1e-12, atol=1e-14,
                     t_eval=states.t)
     assert np.all(np.abs(states.sigma - ref.y[0]) < 1e-8)

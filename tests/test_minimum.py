@@ -88,7 +88,8 @@ def test_minimal_branch_solves_auxiliary_equation():
     m0 = float(m.m(0.0))
     init = (mm.c * math.sqrt(m0),
             0.5 * mm.c * float(m.m_dot(0.0)) / math.sqrt(m0))
-    states = ermakov.integrate_ep(m, 0.25, init, 0.0, 2.0, n_out=41)
+    states = ermakov.integrate_ep(m, 0.25, init, 0.0, 2.0,
+                                  t_eval=np.linspace(0.0, 2.0, 41))
     for t, sigma, theta in zip(states.t, states.sigma, states.theta):
         ref = minimum.sigma_minimum(mm, t, 0.0)
         assert sigma == pytest.approx(ref.sigma, rel=1e-9)

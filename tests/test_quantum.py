@@ -53,7 +53,8 @@ def test_damped_model_saturates_on_drift_condition(gamma, t):
 
 def test_product_routes_agree_on_damped_trajectory():
     m = models.kanai_caldirola(omega0=1.0, gamma=1.0)
-    states = ermakov.integrate_ep(m, 0.25, (0.9, 0.1), 0.0, 3.0, n_out=100)
+    states = ermakov.integrate_ep(m, 0.25, (0.9, 0.1), 0.0, 3.0,
+                                  t_eval=np.linspace(0.0, 3.0, 100))
     ref = quantum.default_reference(m, 0.0)
     rep = quantum.quadratures(m, states)
     pair = quantum.bogolubov(m, states, ref)
@@ -65,7 +66,8 @@ def test_product_routes_agree_on_damped_trajectory():
 
 def test_normalization_and_balance_moduli_on_damped_model():
     m = models.kanai_caldirola(omega0=1.0, gamma=1.0)
-    states = ermakov.integrate_ep(m, 0.25, (0.9, 0.1), 0.0, 3.0, n_out=60)
+    states = ermakov.integrate_ep(m, 0.25, (0.9, 0.1), 0.0, 3.0,
+                                  t_eval=np.linspace(0.0, 3.0, 60))
     ref = quantum.default_reference(m, 0.0)
     pair = quantum.bogolubov(m, states, ref)
     assert np.abs(pair.mu) ** 2 - np.abs(pair.nu) ** 2 == pytest.approx(
@@ -209,7 +211,8 @@ def test_scalar_and_column_paths_agree(name, monkeypatch):
             return solved[-1]
 
         monkeypatch.setattr(owner, fname, spy)
-    traj = ermakov.integrate_ep(model, 0.25, (0.9, 0.1), t0, t1, n_out=50)
+    traj = ermakov.integrate_ep(model, 0.25, (0.9, 0.1), t0, t1,
+                                t_eval=np.linspace(t0, t1, 50))
     (ts, ys), = solved
     assert np.array_equal(traj.t, ts)
     # the rows' state is (x, x', v, v', theta, F/s) with sigma =
@@ -275,15 +278,55 @@ def test_invariants_along_trajectories(model, sigma0, sigma_dot0, hbar):
     # tolerances are those of `tdo verify`
     t0, t1 = CATALOG_WINDOWS[model.name]
     traj = ermakov.integrate_ep(model, 0.25, (sigma0, sigma_dot0), t0, t1,
-                                n_out=60)
+                                t_eval=np.linspace(t0, t1, 60))
     pair = quantum.bogolubov(model, traj, quantum.default_reference(model, t0))
     norm = np.abs(pair.mu) ** 2 - np.abs(pair.nu) ** 2
     assert np.max(np.abs(norm - 1.0)) <= 1e-10
     assert np.min(quantum.quadratures(model, traj, hbar).product) \
         >= 0.5 * hbar - 1e-12
     assert np.all(np.diff(traj.theta) >= 0.0)
+    drift = np.max(np.abs(traj.k - traj.k[0]))
     if model.name in ("harmonic", "kanai_caldirola"):
-        assert np.max(np.abs(traj.k - traj.k[0])) <= 1e-8
+        assert drift <= 1e-8
+    else:
+        # the balance k = sigma'^2 + Omega^2 sigma^2 + K/sigma^2 - F, with F
+        # stepped alongside; 5.3e-10 measured over these boxes
+        assert drift / max(1.0, abs(traj.k[0])) <= 1e-8
+
+
+MINIMAL_NAMES = ("bessel_type", "exp_frequency", "tsquared")
+minimal_models = st.sampled_from(MINIMAL_NAMES).flatmap(
+    lambda name: st.fixed_dictionaries(PARAMETER_BOXES[name]).map(
+        lambda params: models.get_model(name, **params)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=minimal_models)
+def test_criterion_holds_on_the_minimal_branch_and_only_there(model):
+    # sigma = c sqrt(m) with the criterion's c, stepped from t0, keeps
+    # nu = 0 (the tolerance of `tdo verify`; 2.2e-10 measured); a start 1%
+    # off the branch in sigma has nu ~ 1e-2 and a product above hbar/2
+    t0, t1 = CATALOG_WINDOWS[model.name]
+    report = minimum.check_criterion(model, t0=t0, t1=t1)
+    assert report.is_minimum
+    sigma0, sigma_dot0 = minimum.minimal_amplitude(model, report.c, t0)
+    ref = quantum.default_reference(model, t0)
+    grid = np.linspace(t0, t1, 40)
+    on = ermakov.integrate_ep(model, 0.25, (sigma0, sigma_dot0), t0, t1,
+                              t_eval=grid)
+    assert np.max(np.abs(quantum.bogolubov(model, on, ref).nu)) <= 1e-9
+    off = ermakov.integrate_ep(model, 0.25, (1.01 * sigma0, sigma_dot0),
+                               t0, t1, t_eval=grid)
+    assert abs(quantum.bogolubov(model, off, ref).nu[0]) >= 1e-3
+    assert quantum.quadratures(model, off).product[0] > 0.5
+
+
+@settings(max_examples=20, deadline=None)
+@given(gamma=st.floats(-0.8, 0.8).filter(lambda g: abs(g) >= 1e-3))
+def test_criterion_rejects_damping(gamma):
+    # m omega = m0 omega0 exp(gamma t) is constant only at gamma = 0
+    assert not minimum.check_criterion(
+        models.kanai_caldirola(gamma=gamma)).is_minimum
 
 
 # the corner of the harmonic box: the grid points (omega0 index, sigma0
@@ -302,5 +345,6 @@ def test_harmonic_k_drift_corner(index):
     omega0, sigma0, sigma_dot0 = (float(axis[i])
                                   for axis, i in zip(HARMONIC_GRID, index))
     traj = ermakov.integrate_ep(models.harmonic(omega0=omega0), 0.25,
-                                (sigma0, sigma_dot0), 0.0, 5.0, n_out=60)
+                                (sigma0, sigma_dot0), 0.0, 5.0,
+                                t_eval=np.linspace(0.0, 5.0, 60))
     assert np.max(np.abs(traj.k - traj.k[0])) <= 1e-8
