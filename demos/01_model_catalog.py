@@ -21,14 +21,16 @@ print(f"{'model':16s} {'t':>5s} {'m(t)':>12s} {'omega(t)':>12s} "
 for model in models.catalog():
     lo, hi = model.domain.sampling_window()
     for t in np.linspace(lo + 0.2 * (hi - lo), hi, 3):
-        c = models.coefficients(model, t)
+        M = float(models.damping_coefficient(model, t))
         print(f"{model.name:16s} {t:5.2f} {float(model.m(t)):12.6f} "
-              f"{float(model.omega(t)):12.6f} {c.M:10.4f} {c.Omega2:12.6f}")
+              f"{float(model.omega(t)):12.6f} {M:10.4f} "
+              f"{float(models.omega2(model, t)):12.6f}")
 
 # the damped constant-frequency model has a *constant* effective frequency
-# of either sign: omega0^2 - gamma^2/4
+# of either sign: omega0^2 - gamma^2/4; at gamma = 0 it is the harmonic
+# oscillator
 print("\ndamped model, effective frequency vs damping:")
-for gamma in (0.5, 1.0, 2.0, 3.0):
+for gamma in (0.0, 0.5, 1.0, 2.0, 3.0):
     m = models.kanai_caldirola(omega0=1.0, gamma=gamma)
     print(f"  gamma={gamma:3.1f}: Omega^2 = {models.omega2(m, 0.0):+.4f}")
 

@@ -47,7 +47,9 @@ for model, (lo, hi) in CASES:
 # perturbing away from the minimal branch costs quadratically
 print("\nquadratic growth off the minimum (harmonic, sigma' -> sigma' + eps):")
 mm = minimum.minimum_model(models.harmonic())
-base = minimum.sigma_minimum(mm, 0.5, 0.0)
+# the state at t = 0.5 is the last row of the trajectory on [0, 0.5]
+base = ErmakovState(**{name: column[-1] for name, column in vars(
+    minimum.sigma_minimum_trajectory(mm, [0.0, 0.5])).items()})
 # one state of columns carries all three perturbations at once
 eps = np.array([1e-2, 1e-3, 1e-4])
 pert = ErmakovState(t=base.t, sigma=base.sigma, sigma_dot=base.sigma_dot + eps,

@@ -12,19 +12,16 @@ runs all of them.
 """
 
 from . import bessel, ermakov, minimum, models, quantum, series, verify
-from .errors import (BudgetExceeded, ConstraintViolation, ConvergenceWarning,
-                     CriterionViolated, DomainError, NonFiniteResult,
-                     NonPositiveAlpha, NonRealSigma, ParameterError,
-                     SingularityApproached, StepSizeUnderflow, TdoError,
-                     UnitsError)
+from .errors import (BudgetExceeded, ConvergenceWarning, CriterionViolated,
+                     DomainError, NonFiniteResult, ParameterError,
+                     SingularityApproached, StepSizeUnderflow, TdoError)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "bessel", "ermakov", "minimum", "models", "quantum", "series", "verify",
-    "TdoError", "DomainError", "ParameterError", "UnitsError",
-    "NonRealSigma", "ConstraintViolation", "SingularityApproached",
+    "TdoError", "DomainError", "ParameterError", "SingularityApproached",
     "StepSizeUnderflow", "BudgetExceeded", "NonFiniteResult",
-    "CriterionViolated", "NonPositiveAlpha", "ConvergenceWarning",
+    "CriterionViolated", "ConvergenceWarning",
     "__version__",
 ]

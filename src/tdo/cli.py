@@ -4,10 +4,11 @@ series builds, and the verification suites.
 Subcommands: catalog, solve, uncertainty, verify, series, check-min.  Every
 key a subcommand reads is one row of `KEYS`: the argparse flags, the config
 values and the --sweep keys all come from that table, and every read goes
-through the typed check in `_value`.  A model key reaches a catalog factory
-only when the factory's signature names it.  Precedence is sweep member >
-CLI flags > JSON config file (--config, falling back to $TDO_DEFAULT_CONFIG;
-null counts as unset) > model defaults.  Outputs are deterministic: CSV
+through the typed check in `_value`, which alone types flag values and
+config values alike.  A model key reaches a catalog factory only when the
+factory's signature names it.  Precedence is sweep member > CLI flags >
+JSON config file (--config, falling back to $TDO_DEFAULT_CONFIG; null
+counts as unset) > model defaults.  Outputs are deterministic: CSV
 carries 17 significant digits, JSON is key-sorted.  Errors leave a single
 `error_kind: message` line on stderr; exit codes are 2 for configuration
 problems (bad values, grids above MAX_ROWS, sweeps above MAX_SWEEP), 3 for
@@ -135,18 +136,18 @@ def _value(res, key, default=None):
         if isinstance(val, str) and (kind is str or val in kind):
             return val
         want = "a string" if kind is str else " or ".join(kind)
-        raise ConfigError(f"--{key} must be {want}, got {val!r}")
+        raise ConfigError(f"{_flag(key)} must be {want}, got {val!r}")
     try:
         if isinstance(val, bool):
             raise TypeError
         num = float(val)
     except (TypeError, ValueError):
-        raise ConfigError(f"--{key} must be a number, got {val!r}")
+        raise ConfigError(f"{_flag(key)} must be a number, got {val!r}")
     if not math.isfinite(num):
-        raise ConfigError(f"--{key} must be finite, got {val!r}")
+        raise ConfigError(f"{_flag(key)} must be finite, got {val!r}")
     if kind is int:
         if not num.is_integer():
-            raise ConfigError(f"--{key} must be an integer, got {val!r}")
+            raise ConfigError(f"{_flag(key)} must be an integer, got {val!r}")
         return int(num)
     return num
 
@@ -196,7 +197,7 @@ def _time_grid(res):
 def _positive(res, key, default):
     val = _value(res, key, default)
     if not val > 0.0:
-        raise ConfigError(f"--{key} must be positive")
+        raise ConfigError(f"{_flag(key)} must be positive")
     return val
 
 
@@ -382,16 +383,40 @@ def build_parser():
                        help="JSON config file (flags take precedence)")
         for key, (kind, key_groups, key_help) in KEYS.items():
             if set(groups.split()) & set(key_groups.split()):
+                # flag values stay strings: `_value` types them
                 p.add_argument(
                     _flag(key), dest=key, help=key_help,
-                    type=kind if kind in (float, int) else None,
-                    choices=kind if isinstance(kind, tuple) else None)
+                    metavar="{%s}" % ",".join(kind)
+                    if isinstance(kind, tuple) else None)
         p.set_defaults(func=func)
     return parser
 
 
+def _attach_negative_numbers(argv):
+    """argv with each value that starts with '-' and reads as a number
+    joined to the flag before it (`--t0 -1e-3` -> `--t0=-1e-3`): argparse
+    takes such a value for an option unless it is a plain decimal."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and arg.startswith("-") and _is_number(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_numbers(argv))
     flags = {key: getattr(args, key) for key in KEYS
              if getattr(args, key, None) is not None}
     try:

@@ -8,11 +8,11 @@ z of that equation with Wronskian sqrt(K) (Milne's construction,
 `integrate_ep`).  z takes one of three routes, picked by `integrate_ep`
 from the model and the start: in closed form when the model declares a
 constant Omega^2 and K > 0 (harmonic, kanai_caldirola), and otherwise
-stepped adaptively, in polar form when the start lies on a slowly
-varying branch and in Cartesian form from any other start.  On the
-stepped routes the phase theta = integral dt/sigma^2 and the balance
-functional F = integral d(Omega^2)/dt * sigma^2 dt ride along as extra
-state components of the same stepper, so every quadrature shares the
+stepped adaptively, in polar form when the start lies on the minimal
+branch and in Cartesian form from any other start.  On the stepped
+routes the phase theta = integral dt/sigma^2 and the balance functional
+F = integral d(Omega^2)/dt * sigma^2 dt ride along as extra state
+components of the same stepper, so every quadrature shares the
 trajectory's error control.  A trajectory is one `ErmakovState` whose
 fields are equal-length columns, one entry per output time.  The
 closed-form phases of the oscillating and hyperbolic branches,
@@ -26,19 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dopri, models
-from .errors import (BudgetExceeded, ConstraintViolation, NonFiniteResult,
-                     NonRealSigma, ParameterError, SingularityApproached,
-                     StepSizeUnderflow)
+from .errors import (BudgetExceeded, NonFiniteResult, ParameterError,
+                     SingularityApproached, StepSizeUnderflow)
 
 DEFAULT_K = 0.25
 SIGMA_FLOOR = 1e-8
-# A start this close (relative) to a slowly varying branch is stepped in
-# the polar pair.  Starts built from the closed forms lie within a few ulp,
-# and the pair's gain fades fast off the branch: the harmonic oscillator,
-# stepped over 40 periods (its constant Omega^2 undeclared, as a table
-# has it; declared, it is evaluated in closed form) from
-# (2^-1/2 (1 + d), 0), makes 1,633 / 4,150 / 8,353 / 10,249 coeffs calls
-# in it at d = 0 / 1e-9 / 1e-6 / 1e-5, and 9,781 in the Cartesian.
+# A start this close (relative) to the minimal branch is stepped in the
+# polar pair.  Starts built from the closed forms lie within a few ulp,
+# and the pair's gain fades fast off the branch: tsquared (m0 = c = 1),
+# stepped over the 40 periods of its frequency that end at t = 1 from
+# the minimal start scaled by 1 + d, makes 1,828 / 3,952 / 8,179 / 10,168
+# coeffs calls in it at d = 0 / 1e-9 / 1e-6 / 1e-5, and 9,634 in the
+# Cartesian.
 BRANCH_RTOL = 1e-9
 
 
@@ -116,18 +115,18 @@ def constraint_gap(pair, comb):
 def sigma_from_basis(pair, comb, t):
     """Closed-form (sigma, sigma') from the superposition quadratic form.
 
-    Raises ConstraintViolation when A*B - C^2 strays from K/W0^2 beyond
-    1e-8 relative, NonRealSigma when the radicand is not positive.
+    Raises ParameterError when A*B - C^2 strays from K/W0^2 beyond 1e-8
+    relative, or when the radicand is not positive.
     """
     target = comb.K / pair.W0 ** 2
     if abs(constraint_gap(pair, comb)) > 1e-8 * max(1.0, abs(target)):
-        raise ConstraintViolation(
+        raise ParameterError(
             f"A*B - C^2 = {comb.A * comb.B - comb.C ** 2!r} but K/W0^2 = {target!r}")
     y1, y2 = pair.y1(t), pair.y2(t)
     y1d, y2d = pair.y1_dot(t), pair.y2_dot(t)
     u = comb.A * y1 * y1 + comb.B * y2 * y2 + 2.0 * comb.C * y1 * y2
     if np.any(np.asarray(u) <= 0.0):
-        raise NonRealSigma("superposition radicand is not positive")
+        raise ParameterError("superposition radicand is not positive")
     sigma = np.sqrt(u)
     u_dot = 2.0 * (comb.A * y1 * y1d + comb.B * y2 * y2d
                    + comb.C * (y1d * y2 + y1 * y2d))
@@ -150,13 +149,6 @@ def pinney_residual(pair, comb, omega2_fn, t):
 
 # ---------------------------------------------------------------------------
 # constant-frequency closed-form branches, their fits and phases
-
-def constant_combination(omega0):
-    """Constants giving the time-independent amplitude sigma = K^(1/4)/sqrt(omega0)."""
-    models._require_positive(omega0=omega0)
-    A = math.sqrt(DEFAULT_K) / omega0
-    return PinneyCombination(A=A, B=A, C=0.0, K=DEFAULT_K)
-
 
 def _oscillating_S(omega0, kconst):
     """sqrt(kconst^2 - omega0^2) of the oscillating branch, which requires
@@ -187,8 +179,9 @@ def oscillating_combination(omega0, kconst, c1):
 def sigma_oscillating(omega0, kconst, c1, t):
     """Oscillating constant-frequency branch: (sigma, sigma') at t."""
     S = _oscillating_S(omega0, kconst)
+    den = models._divisor("2 omega0^2", 2.0 * omega0 ** 2)
     phi = 2.0 * c1 + 2.0 * omega0 * np.asarray(t, dtype=float)
-    u = (kconst - S * np.cos(phi)) / (2.0 * omega0 ** 2)
+    u = (kconst - S * np.cos(phi)) / den
     sigma = np.sqrt(u)
     u_dot = S * np.sin(phi) / omega0
     return sigma, u_dot / (2.0 * sigma)
@@ -274,7 +267,9 @@ def phase_hyperbolic(L, c1, c2, t0, t1):
     branch: 2 arctan(gain tanh(c2 + L t)) with gain = sqrt(4 L^2 c1^2 + 1)
     - 2 L c1."""
     models._require_positive(L=L)
-    gain = math.sqrt(4.0 * L * L * c1 * c1 + 1.0) - 2.0 * L * c1
+    square = 4.0 * L * L * c1 * c1
+    models._require_finite("4 L^2 c1^2", square)
+    gain = math.sqrt(square + 1.0) - 2.0 * L * c1
 
     def th(t):
         return 2.0 * math.atan(gain * math.tanh(c2 + L * t))
@@ -293,10 +288,9 @@ def conserved_k(sigma, sigma_dot, omega2_val, K=DEFAULT_K):
 
 def _on_a_branch(model, K, sigma0, sigma_dot0, t0):
     """Whether (sigma0, sigma0') at t0 lies, within BRANCH_RTOL, on the
-    minimal branch (nu(t0) = 0: K/sigma0^4 = omega^2, sigma0'/sigma0 = M/2)
-    or on the constant branch of the frozen Omega^2 (K/sigma0^4 = Omega^2,
-    sigma0' = 0).  Rates are measured against z's turning rate
-    sqrt(K)/sigma0^2; K = 0 and non-finite intermediates give False."""
+    minimal branch (nu(t0) = 0: K/sigma0^4 = omega^2, sigma0'/sigma0 = M/2).
+    Rates are measured against z's turning rate sqrt(K)/sigma0^2; K = 0
+    and non-finite intermediates give False."""
     sigma0, sigma_dot0 = float(sigma0), float(sigma_dot0)
     # float ** raises OverflowError; products overflow to inf, quotients to 0
     rate2 = float(K) / (sigma0 * sigma0) / (sigma0 * sigma0)
@@ -307,11 +301,9 @@ def _on_a_branch(model, K, sigma0, sigma_dot0, t0):
         w = float(model.omega(t0))
         half_M = 0.5 * float(model.m_dot(t0) / model.m(t0))
     # a nan or inf target fails its comparison
-    return any(abs(rate2 - w2) <= BRANCH_RTOL * rate2
-               and abs(sigma_dot0 / sigma0 - half_rate)
-               <= BRANCH_RTOL * math.sqrt(rate2)
-               for w2, half_rate in ((w * w, half_M),
-                                     (model.coeffs(t0)[0], 0.0)))
+    return (abs(rate2 - w * w) <= BRANCH_RTOL * rate2
+            and abs(sigma_dot0 / sigma0 - half_M)
+            <= BRANCH_RTOL * math.sqrt(rate2))
 
 
 def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
@@ -329,9 +321,8 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
       K > 0: z is evaluated in closed form at the output times and theta
       = arg z / sqrt(K) takes its turn from an exact half-period count
       (`_propagate`); F = 0.
-    - polar, stepped, when init starts a slowly varying branch (the
-      minimal branch, or the constant branch of the frozen Omega^2;
-      `_on_a_branch`), where sigma barely moves while z still turns: the
+    - polar, stepped, when init starts the minimal branch (nu(t0) = 0;
+      `_on_a_branch`), where sigma moves slowly while z still turns: the
       state is (sigma, sigma', theta, F/s) under the auxiliary equation
       sigma'' + Omega^2 sigma = K/sigma^3 itself.
     - Cartesian, stepped, from any other start: the state is (x, x', v,

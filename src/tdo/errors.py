@@ -13,18 +13,6 @@ class ParameterError(TdoError):
     """Parameter value outside the range an operation supports."""
 
 
-class UnitsError(TdoError):
-    """Non-physical configuration constant (e.g. hbar <= 0)."""
-
-
-class NonRealSigma(TdoError):
-    """Quadratic-form radicand not positive: sigma leaves the real branch."""
-
-
-class ConstraintViolation(TdoError):
-    """Superposition constants violate A*B - C**2 = K / W0**2."""
-
-
 class SingularityApproached(TdoError):
     """sigma fell below the collapse floor during integration."""
 
@@ -44,10 +32,6 @@ class NonFiniteResult(TdoError):
 
 class CriterionViolated(TdoError):
     """Model does not keep m(t)*omega(t) constant."""
-
-
-class NonPositiveAlpha(TdoError):
-    """Scale function alpha(t) is not positive on the requested range."""
 
 
 class ConvergenceWarning(UserWarning):

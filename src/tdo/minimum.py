@@ -6,7 +6,7 @@ all times, the transformation coefficients freeze at (mu, nu) = (1, 0), and
 the phase reduces to 2*integral(omega).  The checker estimates c from the
 median of m*omega over a sampling window so endpoint noise in tabulated
 data cannot skew it.  A minimal-branch trajectory is one `ErmakovState` of
-columns, built by the same state formula as a single sample.
+columns; the state at a single time is the last row of a two-point grid.
 
 On the branch the phase theta = 2*integral(omega) and the balance term
 F = c^2*integral(m dOmega^2/dt) are integrals of the coefficients alone.
@@ -137,8 +137,6 @@ def _theta_and_F(mmodel, a, b):
     length holds at most _BLOCK * PANEL_LIMIT panels.  Returns the (theta,
     F) columns.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
     blocks = [_refine(mmodel, a[i:i + _BLOCK], b[i:i + _BLOCK])
               for i in range(0, a.size, _BLOCK)]
     return np.concatenate([np.zeros((2, 0)), *blocks], axis=1)
@@ -195,30 +193,23 @@ def minimal_amplitude(model, c, t):
     return c * root_m, 0.5 * c * m_dot / root_m
 
 
-def _minimal_state(mmodel, t, theta, F):
-    """The minimal-branch state at t (float or column), with k."""
-    base = mmodel.base
-    sigma, sigma_dot = minimal_amplitude(base, mmodel.c, t)
-    k = conserved_k(sigma, sigma_dot, models.omega2(base, t), DEFAULT_K) - F
-    return ErmakovState(t=t, sigma=sigma, sigma_dot=sigma_dot, theta=theta,
-                        k=k, F=F)
-
-
-def sigma_minimum(mmodel, t, t0):
-    """Exact minimal-branch sample: sigma = c sqrt(m), phase from t0."""
-    mmodel.base.domain.require(t)
-    mmodel.base.domain.require(t0)
-    (theta,), (F,) = _theta_and_F(mmodel, t0, t)
-    return _minimal_state(mmodel, float(t), float(theta), float(F))
-
-
 def sigma_minimum_trajectory(mmodel, t_grid):
-    """Minimal-branch columns on a grid, phase accumulated from t_grid[0]."""
+    """Minimal-branch columns on a grid, phase accumulated from t_grid[0].
+
+    The state at one time t with its phase from t0 is the last row of the
+    grid [t0, t].  Raises DomainError when a grid time lies outside the
+    model's domain.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     mmodel.base.domain.require(t_grid)
     theta, F = (np.concatenate([[0.0], np.cumsum(step)])
                 for step in _theta_and_F(mmodel, t_grid[:-1], t_grid[1:]))
-    return _minimal_state(mmodel, t_grid, theta, F)
+    base = mmodel.base
+    sigma, sigma_dot = minimal_amplitude(base, mmodel.c, t_grid)
+    k = (conserved_k(sigma, sigma_dot, models.omega2(base, t_grid), DEFAULT_K)
+         - F)
+    return ErmakovState(t=t_grid, sigma=sigma, sigma_dot=sigma_dot,
+                        theta=theta, k=k, F=F)
 
 
 def mass_constraint_residual(mmodel, t):

@@ -14,7 +14,7 @@ quintic-spline interpolation.
 import csv
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,33 +77,13 @@ class ModelDescriptor:
     constant_omega2: float = None
 
 
-@dataclass(frozen=True)
-class CoefficientSample:
-    t: float
-    M: float
-    Omega2: float
-
-
 # ---------------------------------------------------------------------------
 # catalog
 
 def harmonic(m0=1.0, omega0=1.0):
-    """Constant mass and frequency."""
-    _require_positive(m0=m0, omega0=omega0)
-    Omega2 = omega0 * omega0
-    _require_finite("Omega^2", Omega2)
-    return ModelDescriptor(
-        name="harmonic",
-        m=lambda t: m0 * _ones_like(t),
-        m_dot=lambda t: 0.0 * _ones_like(t),
-        m_ddot=lambda t: 0.0 * _ones_like(t),
-        omega=lambda t: omega0 * _ones_like(t),
-        omega_dot=lambda t: 0.0 * _ones_like(t),
-        coeffs=_constant_coeffs(Omega2),
-        domain=Domain(),
-        params={"m0": m0, "omega0": omega0},
-        constant_omega2=float(Omega2),
-    )
+    """Constant mass and frequency: kanai_caldirola at gamma = 0."""
+    return replace(kanai_caldirola(m0, omega0, 0.0), name="harmonic",
+                   params={"m0": m0, "omega0": omega0})
 
 
 def kanai_caldirola(m0=1.0, omega0=1.0, gamma=1.0):
@@ -113,8 +93,14 @@ def kanai_caldirola(m0=1.0, omega0=1.0, gamma=1.0):
     of either sign.
     """
     _require_positive(m0=m0, omega0=omega0)
-    Omega2 = omega0 * omega0 - 0.25 * (gamma * gamma)
+    Omega2 = float(omega0 * omega0 - 0.25 * (gamma * gamma))
     _require_finite("Omega^2", Omega2)
+
+    def coeffs(t):
+        if isinstance(t, float):
+            return Omega2, 0.0
+        return np.full(np.shape(t), Omega2), np.zeros(np.shape(t))
+
     return ModelDescriptor(
         name="kanai_caldirola",
         m=lambda t: m0 * np.exp(gamma * np.asarray(t, dtype=float)),
@@ -122,10 +108,10 @@ def kanai_caldirola(m0=1.0, omega0=1.0, gamma=1.0):
         m_ddot=lambda t: gamma ** 2 * m0 * np.exp(gamma * np.asarray(t, dtype=float)),
         omega=lambda t: omega0 * _ones_like(t),
         omega_dot=lambda t: 0.0 * _ones_like(t),
-        coeffs=_constant_coeffs(Omega2),
+        coeffs=coeffs,
         domain=Domain(),
         params={"m0": m0, "omega0": omega0, "gamma": gamma},
-        constant_omega2=float(Omega2),
+        constant_omega2=Omega2,
     )
 
 
@@ -215,13 +201,20 @@ def bessel_type(m0=1.0, omega0=1.0, Omega0=1.0, k0=0.5, nu=1.0, order=10,
         return _omega2_pair(al, ald, aldd, ald3, omega0 / al,
                             -omega0 * ald / (al * al))
 
+    def d(t):
+        return alpha.derivatives(np.asarray(t, dtype=float))
+
+    def omega_dot(t):
+        al, ald, _, _ = d(t)
+        return -omega0 * ald / al ** 2
+
     return ModelDescriptor(
         name="bessel_type",
-        m=lambda t: m0 * alpha.alpha(t),
-        m_dot=lambda t: m0 * alpha.alpha_dot(t),
-        m_ddot=lambda t: m0 * alpha.alpha_ddot(t),
-        omega=lambda t: omega0 / alpha.alpha(t),
-        omega_dot=lambda t: -omega0 * alpha.alpha_dot(t) / alpha.alpha(t) ** 2,
+        m=lambda t: m0 * d(t)[0],
+        m_dot=lambda t: m0 * d(t)[1],
+        m_ddot=lambda t: m0 * d(t)[2],
+        omega=lambda t: omega0 / d(t)[0],
+        omega_dot=omega_dot,
         coeffs=coeffs,
         domain=Domain(lo=t_min, hi=hi, hi_open=True),
         params={"m0": m0, "omega0": omega0, "Omega0": Omega0, "k0": k0,
@@ -285,14 +278,6 @@ def omega2_dot(model, t):
     return model.coeffs(np.asarray(t, dtype=float))[1]
 
 
-def coefficients(model, t):
-    """Damping coefficient M and effective squared frequency at time t."""
-    model.domain.require(t)
-    return CoefficientSample(t=float(t),
-                             M=float(damping_coefficient(model, t)),
-                             Omega2=float(omega2(model, t)))
-
-
 def eom_residual(model, q, dq, d2q, t):
     """q'' + M q' + omega^2 q for a trajectory given with two derivatives."""
     model.domain.require(t)
@@ -335,8 +320,9 @@ def exp_frequency_phase(omega0, gamma0, t0, t1):
     """Minimal-branch phase 2 integral(omega) of exp_frequency on [t0, t1]:
     2 omega0/gamma0 (exp(-gamma0 t0) - exp(-gamma0 t1)); gamma0 > 0."""
     _require_positive(gamma0=gamma0)
-    return 2.0 * omega0 / gamma0 * (math.exp(-gamma0 * t0)
-                                    - math.exp(-gamma0 * t1))
+    scale = 2.0 * omega0 / gamma0
+    _require_finite("2 omega0/gamma0", scale)
+    return scale * (math.exp(-gamma0 * t0) - math.exp(-gamma0 * t1))
 
 
 def tsquared_phase(m0, c, t0, t1):
@@ -345,7 +331,8 @@ def tsquared_phase(m0, c, t0, t1):
     _require_positive(m0=m0, c=c)
     if min(t0, t1) <= 0.0:
         raise DomainError("tsquared phase requires positive times")
-    b = m0 * c ** 2
+    b = m0 * c * c  # c ** 2 would raise OverflowError
+    _require_finite("m0 c^2", b)
     return (1.0 / _divisor("m0 c^2 t0", b * t0)
             - 1.0 / _divisor("m0 c^2 t1", b * t1))
 
@@ -471,18 +458,6 @@ def _exp(x):
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-def _constant_coeffs(Omega2):
-    """`coeffs` of a constant effective squared frequency."""
-    Omega2 = float(Omega2)
-
-    def coeffs(t):
-        if isinstance(t, float):
-            return Omega2, 0.0
-        return np.full(np.shape(t), Omega2), np.zeros(np.shape(t))
-
-    return coeffs
 
 
 def _omega2_pair(m, m_dot, m_ddot, m_dddot, w, w_dot):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import UnitsError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,13 @@ class BogolubovPair:
 
 def _check_hbar(hbar):
     if not hbar > 0.0:
-        raise UnitsError(f"hbar must be positive, got {hbar}")
+        raise ParameterError(f"hbar must be positive, got {hbar}")
 
 
 def _check_reference(reference):
     m0, w0 = reference
     if not (m0 > 0.0 and w0 > 0.0):
-        raise UnitsError("reference mass and frequency must be positive")
+        raise ParameterError("reference mass and frequency must be positive")
     return m0, w0
 
 
@@ -158,6 +158,6 @@ def oscillating_saturation_gap(omega0, k_values, hbar=1.0):
     out = {}
     for k in k_values:
         if k < omega0:
-            raise UnitsError("oscillating branch needs k >= omega0")
+            raise ParameterError("oscillating branch needs k >= omega0")
         out[k] = 0.5 * hbar * (k / omega0 - 1.0)
     return out

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bessel
-from .errors import ConvergenceWarning, NonPositiveAlpha, ParameterError
+from .errors import ConvergenceWarning, ParameterError
 
 _RATIONAL_ORDER_CAP = 12
 # the reciprocal recursion costs O(order^2); at lam = 2 and mu_s <= 3 every
@@ -64,25 +64,9 @@ class AlphaSeries:
                       (2 * k + 1.0) * (2 * k) * (2 * k - 1.0) * ak)
                      for k, ak in reversed(tuple(enumerate(self.a))[1:]))
 
-    def _powsum(self, t, column):
-        t = np.asarray(t, dtype=float)
-        t2 = t * t
-        acc = np.zeros_like(t)
-        for row in self._rows:
-            acc = acc * t2 + row[column]
-        return t, t2, acc
-
     def alpha(self, t):
-        t, t2, acc = self._powsum(t, 0)
-        return t * (acc * t2 + self.a[0])
-
-    def alpha_dot(self, t):
-        _, t2, acc = self._powsum(t, 1)
-        return acc * t2 + self.a[0]
-
-    def alpha_ddot(self, t):
-        t, _, acc = self._powsum(t, 2)
-        return acc * t
+        """alpha at t (float or array), on the array path of `derivatives`."""
+        return self.derivatives(np.asarray(t, dtype=float))[0]
 
     def derivatives(self, t):
         """alpha and its first three derivatives at t, in one pass: plain
@@ -481,8 +465,8 @@ def large_k0_approx(Omega0, k0, omega0, c1, c2, t):
     alpha = c1 + sqrt(c1^2 - omega0^2/(Omega0 k0)^2) * sin(2 Omega0 k0 (t+c2))
     and the matching trajectory q = sin(phase(t)), phase being the
     continuous arctan form of integral(omega0/alpha dt).  Raises
-    ParameterError on a negative radicand and NonPositiveAlpha when alpha
-    fails to stay positive on the requested times.
+    ParameterError on a negative radicand and when alpha fails to stay
+    positive on the requested times.
     """
     ell = Omega0 * k0
     if ell <= 0.0:
@@ -494,7 +478,7 @@ def large_k0_approx(Omega0, k0, omega0, c1, c2, t):
     t = np.asarray(t, dtype=float)
     alpha = c1 + amp * np.sin(2.0 * ell * (t + c2))
     if np.any(alpha <= 0.0):
-        raise NonPositiveAlpha("alpha not positive on the requested range")
+        raise ParameterError("alpha not positive on the requested range")
     # integral of omega0/alpha is arctan[(c1 tan(l(t+c2)) + amp) l/w0],
     # continued across the tan poles (c1 > 0 whenever alpha > 0)
     psi = ell * (t + c2)

@@ -312,12 +312,12 @@ def suite_minimum():
     # quadratic growth of the product under a sigma' perturbation
     mh = models.harmonic()
     mmh = minimum.minimum_model(mh)
-    base = minimum.sigma_minimum(mmh, 0.5, 0.0)
+    base = minimum.sigma_minimum_trajectory(mmh, [0.0, 0.5])
     worst = 0.0
     for eps in (1e-3, 1e-4):
         pert = dataclasses.replace(base, sigma_dot=base.sigma_dot + eps)
-        gap = quantum.quadratures(mh, pert).product - 0.5
-        worst = max(worst, abs(gap / (base.sigma ** 2 * eps ** 2) - 1.0))
+        gap = quantum.quadratures(mh, pert).product[-1] - 0.5
+        worst = max(worst, abs(gap / (base.sigma[-1] ** 2 * eps ** 2) - 1.0))
     checks.append(_check("product grows quadratically away from the minimum",
                          worst, 1e-4))
     return checks

@@ -150,7 +150,8 @@ def _count_pairs(monkeypatch):
 @pytest.mark.parametrize("argv,polar", [
     (["--model", "harmonic"], True),
     (["--model", "exp_frequency"], True),
-    (["--model", "kanai_caldirola"], True),
+    # the constant branch of the frozen Omega^2, not the minimal one
+    (["--model", "kanai_caldirola"], False),
     (["--model", "kanai_caldirola", "--sigma-dot0", "0.1"], False),
     (["--model", "kanai_caldirola", "--gamma", "2.2"], False),
     (["--model", "harmonic", "--sigma0", "0.8"], False),
@@ -159,9 +160,9 @@ def _count_pairs(monkeypatch):
 ])
 def test_default_initial_data_step_in_the_polar_pair(tmp_path, monkeypatch,
                                                      undeclared, argv, polar):
-    # a minimal or constant branch (the defaults, or the same start typed
-    # out) moves slowly, so its sigma is stepped itself; any other start
-    # steps x + iv
+    # the minimal branch (the default where m*omega is constant, or the
+    # same start typed out) moves slowly, so its sigma is stepped itself;
+    # any other start steps x + iv
     seen = _count_pairs(monkeypatch)
     assert run(["solve", *argv, "--t0", "0", "--t1", "1",
                 "--out", str(tmp_path / "x.csv")]) == 0
@@ -207,7 +208,7 @@ def test_the_model_and_K_pick_the_exact_route(tmp_path, monkeypatch, argv,
 
 def test_a_typed_branch_start_is_stepped_cheaply(tmp_path, monkeypatch,
                                                  undeclared):
-    # the constant branch typed as --sigma0 takes the polar pair by itself:
+    # the minimal branch typed as --sigma0 takes the polar pair by itself:
     # over 40 periods it needs under a quarter of the Cartesian pair's calls
     argv = ["solve", "--model", "harmonic", "--sigma0", "0.7071067811865476",
             "--t0", "0", "--t1", "250", "--out", str(tmp_path / "x.csv")]
@@ -398,6 +399,69 @@ def test_numeric_strings_in_config_parse(tmp_path):
     assert run(argv + ["--config", str(cfg), "--out", str(a)]) == 0
     assert run(argv + ["--omega0", "1.5", "--order", "6", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+_BESSEL_SOLVE = ["solve", "--model", "bessel_type", "--t0", "0.1", "--t1", "1"]
+_SOLVE_08 = _SOLVE + ["--sigma0", "0.8"]
+
+
+@pytest.mark.parametrize("argv,key,flag,value", [
+    (_BESSEL_SOLVE, "order", "--order", "1e1"),
+    (_BESSEL_SOLVE, "order", "--order", "1.2e1"),
+    (_SOLVE_08, "sigma_dot0", "--sigma-dot0", "-1e-3"),
+    (_SOLVE_08, "sigma_dot0", "--sigma-dot0", "-.25"),
+    (["solve", "--model", "harmonic", "--t1", "1"], "t0", "--t0", "-1e-3"),
+])
+def test_flag_values_parse_as_config_values(tmp_path, argv, key, flag, value):
+    # one typing for both: a value that reads as a number in the config
+    # file reads the same as a flag, a negative one in exponent form too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    a, b = tmp_path / "flag.csv", tmp_path / "config.csv"
+    assert run(argv + [flag, value, "--out", str(a)]) == 0
+    assert run(argv + ["--config", str(cfg), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+# (command with the settings it requires, flag, bad value); argparse once
+# answered most of these with its multi-line usage block, and the others
+# named --lambda and --sigma-dot0 by their keys
+BAD_FLAG_VALUES = [
+    (_SOLVE_08[:5], "--t0", "abc"),
+    (["catalog"], "--format", "xml"),
+    (_SOLVE, "--format", "CSV"),
+    (["series", "--lambda", "2"], "--order", "x"),
+    (["series", "--lambda", "2"], "--mu", "1/2"),
+    (["series", "--lambda", "2"], "--order", "1.5"),
+    (["series"], "--lambda", "nan"),
+    (_SOLVE_08, "--sigma-dot0", "-1e999"),
+    (_SOLVE_08, "--sigma-dot0", "inf"),
+    (_SOLVE, "--K", "-1e-3"),
+    (_SOLVE, "--tol", "-1"),
+    (["uncertainty", "--model", "harmonic", "--t0", "0", "--t1", "1"],
+     "--hbar", "0"),
+    (["check-min", "--model", "harmonic"], "--samples", "2.5"),
+    (["solve", "--model", "bessel_type", "--t0", "0.1", "--t1", "1"],
+     "--lambda", "x"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value", BAD_FLAG_VALUES,
+                         ids=[f"{argv[0]}{flag}={value}"
+                              for argv, flag, value in BAD_FLAG_VALUES])
+def test_bad_flag_values_are_one_line_config_errors(capsys, argv, flag,
+                                                    value):
+    assert run(argv + [flag, value]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    line, = out.err.splitlines()
+    assert line.startswith(f"config_error: {flag} ")
+
+
+def test_format_help_lists_its_values(capsys):
+    with pytest.raises(SystemExit):
+        run(["solve", "--help"])
+    assert "--format {csv,json}" in capsys.readouterr().out
 
 
 def test_sweep_over_series_alias_writes_distinct_runs(tmp_path):

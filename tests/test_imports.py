@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: every module-level import in the package is used, and
+the package exports exactly the error classes it defines.
 
 A name counts as used when the module reads it anywhere or lists it in
 `__all__`.  An import whose statement carries `# noqa: F401` is exempt;
@@ -6,9 +7,13 @@ A name counts as used when the module reads it anywhere or lists it in
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import tdo
+from tdo import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tdo"
 MODULES = sorted(SRC.glob("*.py"))
@@ -49,3 +54,11 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("import math\nfrom x import (a,\n    b)\n"
                           "from y import c  # noqa: F401\n"
                           "__all__ = ['b']\n") == [(1, "math"), (2, "a")]
+
+
+def test_the_package_exports_exactly_the_error_classes():
+    defined = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    exported = {name for name in tdo.__all__
+                if inspect.isclass(getattr(tdo, name))}
+    assert exported == defined

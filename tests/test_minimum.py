@@ -27,6 +27,14 @@ MINIMAL = [
 ]
 
 
+def row(mm, t, t0):
+    """The minimal-branch state at t with its phase from t0: the last row
+    of the trajectory on the grid [t0, t]."""
+    traj = minimum.sigma_minimum_trajectory(mm, [t0, t])
+    return ermakov.ErmakovState(**{name: column[-1]
+                                   for name, column in vars(traj).items()})
+
+
 def test_check_criterion_exp_frequency():
     rep = minimum.check_criterion(models.exp_frequency(omega0=1.0, gamma0=1.0,
                                                        c=2.0 ** -0.5))
@@ -60,7 +68,7 @@ def test_minimum_model_raises_for_damped():
 
 def test_sigma_minimum_harmonic():
     mm = minimum.minimum_model(models.harmonic(omega0=1.0))
-    s = minimum.sigma_minimum(mm, 1.4, 0.0)
+    s = row(mm, 1.4, 0.0)
     assert s.sigma == pytest.approx(2.0 ** -0.5, rel=1e-14)
     assert s.sigma_dot == 0.0
 
@@ -76,7 +84,7 @@ def test_sigma_minimum_tsquared_sigma_and_phase():
     mm = minimum.minimum_model(models.tsquared(m0=1.0, c=1.0),
                                t0=0.5, t1=3.0)
     for t in (0.5, 1.0, 2.0):
-        s = minimum.sigma_minimum(mm, t, 1.0)
+        s = row(mm, t, 1.0)
         assert s.sigma == pytest.approx(t, rel=1e-12)
         assert s.theta == pytest.approx(1.0 - 1.0 / t, abs=1e-10)
 
@@ -91,7 +99,7 @@ def test_minimal_branch_solves_auxiliary_equation():
     states = ermakov.integrate_ep(m, 0.25, init, 0.0, 2.0,
                                   t_eval=np.linspace(0.0, 2.0, 41))
     for t, sigma, theta in zip(states.t, states.sigma, states.theta):
-        ref = minimum.sigma_minimum(mm, t, 0.0)
+        ref = row(mm, t, 0.0)
         assert sigma == pytest.approx(ref.sigma, rel=1e-9)
         assert theta == pytest.approx(ref.theta, abs=1e-8)
 
@@ -140,13 +148,13 @@ def test_saturation_and_identity_along_minimal_trajectories():
 
 
 def test_trajectory_columns_match_single_samples():
-    # one state formula: the columns equal the per-time samples exactly,
+    # the columns equal the rows of the two-point grids [t0, t] exactly,
     # and the accumulated phase matches the direct quadrature from t0
     mm = minimum.minimum_model(models.exp_frequency())
     grid = np.linspace(0.0, 2.0, 9)
     traj = minimum.sigma_minimum_trajectory(mm, grid)
     for i, t in enumerate(grid):
-        s = minimum.sigma_minimum(mm, t, 0.0)
+        s = row(mm, t, 0.0)
         assert (s.t, s.sigma, s.sigma_dot) == (
             traj.t[i], traj.sigma[i], traj.sigma_dot[i])
         assert s.theta == pytest.approx(traj.theta[i], abs=1e-12)
@@ -159,10 +167,10 @@ def test_trajectory_columns_match_single_samples():
     (models.bessel_type(), (0.1, 0.8), [0.5, 2.0]),  # open at 2 / mu_s = 2
 ])
 def test_trajectory_grid_outside_the_domain_raises(model, window, grid):
-    # sigma_minimum raises on the same times, so the columns must too
+    # the two-point grid of its ends raises too
     mm = minimum.minimum_model(model, t0=window[0], t1=window[1])
     with pytest.raises(DomainError):
-        minimum.sigma_minimum(mm, grid[-1], grid[0])
+        row(mm, grid[-1], grid[0])
     with pytest.raises(DomainError):
         minimum.sigma_minimum_trajectory(mm, grid)
 
@@ -171,9 +179,9 @@ def test_trajectory_grid_outside_the_domain_raises(model, window, grid):
 def test_non_finite_times_raise(bad):
     mm = minimum.minimum_model(models.tsquared(), t0=1.0, t1=2.0)
     with pytest.raises(DomainError):
-        minimum.sigma_minimum(mm, bad, 1.0)
+        row(mm, bad, 1.0)
     with pytest.raises(DomainError):
-        minimum.sigma_minimum(mm, 1.5, bad)
+        row(mm, 1.5, bad)
     with pytest.raises(DomainError):
         minimum.sigma_minimum_trajectory(mm, [1.0, bad])
 
@@ -184,7 +192,7 @@ def test_rescaled_energy_is_conserved():
     m0 = float(m.m(0.0))
     vals = []
     for t in np.linspace(0.0, 2.0, 21):
-        s = minimum.sigma_minimum(mm, t, 0.0)
+        s = row(mm, t, 0.0)
         _, _, energy = quantum.vacuum_expectations(m, s)
         vals.append(energy * float(m.m(t)) / m0)
     assert max(abs(v / vals[0] - 1.0) for v in vals) < 1e-9
@@ -194,7 +202,7 @@ def test_rescaled_energy_is_conserved():
 def test_product_grows_quadratically_off_the_minimum(eps):
     m = models.harmonic()
     mm = minimum.minimum_model(m)
-    base = minimum.sigma_minimum(mm, 0.3, 0.0)
+    base = row(mm, 0.3, 0.0)
     pert = ermakov.ErmakovState(t=base.t, sigma=base.sigma,
                                 sigma_dot=base.sigma_dot + eps,
                                 theta=base.theta, k=base.k, F=base.F)
@@ -238,7 +246,7 @@ def _rippled(model, freq=1e6):
 def test_integrand_faults_name_model_and_interval(wrap, error, fragment):
     mm = minimum.MinUncertaintyModel(wrap(models.exp_frequency()), 2.0 ** -0.5)
     with pytest.raises(error, match=rf"^exp_frequency: .*\[0\.97, 1\.0\]"):
-        minimum.sigma_minimum(mm, 1.0, 0.97)
+        row(mm, 1.0, 0.97)
     grid = np.linspace(0.0, 2.0, 60)
     with pytest.raises(error) as info:
         minimum.sigma_minimum_trajectory(mm, grid)
@@ -290,7 +298,7 @@ def test_harmonic_phase_is_linear(omega0, t0, periods, reverse):
     mm = minimum.minimum_model(models.harmonic(omega0=omega0))
     t1 = t0 + periods * 2.0 * math.pi / omega0
     a, b = (t1, t0) if reverse else (t0, t1)
-    s = minimum.sigma_minimum(mm, b, a)
+    s = row(mm, b, a)
     assert _close(s.theta, 2.0 * omega0 * (b - a),
                   omega0 * max(abs(a), abs(b)))
     assert s.F == 0.0
@@ -305,7 +313,7 @@ def test_tsquared_phase_and_F_match_closed_forms(m0, c, t0, periods, reverse):
     t1 = t0 + periods * 2.0 * math.pi * t0 * t0 / w
     a, b = (t1, t0) if reverse else (t0, t1)
     mm = minimum.minimum_model(model, t0=min(a, b), t1=max(a, b) + 1.0)
-    s = minimum.sigma_minimum(mm, b, a)
+    s = row(mm, b, a)
     assert _close(s.theta, 2.0 * w * (1.0 / a - 1.0 / b), 2.0 * w / min(a, b))
     # c^2 m dOmega^2/dt = -4 c^2 m0 w^2 / t^3
     F_unit = 2.0 * mm.c ** 2 * m0 * w * w
@@ -323,7 +331,7 @@ def test_exp_frequency_phase_and_F_match_closed_forms(omega0, gamma0, t0,
     t1 = t0 + periods * 2.0 * math.pi * math.exp(gamma0 * t0) / omega0
     a, b = (t1, t0) if reverse else (t0, t1)
     mm = minimum.minimum_model(model, t0=min(a, b), t1=max(a, b) + 1.0)
-    s = minimum.sigma_minimum(mm, b, a)
+    s = row(mm, b, a)
     drop = math.exp(-gamma0 * a) - math.exp(-gamma0 * b)
     scale = math.exp(-gamma0 * min(a, b))
     assert _close(s.theta, 2.0 * omega0 / gamma0 * drop,
@@ -341,7 +349,7 @@ def test_trajectory_accumulates_the_single_interval_rule(which, u, v, n):
     mm = minimum.minimum_model(model, t0=lo, t1=hi)
     a, b = lo + u * (hi - lo), lo + v * (hi - lo)
     traj = minimum.sigma_minimum_trajectory(mm, np.linspace(a, b, n))
-    one = minimum.sigma_minimum(mm, b, a)
+    one = row(mm, b, a)
     assert traj.theta[-1] == pytest.approx(one.theta, abs=1e-12)
     assert traj.F[-1] == pytest.approx(one.F, abs=1e-12)
 
@@ -363,6 +371,6 @@ def test_minimum_makes_no_quad_call(monkeypatch):
     report = verify.run_suite("minimum")
     assert report["pass"] and len(report["checks"]) == 10
     mm = minimum.minimum_model(models.exp_frequency())
-    assert minimum.sigma_minimum(mm, 1.5, 0.0).theta > 0.0
+    assert row(mm, 1.5, 0.0).theta > 0.0
     traj = minimum.sigma_minimum_trajectory(mm, np.linspace(0.0, 2.0, 9))
     assert np.all(np.diff(traj.theta) > 0.0)

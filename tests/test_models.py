@@ -39,9 +39,30 @@ def test_harmonic_is_constant():
     m = models.harmonic(m0=1.0, omega0=1.0)
     assert float(m.m(2.0)) == 1.0
     assert float(m.omega(2.0)) == 1.0
-    c = models.coefficients(m, 1.7)
-    assert c.M == 0.0
-    assert c.Omega2 == 1.0
+    assert models.damping_coefficient(m, 1.7) == 0.0
+    assert models.omega2(m, 1.7) == 1.0
+
+
+@pytest.mark.parametrize("m0,omega0", [(1.0, 1.0), (0.37, 2.9), (3e5, 1e-3)])
+@pytest.mark.parametrize("t", [-7.5, -0.0, 0.0, 2.25,
+                               np.array([-1e8, -3.0, -0.0, 0.0, 0.4, 1e8])])
+def test_harmonic_values_are_exact(m0, omega0, t):
+    # kanai_caldirola at gamma = 0, to the bit: m0, 0, 0, omega0, 0 and
+    # coeffs (omega0^2, 0)
+    m = models.harmonic(m0, omega0)
+    ones = np.ones_like(np.asarray(t, dtype=float))
+    for f, want in ((m.m, m0), (m.m_dot, 0.0), (m.m_ddot, 0.0),
+                    (m.omega, omega0), (m.omega_dot, 0.0)):
+        got = np.asarray(f(t))
+        assert got.shape == ones.shape
+        assert (got == want * ones).all() and not np.signbit(got).any()
+    w2, w2_dot = m.coeffs(t)
+    if isinstance(t, float):
+        assert (type(w2), type(w2_dot)) == (float, float)
+    assert np.array_equal(w2, omega0 * omega0 * ones)
+    assert np.array_equal(w2_dot, 0.0 * ones)
+    assert m.constant_omega2 == omega0 * omega0
+    assert (m.name, m.params) == ("harmonic", {"m0": m0, "omega0": omega0})
 
 
 def test_kanai_caldirola_mass_is_exponential():
@@ -53,17 +74,16 @@ def test_kanai_caldirola_coefficients():
     # direct evaluation with M' = 0: Omega^2 = omega0^2 - gamma^2/4
     m = models.kanai_caldirola(omega0=1.0, gamma=1.0)
     for t in (-1.0, 0.0, 2.5):
-        c = models.coefficients(m, t)
-        assert c.M == pytest.approx(1.0, abs=1e-14)
-        assert c.Omega2 == 0.75
+        assert models.damping_coefficient(m, t) == pytest.approx(1.0,
+                                                                 abs=1e-14)
+        assert models.omega2(m, t) == 0.75
 
 
 def test_tsquared_coefficients():
     # m0=1, c^2=1/2: omega(1) = 1, M(1) = 2, Omega^2(1) = omega^2 = 1
     m = models.tsquared(m0=1.0, c=2.0 ** -0.5)
-    c = models.coefficients(m, 1.0)
-    assert c.M == pytest.approx(2.0, rel=1e-14)
-    assert c.Omega2 == pytest.approx(1.0, rel=1e-12)
+    assert models.damping_coefficient(m, 1.0) == pytest.approx(2.0, rel=1e-14)
+    assert models.omega2(m, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_exp_frequency_product_constant():
@@ -134,7 +154,7 @@ def test_omega2_dot_shortcut_matches_finite_difference():
 def test_domain_guards():
     m = models.tsquared()
     with pytest.raises(DomainError):
-        models.coefficients(m, 0.0)
+        m.domain.require(0.0)
     with pytest.raises(DomainError):
         models.eom_residual(m, lambda t: 0.0, lambda t: 0.0, lambda t: 0.0, -1.0)
 
@@ -228,7 +248,7 @@ def test_tabulated_model_roundtrip(tmp_path):
     for ref, got, tol in zip(src.coeffs(ts), tab.coeffs(ts), (1e-7, 1e-5)):
         assert np.max(np.abs(got - ref)) <= tol
     with pytest.raises(DomainError):
-        models.coefficients(tab, 5.0)
+        tab.domain.require(5.0)
 
 
 def test_kanai_caldirola_table_integrates_like_the_model(tmp_path):

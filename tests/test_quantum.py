@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdo import dopri, ermakov, minimum, models, quantum
-from tdo.errors import UnitsError
+from tdo.errors import ParameterError
 
 SQ2 = 2.0 ** -0.5
 
@@ -88,8 +88,8 @@ def test_minimum_model_gives_identity_transformation():
     m = models.exp_frequency()
     mm = minimum.minimum_model(m)
     ref = quantum.default_reference(m, 0.0)
-    for t in np.linspace(0.0, 2.0, 21):
-        s = minimum.sigma_minimum(mm, t, 0.0)
+    traj = minimum.sigma_minimum_trajectory(mm, np.linspace(0.0, 2.0, 21))
+    for s in _samples(traj):
         pair = quantum.bogolubov(m, s, ref)
         assert abs(pair.mu - 1.0) < 1e-12
         assert abs(pair.nu) < 1e-12
@@ -145,12 +145,12 @@ def test_vacuum_expectations_minimum_model():
     m = models.exp_frequency(omega0=1.0, gamma0=1.0, c=1.0)
     mm = minimum.minimum_model(m)
     assert mm.c == pytest.approx(1.0, rel=1e-12)
-    for t in np.linspace(0.0, 2.0, 9):
-        s = minimum.sigma_minimum(mm, t, 0.0)
+    traj = minimum.sigma_minimum_trajectory(mm, np.linspace(0.0, 2.0, 9))
+    for s in _samples(traj):
         q2, p2, energy = quantum.vacuum_expectations(m, s, hbar=1.0)
         assert q2 == pytest.approx(1.0, rel=1e-12)
         assert p2 == pytest.approx(0.25, rel=1e-12)
-        assert energy == pytest.approx(0.5 * float(m.omega(t)), rel=1e-9)
+        assert energy == pytest.approx(0.5 * float(m.omega(s.t)), rel=1e-9)
 
 
 def test_vacuum_energy_harmonic_ground():
@@ -162,11 +162,11 @@ def test_vacuum_energy_harmonic_ground():
 def test_units_errors():
     m = models.harmonic()
     s = make_state(0.0, SQ2, 0.0)
-    with pytest.raises(UnitsError):
+    with pytest.raises(ParameterError, match="must be positive"):
         quantum.quadratures(m, s, hbar=0.0)
-    with pytest.raises(UnitsError):
+    with pytest.raises(ParameterError, match="must be positive"):
         quantum.bogolubov(m, s, (0.0, 1.0))
-    with pytest.raises(UnitsError):
+    with pytest.raises(ParameterError, match="must be positive"):
         quantum.uncertainty_via_bogolubov(
             quantum.BogolubovPair(1.0, 0.0, (1.0, 1.0)), hbar=-1.0)
 
