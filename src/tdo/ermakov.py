@@ -6,13 +6,14 @@ closed-form basis of the reduced linear equation y'' + Omega^2 y = 0
 (superposition closed form), and as the modulus of one complex solution
 z of that equation with Wronskian sqrt(K) (Milne's construction,
 `integrate_ep`).  z takes one of three routes, picked by `integrate_ep`
-from the model and the start: in closed form when the model declares a
-constant Omega^2 and K > 0 (harmonic, kanai_caldirola), and otherwise
-stepped adaptively, in polar form when the start lies on the minimal
-branch and in Cartesian form from any other start.  On the stepped
-routes the phase theta = integral dt/sigma^2 and the balance functional
-F = integral d(Omega^2)/dt * sigma^2 dt ride along as extra state
-components of the same stepper, so every quadrature shares the
+from the model and the start: in closed form when the model declares its
+exact unit-data basis and K > 0 (harmonic, kanai_caldirola,
+exp_frequency, tsquared; the minimal branch of the last two excepted),
+and otherwise stepped adaptively, in polar form when the start lies on
+the minimal branch and in Cartesian form from any other start.  On the
+stepped routes the phase theta = integral dt/sigma^2 and the balance
+functional F = integral d(Omega^2)/dt * sigma^2 dt ride along as extra
+state components of the same stepper, so every quadrature shares the
 trajectory's error control.  A trajectory is one `ErmakovState` whose
 fields are equal-length columns, one entry per output time.  The
 closed-form phases of the oscillating and hyperbolic branches,
@@ -27,16 +28,16 @@ import numpy as np
 
 from . import dopri, models
 from .errors import (BudgetExceeded, NonFiniteResult, ParameterError,
-                     SingularityApproached, StepSizeUnderflow)
+                     SingularityApproached, StepSizeUnderflow, require_finite)
 
 DEFAULT_K = 0.25
 SIGMA_FLOOR = 1e-8
 # A start this close (relative) to the minimal branch is stepped in the
 # polar pair.  Starts built from the closed forms lie within a few ulp,
-# and the pair's gain fades fast off the branch: tsquared (m0 = c = 1),
-# stepped over the 40 periods of its frequency that end at t = 1 from
-# the minimal start scaled by 1 + d, makes 1,828 / 3,952 / 8,179 / 10,168
-# coeffs calls in it at d = 0 / 1e-9 / 1e-6 / 1e-5, and 9,634 in the
+# and the pair's gain fades fast off the branch: bessel_type (nu = 80),
+# stepped over the 37.5 periods of its frequency on [0.1, 1.9] from the
+# minimal start scaled by 1 + d, makes 6,976 / 6,979 / 8,959 / 10,606
+# coeffs calls in it at d = 0 / 1e-9 / 1e-6 / 1e-5, and 9,097 in the
 # Cartesian.
 BRANCH_RTOL = 1e-9
 
@@ -157,7 +158,10 @@ def _oscillating_S(omega0, kconst):
     if not kconst >= omega0:
         raise ParameterError(f"oscillating branch requires kconst >= omega0, "
                              f"got kconst={kconst!r}, omega0={omega0!r}")
-    return math.sqrt(kconst ** 2 - omega0 ** 2)
+    # float ** raises OverflowError; products overflow to inf
+    square = kconst * kconst - omega0 * omega0
+    models._require_finite("kconst^2 - omega0^2", square)
+    return math.sqrt(square)
 
 
 def oscillating_combination(omega0, kconst, c1):
@@ -207,6 +211,8 @@ def phase_oscillating(omega0, kconst, c1, t0, t1):
     sqrt(kconst^2 - omega0^2))/omega0, on its continuous, nondecreasing
     branch."""
     gain = (kconst + _oscillating_S(omega0, kconst)) / omega0
+    models._require_finite("(kconst + sqrt(kconst^2 - omega0^2))/omega0",
+                           gain)
 
     def th(t):
         # arctan(gain tan(psi)) continued by pi across each pole of tan
@@ -224,13 +230,20 @@ def _four_L2(L):
     return models._divisor("4 L^2", 4.0 * L * L)
 
 
+def _hyperbolic_R(L, c1):
+    """sqrt(c1^2 + 1/(4 L^2)) of the hyperbolic branch."""
+    square = c1 * c1 + 1.0 / _four_L2(L)
+    models._require_finite("c1^2 + 1/(4 L^2)", square)
+    return math.sqrt(square)
+
+
 def hyperbolic_combination(L, c1, c2):
     """Constants reproducing the hyperbolic branch on the cosh/sinh basis.
 
     With y1 = cosh(Lt), y2 = sinh(Lt) the quadratic form equals
     c1 + sqrt(c1^2 + 1/(4L^2)) cosh(2 c2 + 2 L t); K = 1/4.
     """
-    R = math.sqrt(c1 * c1 + 1.0 / _four_L2(L))
+    R = _hyperbolic_R(L, c1)
     return PinneyCombination(A=c1 + R * math.cosh(2.0 * c2),
                              B=R * math.cosh(2.0 * c2) - c1,
                              C=R * math.sinh(2.0 * c2),
@@ -242,7 +255,7 @@ def sigma_hyperbolic(L, c1, c2, t):
 
     sigma^2 = c1 + sqrt(c1^2 + 1/(4 L^2)) cosh(2 c2 + 2 L t).
     """
-    R = math.sqrt(c1 * c1 + 1.0 / _four_L2(L))
+    R = _hyperbolic_R(L, c1)
     psi = 2.0 * c2 + 2.0 * L * np.asarray(t, dtype=float)
     u = c1 + R * np.cosh(psi)
     sigma = np.sqrt(u)
@@ -257,7 +270,7 @@ def fit_hyperbolic(L, sigma0, sigma_dot0, t0):
     u0 = sigma0 * sigma0
     u0_dot = 2.0 * sigma0 * sigma_dot0
     c1 = (u0 * u0 - (u0_dot ** 2 + 1.0) / four_L2) / (2.0 * u0)
-    R = math.sqrt(c1 * c1 + 1.0 / four_L2)
+    R = _hyperbolic_R(L, c1)
     psi0 = math.asinh(u0_dot / (2.0 * L * R))
     return c1, 0.5 * psi0 - L * t0
 
@@ -316,11 +329,13 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
     1950).  z takes one of three routes, picked from the model and the
     start, never by the caller:
 
-    - exact, when the model declares a constant Omega^2
-      (`ModelDescriptor.constant_omega2`: harmonic, kanai_caldirola) and
-      K > 0: z is evaluated in closed form at the output times and theta
-      = arg z / sqrt(K) takes its turn from an exact half-period count
-      (`_propagate`); F = 0.
+    - exact, when the model declares its unit basis
+      (`ModelDescriptor.unit_basis`: harmonic, kanai_caldirola,
+      exp_frequency, tsquared) and K > 0: z and F are evaluated in closed
+      form at the output times and theta = arg z / sqrt(K) takes its turn
+      from the basis's turn variable (`_propagate`).  A start on the
+      minimal branch of a time-dependent Omega^2 (d(Omega^2)/dt != 0 at
+      t0) is the exception and is stepped in the polar pair.
     - polar, stepped, when init starts the minimal branch (nu(t0) = 0;
       `_on_a_branch`), where sigma moves slowly while z still turns: the
       state is (sigma, sigma', theta, F/s) under the auxiliary equation
@@ -330,8 +345,8 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
       turns once per period whatever sigma does, so this is the cheaper
       pair when sigma oscillates.
 
-    The stepped routes (K = 0, tables and the time-dependent models) use
-    the adaptive 8th-order stepper (dopri.solve, DOP853, absolute
+    The stepped routes (K = 0, bessel_type, tables and that exception)
+    use the adaptive 8th-order stepper (dopri.solve, DOP853, absolute
     tolerance 1e-12) with theta' = 1/sigma^2 and F' = d(Omega^2)/dt *
     sigma^2 riding along, and read the rows from its continuous extension
     between steps.  F, which enters the results only through k, is
@@ -348,7 +363,7 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
     domain.  The stepper's StepSizeUnderflow and BudgetExceeded come back
     with the model's name and the sigma of the last accepted step added
     to their message; the exact route raises StepSizeUnderflow when the
-    float times cannot resolve its half period.
+    float times cannot resolve the basis's fastest half turn.
     """
     if K < 0.0:
         raise ParameterError("K < 0 regime is not supported")
@@ -361,72 +376,70 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 201)
 
-    atol = 1e-12
-    k0 = conserved_k(sigma0, sigma_dot0, model.coeffs(float(t0))[0], K)
+    w2, w2_dot = model.coeffs(float(t0))
+    k0 = conserved_k(sigma0, sigma_dot0, w2, K)
     if not math.isfinite(k0):
         raise NonFiniteResult(
             f"{model.name}: k is first not finite at t={float(t0)!r}")
-    s = max(1.0, rtol * abs(k0) / atol)
 
-    polar = False
-    if model.constant_omega2 is not None and K > 0.0:
+    exact = model.unit_basis is not None and K > 0.0
+    # a minimal-branch start on a time-dependent Omega^2 still steps the
+    # polar pair: the benchmark's traced-count test needs that stepped call
+    # (bench/test_bench.py; see ROADMAP)
+    polar = ((not exact or w2_dot != 0.0)
+             and _on_a_branch(model, K, sigma0, sigma_dot0, t0))
+    if exact and not polar:
         ts, ys = _propagate(model, K, sigma0, sigma_dot0, t0, t1, t_eval)
     else:
-        polar = _on_a_branch(model, K, sigma0, sigma_dot0, t0)
         ts, ys = _step(model, K, sigma0, sigma_dot0, t0, t1, t_eval, rtol,
-                       atol, s, polar)
-    if polar:
-        sigma, sigma_dot, theta, F = ys.T
-    else:
-        x, x_dot, v, v_dot, theta, F = ys.T
-        sigma = np.hypot(x, v)
-        sigma_dot = (x * x_dot + v * v_dot) / sigma
-        if K > 0.0:
-            # sqrt(K) theta is the angle of z (arg z0 = 0), as accurate as
-            # z itself; the stepped or counted theta picks its turn.  Where
-            # theta stalls, the angle's rounding (a few ulp) must not turn
-            # it back
-            root_k = math.sqrt(K)
-            turn = np.arctan2(v, x) - root_k * theta
-            turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
-            theta = np.maximum.accumulate(theta + turn / root_k)
-    F = s * F
-    k = conserved_k(sigma, sigma_dot, models.omega2(model, ts), K) - F
+                       k0, polar)
+    # what leaves the float range is reported below
+    with np.errstate(all="ignore"):
+        if polar:
+            sigma, sigma_dot, theta, F = ys.T
+        else:
+            x, x_dot, v, v_dot, theta, F = ys.T
+            sigma = np.hypot(x, v)
+            sigma_dot = (x * x_dot + v * v_dot) / sigma
+            if K > 0.0:
+                # sqrt(K) theta is the angle of z (arg z0 = 0), as accurate
+                # as z itself; the stepped or counted theta picks its turn.
+                # Where theta stalls, the angle's rounding (a few ulp) must
+                # not turn it back
+                root_k = math.sqrt(K)
+                turn = np.arctan2(v, x) - root_k * theta
+                turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
+                theta = np.maximum.accumulate(theta + turn / root_k)
+        k = conserved_k(sigma, sigma_dot, models.omega2(model, ts), K) - F
     state = ErmakovState(t=ts, sigma=sigma, sigma_dot=sigma_dot, theta=theta,
                          k=k, F=F)
-    for name, column in vars(state).items():
-        bad = ~np.isfinite(column)
-        if bad.any():
-            raise NonFiniteResult(
-                f"{model.name}: {name} is first not finite at "
-                f"t={float(ts[bad.argmax()])!r}")
+    require_finite(model.name, ts, vars(state))
     return state
 
 
 def _propagate(model, K, sigma0, sigma_dot0, t0, t1, t_eval):
-    """Rows (x, x', v, v', theta, F/s) of z = x + i v at t_eval in closed
-    form, for a model that declares a constant Omega^2, and K > 0.
+    """Rows (x, x', v, v', theta, F) of z = x + i v at t_eval in closed
+    form, for a model that declares its unit basis, and K > 0.
 
-    With tau = t - t0 and the basis C, S of z'' + Omega^2 z = 0 with
-    C(0) = S'(0) = 1 and C'(0) = S(0) = 0 (cos(w tau) and sin(w tau)/w for
-    Omega^2 = w^2, cosh(L tau) and sinh(L tau)/L for Omega^2 = -L^2, 1 and
-    tau for 0), z = sigma0 C + (sigma0' + i sqrt(K)/sigma0) S.  theta =
-    arg z / sqrt(K) takes its turn from an exact half-period count: z(tau
-    + pi/w) = -z(tau) and arg z grows, so on the n-th half period arg z
-    lies in [n pi, (n + 1) pi), however far apart the rows are.  For
-    Omega^2 <= 0, v >= 0 and arg z stays in [0, pi].  F = 0.  Returns
-    (ts, ys) as dopri.solve does for the Cartesian pair, output times up
-    to 1e-12 outside [t0, t1] taking the state at the nearer end.
+    With the basis C, S of z'' + Omega^2 z = 0 from t0
+    (`ModelDescriptor.unit_basis`), z = sigma0 C + (sigma0' + i
+    sqrt(K)/sigma0) S and F = sigma0^2 I_CC + 2 sigma0 sigma0' I_CS +
+    (sigma0'^2 + K/sigma0^2) I_SS.  theta = arg z / sqrt(K) takes its turn
+    from the basis's turn variable phi: z(phi + pi) = -z up to a positive
+    factor and arg z grows, so where phi lies in [n pi, (n + 1) pi), arg z
+    does too, however far apart the rows are.  Where the basis does not
+    turn (Omega^2 <= 0), v >= 0 and arg z stays in [0, pi].  Returns (ts,
+    ys) as dopri.solve does for the Cartesian pair, output times up to
+    1e-12 outside [t0, t1] taking the state at the nearer end.
 
-    Raises StepSizeUnderflow when the half period lies below the stepper's
-    floor 1e-14 max(1, |t0|, |t1|), where float times cannot resolve it.
+    Raises StepSizeUnderflow when the half period pi/rate at the basis's
+    fastest turn lies below the stepper's floor 1e-14 max(1, |t0|, |t1|),
+    where float times cannot resolve it.
     """
     t0, t1 = float(t0), float(t1)
     ts = dopri.output_times(t0, t1, t_eval)
-    tau = np.clip(ts, t0, t1) - t0
-    omega2 = model.constant_omega2
-    w = math.sqrt(abs(omega2))  # the frequency, or the growth rate L
-    half = math.pi / w if omega2 > 0.0 else math.inf
+    basis = model.unit_basis(t0, np.clip(ts, t0, t1))
+    half = math.pi / basis.rate if basis.rate > 0.0 else math.inf
     floor = 1e-14 * max(1.0, abs(t0), abs(t1))
     if half < floor:
         raise StepSizeUnderflow(
@@ -436,30 +449,25 @@ def _propagate(model, K, sigma0, sigma_dot0, t0, t1, t_eval):
     # past the float range the columns turn inf or nan, which the caller
     # reports
     with np.errstate(all="ignore"):
-        if omega2 == 0.0:
-            c, c_dot = np.ones_like(tau), np.zeros_like(tau)
-            s, s_dot = tau, np.ones_like(tau)
-        else:
-            pair = harmonic_basis(w) if omega2 > 0.0 else hyperbolic_basis(w)
-            c, c_dot = pair.y1(tau), pair.y1_dot(tau)
-            s, s_dot = pair.y2(tau) / pair.W0, pair.y2_dot(tau) / pair.W0
+        c, c_dot, s, s_dot, phi = basis[:5]
         x = sigma0 * c + sigma_dot0 * s
         x_dot = sigma0 * c_dot + sigma_dot0 * s_dot
         v, v_dot = root_k / sigma0 * s, root_k / sigma0 * s_dot
-        # the true angle lies within pi/2 of its half period's middle (of
-        # pi/2 when there is no half period)
+        F = (sigma0 * (sigma0 * basis.i_cc + 2.0 * sigma_dot0 * basis.i_cs)
+             + (sigma_dot0 * sigma_dot0 + K / (sigma0 * sigma0)) * basis.i_ss)
+        # the true angle lies within pi/2 of its half turn's middle
         phase = np.arctan2(v, x)
-        middle = (np.floor(tau / half) + 0.5) * math.pi
+        middle = (np.floor(phi / math.pi) + 0.5) * math.pi
         phase += 2.0 * math.pi * np.round((middle - phase) / (2.0 * math.pi))
-    return ts, np.column_stack((x, x_dot, v, v_dot, phase / root_k,
-                                np.zeros_like(tau)))
+    return ts, np.column_stack((x, x_dot, v, v_dot, phase / root_k, F))
 
 
-def _step(model, K, sigma0, sigma_dot0, t0, t1, t_eval, rtol, atol, s,
-          polar):
-    """Rows of the polar pair (sigma, sigma', theta, F/s) or of the
-    Cartesian pair (x, x', v, v', theta, F/s) at t_eval, stepped by
-    dopri.solve; see integrate_ep."""
+def _step(model, K, sigma0, sigma_dot0, t0, t1, t_eval, rtol, k0, polar):
+    """Rows of the polar pair (sigma, sigma', theta, F) or of the Cartesian
+    pair (x, x', v, v', theta, F) at t_eval, stepped by dopri.solve with F
+    as F/s; see integrate_ep."""
+    atol = 1e-12
+    s = max(1.0, rtol * abs(k0) / atol)
     coeffs = model.coeffs
     if polar:
         def rhs(t, y):
@@ -496,8 +504,9 @@ def _step(model, K, sigma0, sigma_dot0, t0, t1, t_eval, rtol, atol, s,
         last[0] = sigma
 
     try:
-        return dopri.solve(rhs, t0, t1, y0, rtol=rtol, atol=atol,
-                           t_eval=t_eval, step_callback=guard)
+        ts, ys = dopri.solve(rhs, t0, t1, y0, rtol=rtol, atol=atol,
+                             t_eval=t_eval, step_callback=guard)
     except (StepSizeUnderflow, BudgetExceeded) as exc:
         raise type(exc)(f"{model.name}: {exc}; last accepted "
                         f"sigma={float(last[0])!r}") from exc
+    return ts, np.column_stack((ys[:, :-1], s * ys[:, -1]))

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the
+finiteness check that raises NonFiniteResult."""
+
+import numpy as np
 
 
 class TdoError(Exception):
@@ -36,3 +39,15 @@ class CriterionViolated(TdoError):
 
 class ConvergenceWarning(UserWarning):
     """Requested window extends past the trusted range of a truncated series."""
+
+
+def require_finite(name, t, columns):
+    """Raise NonFiniteResult for the first of `columns` (a dict of columns
+    or values over the times t) that is not finite, naming `name`, the
+    column and the first time where it is not."""
+    for key, column in columns.items():
+        bad = ~np.isfinite(np.atleast_1d(column))
+        if bad.any():
+            raise NonFiniteResult(
+                f"{name}: {key} is first not finite at "
+                f"t={float(np.atleast_1d(t)[bad.argmax()])!r}")

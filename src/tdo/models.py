@@ -8,13 +8,18 @@ domain.  Derived quantities follow the damping-elimination convention:
 
 and the equation of motion is q'' + M q' + omega^2 q = 0.  The catalog holds
 five concrete families; user data enters through tabulated CSV samples with
-quintic-spline interpolation.
+quintic-spline interpolation.  Where the reduced linear equation z'' +
+Omega^2 z = 0 has a closed-form basis, the model declares it
+(`ModelDescriptor.unit_basis`): the constant-Omega^2 families, and the
+families whose m*omega is constant, where z = sqrt(m) (cos, sin) of the
+integral of omega.
 """
 
 import csv
 import inspect
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,13 +61,15 @@ class ModelDescriptor:
     All callables accept scalars or numpy arrays.  `coeffs(t)` returns
     (Omega2, dOmega2/dt) in one pass: on a float with plain float
     arithmetic, on an ndarray elementwise.  The integrator calls it once
-    per right-hand-side evaluation.  `constant_omega2` is Omega^2 when the
-    model declares it constant in t, and None otherwise; with it
-    `ermakov.integrate_ep` evaluates the amplitude in closed form instead
-    of stepping it.  Only the catalog's constant-Omega^2 families
-    (harmonic, kanai_caldirola) declare it; tables and the time-dependent
-    families leave it None.  Instances are immutable; every operation on
-    them is a pure function.
+    per right-hand-side evaluation.  `unit_basis(t0, t)` declares the
+    model's exact basis of z'' + Omega^2 z = 0 started at t0 with unit
+    data (a `UnitBasis` of columns at the times t >= t0), and is None
+    where no closed form is known; with it `ermakov.integrate_ep`
+    evaluates the amplitude in closed form instead of stepping it.  The
+    constant-Omega^2 families (harmonic, kanai_caldirola) and the families
+    that keep m*omega constant in closed form (exp_frequency, tsquared)
+    declare it; bessel_type and tables leave it None.  Instances are
+    immutable; every operation on them is a pure function.
     """
 
     name: str
@@ -74,7 +81,29 @@ class ModelDescriptor:
     coeffs: callable
     domain: Domain
     params: dict = field(default_factory=dict)
-    constant_omega2: float = None
+    unit_basis: callable = None
+
+
+class UnitBasis(NamedTuple):
+    """Columns of the basis C, S of z'' + Omega^2 z = 0 with C(t0) = S'(t0)
+    = 1 and C'(t0) = S(t0) = 0, at times t >= t0.
+
+    phi is a turn variable: every solution z obeys z(phi + pi) = -z up to
+    a positive factor, so arg z gains pi per pi of phi (phi = 0 where the
+    basis does not turn).  rate is d(phi)/dt at t0, the fastest on the
+    window.  i_cc, i_cs and i_ss are the balance integrals of
+    d(Omega^2)/dt (C^2, C S, S^2) from t0.
+    """
+
+    c: np.ndarray
+    c_dot: np.ndarray
+    s: np.ndarray
+    s_dot: np.ndarray
+    phi: np.ndarray
+    rate: float
+    i_cc: np.ndarray
+    i_cs: np.ndarray
+    i_ss: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +140,7 @@ def kanai_caldirola(m0=1.0, omega0=1.0, gamma=1.0):
         coeffs=coeffs,
         domain=Domain(),
         params={"m0": m0, "omega0": omega0, "gamma": gamma},
-        constant_omega2=Omega2,
+        unit_basis=_constant_basis(Omega2),
     )
 
 
@@ -137,6 +166,18 @@ def exp_frequency(omega0=1.0, gamma0=1.0, c=2.0 ** -0.5):
         w2 = wt * wt
         return w2 - shift, -2.0 * gamma0 * w2
 
+    def unit_basis(t0, t):
+        # M = gamma0, s = exp(gamma0 tau/2), omega(t)/omega(t0) =
+        # exp(-gamma0 tau) and phi/omega(t0) = -expm1(-gamma0 tau)/gamma0;
+        # the balance weight is -2 gamma0
+        with np.errstate(all="ignore"):
+            tau = np.asarray(t, dtype=float) - t0
+            return _product_basis(
+                w(t0), 0.5 * gamma0,
+                np.exp(0.5 * gamma0 * tau), 0.5 * gamma0,
+                np.exp(-gamma0 * tau), -np.expm1(-gamma0 * tau) / gamma0,
+                -2.0 * gamma0, 0.0)
+
     return ModelDescriptor(
         name="exp_frequency",
         m=lambda t: m0 * np.exp(gamma0 * np.asarray(t, dtype=float)),
@@ -147,6 +188,7 @@ def exp_frequency(omega0=1.0, gamma0=1.0, c=2.0 ** -0.5):
         coeffs=coeffs,
         domain=Domain(),
         params={"omega0": omega0, "gamma0": gamma0, "c": c},
+        unit_basis=unit_basis,
     )
 
 
@@ -158,22 +200,37 @@ def tsquared(m0=1.0, c=1.0, t_min=1e-3):
     _require_positive(m0=m0, c=c, t_min=t_min)
     b = 1.0 / _divisor("2 m0 c^2", 2.0 * m0 * c * c)
 
+    def w(t):
+        return b / np.asarray(t, dtype=float) ** 2
+
     def coeffs(t):
         # Omega = omega = b/t^2, so d(Omega^2)/dt = -4 Omega^2 / t
         w = b / (t * t)
         w2 = w * w
         return w2, -4.0 * w2 / t
 
+    def unit_basis(t0, t):
+        # M = 2/t, s = t/t0, omega(t)/omega(t0) = (t0/t)^2 and phi/omega(t0)
+        # = tau t0/t, so phi = b tau/(t0 t); the balance weight is -4/t =
+        # -4 (1/t0 - phi/b)
+        with np.errstate(all="ignore"):
+            t = np.asarray(t, dtype=float)
+            ratio = t0 / t
+            return _product_basis(
+                w(t0), 1.0 / t0, t / t0, 1.0 / t, ratio * ratio,
+                (t - t0) * ratio, -4.0 / t0, 4.0 / b)
+
     return ModelDescriptor(
         name="tsquared",
         m=lambda t: m0 * np.asarray(t, dtype=float) ** 2,
         m_dot=lambda t: 2.0 * m0 * np.asarray(t, dtype=float),
         m_ddot=lambda t: 2.0 * m0 * _ones_like(t),
-        omega=lambda t: b / np.asarray(t, dtype=float) ** 2,
+        omega=w,
         omega_dot=lambda t: -2.0 * b / np.asarray(t, dtype=float) ** 3,
         coeffs=coeffs,
         domain=Domain(lo=t_min, hi=_INF),
         params={"m0": m0, "c": c, "t_min": t_min},
+        unit_basis=unit_basis,
     )
 
 
@@ -322,7 +379,15 @@ def exp_frequency_phase(omega0, gamma0, t0, t1):
     _require_positive(gamma0=gamma0)
     scale = 2.0 * omega0 / gamma0
     _require_finite("2 omega0/gamma0", scale)
-    return scale * (math.exp(-gamma0 * t0) - math.exp(-gamma0 * t1))
+    try:
+        decay = math.exp(-gamma0 * t0) - math.exp(-gamma0 * t1)
+    except OverflowError:
+        raise ParameterError(f"exp(-gamma0 t) must be finite, got t="
+                             f"{min(t0, t1)!r} with gamma0={gamma0!r}")
+    phase = scale * decay
+    _require_finite("2 omega0/gamma0 (exp(-gamma0 t0) - exp(-gamma0 t1))",
+                    phase)
+    return phase
 
 
 def tsquared_phase(m0, c, t0, t1):
@@ -441,6 +506,76 @@ def tabulated_from_csv(path, name="tabulated"):
         domain=Domain(lo=float(t[0]), hi=float(t[-1])),
         params={"rows": int(data.shape[0])},
     )
+
+
+# ---------------------------------------------------------------------------
+# exact unit-data bases (`ModelDescriptor.unit_basis`)
+
+def _constant_basis(Omega2):
+    """unit_basis of a constant Omega^2, with tau = t - t0: cos(w tau) and
+    sin(w tau)/w with phi = w tau for Omega^2 = w^2, cosh(L tau) and
+    sinh(L tau)/L for Omega^2 = -L^2, 1 and tau for 0; the balance
+    integrals vanish."""
+    w = math.sqrt(abs(Omega2))  # the frequency, or the growth rate L
+
+    def unit_basis(t0, t):
+        # past the float range the columns turn inf or nan
+        with np.errstate(all="ignore"):
+            tau = np.asarray(t, dtype=float) - t0
+            zero = np.zeros_like(tau)
+            if Omega2 == 0.0:
+                one = np.ones_like(tau)
+                return UnitBasis(one, zero, tau, one, zero, 0.0, zero, zero,
+                                 zero)
+            wt = w * tau
+            if Omega2 > 0.0:
+                c, s = np.cos(wt), np.sin(wt)
+                c_dot, phi, rate = -w * s, wt, w
+            else:
+                c, s = np.cosh(wt), np.sinh(wt)
+                c_dot, phi, rate = w * s, zero, 0.0
+            # S' is (w c)/w, which is not always c in floats
+            return UnitBasis(c, c_dot, s / w, w * c / w, phi, rate, zero,
+                             zero, zero)
+
+    return unit_basis
+
+
+def _product_basis(w0, half_m0, s, half_m, ratio, g, alpha, beta):
+    """UnitBasis of a model whose m*omega is constant.
+
+    There q = cos(phi) and sin(phi), with phi the integral of omega from
+    t0, solve q'' + M q' + omega^2 q = 0, so z = sqrt(m) q solves z'' +
+    Omega^2 z = 0: C = s (cos phi - M(t0)/(2 omega(t0)) sin phi) and S =
+    s sin(phi)/omega(t0), with s = sqrt(m/m(t0)).  Takes w0 = omega(t0),
+    half_m0 = M(t0)/2, the column s, half_m = M/2 (a column or a constant)
+    and the columns ratio = omega/omega(t0) and g = phi/omega(t0).  Since
+    d(Omega^2)/dt s^2 dt = omega(t0) (alpha + beta phi) dphi, the balance
+    integrals are closed forms in phi.  sin(phi)/omega(t0) is taken as g
+    sin(phi)/phi, so C and S stay exact where omega(t0) underflows to 0
+    (phi = 0, all three integrals 0).
+    """
+    phi = w0 * g
+    cos, sin = np.cos(phi), np.sin(phi)
+    r = g * np.divide(sin, phi, out=np.ones_like(phi), where=phi != 0.0)
+    c_part = cos - half_m0 * r
+    # the weight's integrals from 0 to phi against 1, cos 2phi and sin 2phi
+    sin_cos, sin_sq = sin * cos, sin * sin
+    a_1 = phi * (alpha + 0.5 * beta * phi)
+    a_cos = alpha * sin_cos + beta * (phi * sin_cos - 0.5 * sin_sq)
+    a_sin = alpha * sin_sq + 0.5 * beta * (sin_cos
+                                           - phi * (cos * cos - sin_sq))
+    # ... against cos^2 and cos sin, and against sin^2 over omega(t0)
+    j_cc, j_cs = 0.5 * (a_1 + a_cos), 0.5 * a_sin
+    j_ss = 0.5 * (a_1 - a_cos) / w0 if w0 > 0.0 else np.zeros_like(phi)
+    return UnitBasis(
+        c=s * c_part,
+        c_dot=s * (half_m * c_part - w0 * ratio * sin
+                   - half_m0 * ratio * cos),
+        s=s * r, s_dot=s * (half_m * r + ratio * cos), phi=phi,
+        rate=float(w0),
+        i_cc=w0 * j_cc - 2.0 * half_m0 * j_cs + half_m0 * half_m0 * j_ss,
+        i_cs=j_cs - half_m0 * j_ss, i_ss=j_ss)
 
 
 # ---------------------------------------------------------------------------

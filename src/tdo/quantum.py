@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,9 @@ def _check_reference(reference):
     m0, w0 = reference
     if not (m0 > 0.0 and w0 > 0.0):
         raise ParameterError("reference mass and frequency must be positive")
+    if not np.finfo(float).tiny <= m0 * w0 < np.inf:
+        raise ParameterError(f"reference m0 omega0 = {m0 * w0!r} leaves the "
+                             "normal float range")
     return m0, w0
 
 
@@ -83,13 +86,16 @@ def quadratures(model, state, hbar=1.0):
     drift = sigma_dot - 0.5 * M * sigma
     half_inv = 0.5 / sigma
     xi_abs = np.hypot(drift, half_inv)
-    return QuadratureReport(
-        t=state.t, varQ=hbar / m * (sigma * sigma),
-        varP=hbar * m * (xi_abs * xi_abs),
-        xi=_complex(drift, -half_inv), eta=_complex(half_inv, -drift),
-        product=0.5 * hbar * np.sqrt(1.0 + 4.0 * (sigma * sigma)
-                                     * (drift * drift)),
-        hbar=hbar)
+    with np.errstate(all="ignore"):  # checked below
+        columns = {
+            "varQ": hbar / m * (sigma * sigma),
+            "varP": hbar * m * (xi_abs * xi_abs),
+            "xi": _complex(drift, -half_inv),
+            "eta": _complex(half_inv, -drift),
+            "product": 0.5 * hbar * np.sqrt(1.0 + 4.0 * (sigma * sigma)
+                                            * (drift * drift))}
+    require_finite(model.name, state.t, columns)
+    return QuadratureReport(t=state.t, hbar=hbar, **columns)
 
 
 def default_reference(model, t0):
@@ -102,11 +108,13 @@ def bogolubov(model, state, reference):
     m0, w0 = _check_reference(reference)
     m, M, sigma, sigma_dot = _sample(model, state)
     eta = _complex(0.5 / sigma, 0.5 * M * sigma - sigma_dot)
-    pref = np.sqrt(m / (2.0 * m0 * w0))
-    r = m0 * w0 / m
-    return BogolubovPair(mu=pref * (eta + r * sigma),
-                         nu=pref * (eta - r * sigma),
-                         reference=(m0, w0))
+    with np.errstate(all="ignore"):  # checked below
+        pref = np.sqrt(m / (2.0 * m0 * w0))
+        r = m0 * w0 / m
+        columns = {"mu": pref * (eta + r * sigma),
+                   "nu": pref * (eta - r * sigma)}
+    require_finite(model.name, state.t, columns)
+    return BogolubovPair(reference=(m0, w0), **columns)
 
 
 def uncertainty_via_bogolubov(pair, hbar=1.0):

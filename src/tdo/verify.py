@@ -109,10 +109,16 @@ def _oscillating_run(n):
                                 t_eval=np.linspace(0.0, 20.0, n))
 
 
+def _stepped(model):
+    """model with its unit basis undeclared, so that integrate_ep steps it
+    and a row pits the closed forms against stepping."""
+    return dataclasses.replace(model, unit_basis=None)
+
+
 def _minimal_run(model, t0, t1, n=201):
-    """Integrated minimal branch of `model` from its exact state at t0."""
+    """Stepped minimal branch of `model` from its exact state at t0."""
     c = minimum.minimum_model(model).c
-    return ermakov.integrate_ep(model, 0.25,
+    return ermakov.integrate_ep(_stepped(model), 0.25,
                                 minimum.minimal_amplitude(model, c, t0),
                                 t0, t1, t_eval=np.linspace(t0, t1, n))
 
@@ -122,10 +128,10 @@ def suite_ermakov():
     mh = models.harmonic()
 
     # closed form vs integration, constant branch.  Both models declare
-    # their constant Omega^2, so integrate_ep evaluates z in closed form
-    # from the initial data, a route independent of the superposition
-    # fits; this run, the oscillating and the hyperbolic one below also
-    # give the phase checks
+    # the unit basis of their constant Omega^2, so integrate_ep evaluates z
+    # in closed form from the initial data, a route independent of the
+    # superposition fits; this run, the oscillating and the hyperbolic one
+    # below also give the phase checks
     st_c = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0)
     err = _rel(st_c.sigma, 2.0 ** -0.5)
     checks.append(_check("harmonic constant branch vs integration (rel)",
@@ -166,7 +172,8 @@ def suite_ermakov():
     checks.append(_check("basis Wronskian drift (rel)", err, 1e-8))
 
     # conserved k over 20 periods on constant-Omega models, and the
-    # generalized balance with co-integrated F on time-dependent Omega
+    # generalized balance with co-integrated F on time-dependent Omega,
+    # stepped
     me, mb = models.exp_frequency(), models.bessel_type()
     for label, model, init, (t0, t1, n), tol in (
             ("harmonic: conserved k drift over 20 periods", mh,
@@ -174,8 +181,8 @@ def suite_ermakov():
             ("kanai_caldirola: conserved k drift over 20 periods",
              models.kanai_caldirola(omega0=1.0, gamma=1.0), (1.0, 0.0),
              (0.0, 20.0 * math.pi / math.sqrt(0.75), 401), 1e-8),
-            ("exp_frequency: balance constant with co-integrated F", me,
-             (1.0, 0.3), (0.0, 2.0, 201), 1e-7),
+            ("exp_frequency: balance constant with co-integrated F",
+             _stepped(me), (1.0, 0.3), (0.0, 2.0, 201), 1e-7),
             ("bessel_type: balance constant with co-integrated F", mb,
              (0.3, 0.2), (0.1, 0.8, 201), 1e-7)):
         st = ermakov.integrate_ep(model, 0.25, init, t0, t1,

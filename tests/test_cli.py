@@ -114,13 +114,12 @@ def test_nan_initial_sigma_is_config_error(capsys):
 
 @pytest.fixture
 def undeclared(monkeypatch):
-    """The CLI builds harmonic and kanai_caldirola with their constant
-    Omega^2 undeclared, as a table has it, so integrate_ep steps them."""
+    """The CLI builds harmonic and kanai_caldirola with their unit basis
+    undeclared, as a table has it, so integrate_ep steps them."""
     def stepped(factory):
         @functools.wraps(factory)
         def build(**params):
-            return dataclasses.replace(factory(**params),
-                                       constant_omega2=None)
+            return dataclasses.replace(factory(**params), unit_basis=None)
         return build
 
     for name in ("harmonic", "kanai_caldirola"):
@@ -178,19 +177,26 @@ def test_default_initial_data_step_in_the_polar_pair(tmp_path, monkeypatch,
     (["--model", "harmonic", "--K", "0"], [6]),
     (["--model", "kanai_caldirola", "--K", "0"], [6]),
     (["--model", "exp_frequency"], [4]),
-    (["--model", "exp_frequency", "--sigma0", "0.8"], [6]),
+    (["--model", "exp_frequency", "--sigma0", "0.8"], []),
     (["--model", "tsquared", "--t0", "1", "--t1", "2"], [4]),
     (["--model", "tsquared", "--t0", "1", "--t1", "2", "--sigma0", "0.8"],
-     [6]),
+     []),
     (["--model", "bessel_type", "--t0", "0.1", "--t1", "0.8"], [4]),
     (["--model", "bessel_type", "--t0", "0.1", "--t1", "0.8",
       "--sigma0", "0.3"], [6]),
+    (["--model", "exp_frequency", "--sigma0", "0.8", "--sigma-dot0", "-0.3",
+      "--K", "2"], []),
+    (["--model", "exp_frequency", "--K", "0"], [6]),
+    (["--model", "tsquared", "--t0", "1", "--t1", "2", "--sigma0", "1.3",
+      "--sigma-dot0", "0.4", "--K", "0.1"], []),
+    (["--model", "tsquared", "--t0", "1", "--t1", "2", "--K", "0"], [6]),
 ])
 def test_the_model_and_K_pick_the_exact_route(tmp_path, monkeypatch, argv,
                                               widths):
-    # a declared constant Omega^2 with K > 0 is evaluated in closed form,
-    # with no stepper call; K = 0 and the time-dependent models are stepped
-    # in the polar (4) or the Cartesian (6) pair
+    # a declared unit basis with K > 0 is evaluated in closed form, with no
+    # stepper call, except from the minimal branch of a time-dependent
+    # Omega^2 (exp_frequency and tsquared by default); K = 0 and
+    # bessel_type are stepped in the polar (4) or the Cartesian (6) pair
     seen, exact = _count_pairs(monkeypatch), []
     propagate = ermakov._propagate
 
@@ -228,10 +234,12 @@ def test_a_typed_branch_start_is_stepped_cheaply(tmp_path, monkeypatch,
     pytest.param(["--model", "exp_frequency", "--sigma0", "1e200"],
                  "NonFiniteResult: exp_frequency: k is first not finite at "
                  "t=0.0", id="exp_frequency-k0-overflows"),
-    pytest.param(["--model", "exp_frequency", "--K", "1e300",
+    # a stepped model finds no first step at a scale-equivalent start,
+    # whose zero components' slopes grow like sigma0 while atol stays 1e-12
+    pytest.param(["--model", "bessel_type", "--t0", "0.1", "--K", "1e300",
                   "--sigma0", "1e75"],
-                 "StepSizeUnderflow: exp_frequency: step size underflow in "
-                 "dopri.solve at t=0.0, h=1.131370849898476e-77; last "
+                 "StepSizeUnderflow: bessel_type: step size underflow in "
+                 "dopri.solve at t=0.1, h=1.4106166675083393e-79; last "
                  "accepted sigma=1e+75", id="stepper-finds-no-step"),
 ])
 def test_huge_amplitudes_fail_as_solver_errors(capsys, argv, line):
@@ -239,6 +247,32 @@ def test_huge_amplitudes_fail_as_solver_errors(capsys, argv, line):
     # a start whose balance k0 leaves the float range fails before any route
     assert run(["solve", "--t0", "0", "--t1", "1", *argv]) == 3
     assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("model,t0,t1", [("exp_frequency", "0", "1"),
+                                         ("tsquared", "1", "2")])
+@pytest.mark.parametrize("lam", ["1e30", "1e75"])
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_scale_equivalent_starts_are_solved_exactly(tmp_path, model, t0, t1,
+                                                    lam, rate):
+    # sigma -> lam sigma, K -> lam^4 K (at rate 0 the stepper's repros):
+    # the closed form scales its rows by lam (sigma, sigma'), 1/lam^2
+    # (theta) and lam^2 (k, F), where the stepper found no first step; at
+    # most 7.1e-16 relative measured
+    rows = []
+    for scale in (1.0, float(lam)):
+        out = tmp_path / f"{scale!r}.csv"
+        assert run(["solve", "--model", model, "--t0", t0, "--t1", t1,
+                    "--K", repr(scale ** 4), "--sigma0", repr(scale),
+                    "--sigma-dot0", repr(rate * scale),
+                    "--out", str(out)]) == 0
+        rows.append(read_csv(out)[1])
+    ref, got = rows
+    powers = [0.0, 1.0, 1.0, -2.0, 2.0, 2.0]  # t, sigma, sigma', theta, k, F
+    for column, power in enumerate(powers):
+        want = ref[:, column] * float(lam) ** power
+        assert np.max(np.abs(got[:, column] - want)) \
+            <= 2e-15 * np.max(np.abs(want))
 
 
 def test_a_huge_K_on_a_constant_omega2_is_solved_exactly(tmp_path):
@@ -475,9 +509,9 @@ def test_sweep_over_series_alias_writes_distinct_runs(tmp_path):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_step_size_underflow_is_solver_error(tmp_path, capsys):
     # sigma runs away near t = 0.7112; 0.712 is about the shortest window
-    # that still reaches the underflow
+    # that still reaches the underflow.  K = 0 keeps the run on the stepper
     code = run(["solve", "--model", "exp_frequency", "--gamma0", "1e3",
-                "--t0", "0", "--t1", "0.712", "--sigma0", "1",
+                "--t0", "0", "--t1", "0.712", "--sigma0", "1", "--K", "0",
                 "--out", str(tmp_path / "x.csv")])
     assert code == 3
     err, = capsys.readouterr().err.splitlines()
@@ -504,6 +538,15 @@ def test_step_size_underflow_is_solver_error(tmp_path, capsys):
                   "--t0", "0", "--t1", "100"],
                  "NonFiniteResult", ["kanai_caldirola", "sigma", "t=14.5"],
                  id="closed-form-leaves-float-range"),
+    # hbar/m overflows in every row at m0 = 1e-320
+    pytest.param(_UNC + ["--m0", "1e-320", "--t0", "0", "--t1", "1",
+                         "--dt-out", "0.5"],
+                 "NonFiniteResult", ["harmonic: varQ", "t=0.0"],
+                 id="quantum-column-leaves-float-range"),
+    pytest.param(_UNC + ["--omega0", "1e-320", "--sigma0", "1", "--t0", "0",
+                         "--t1", "1", "--dt-out", "0.5"],
+                 "ParameterError", ["reference m0 omega0 = 1e-320"],
+                 id="reference-product-underflows"),
 ])
 def test_solver_errors_exit_3_with_one_line(tmp_path, capsys, argv, kind,
                                             fragments):
@@ -514,15 +557,16 @@ def test_solver_errors_exit_3_with_one_line(tmp_path, capsys, argv, kind,
 
 
 def test_step_budget_is_solver_error(tmp_path, capsys, monkeypatch):
-    # a frequency that barely decays keeps the stepper turning z for 1e9
+    # the frequency nu/t with nu = 50 turns z some 23 times on [0.1, 1.9],
+    # more than 1000 step attempts' worth
     from tdo import dopri
     monkeypatch.setattr(dopri, "MAX_STEPS", 1000)
-    code = run(["solve", "--model", "exp_frequency", "--gamma0", "1e-12",
-                "--sigma0", "1", "--t0", "0", "--t1", "1e9",
-                "--dt-out", "1e8", "--out", str(tmp_path / "x.csv")])
+    code = run(["solve", "--model", "bessel_type", "--nu", "50",
+                "--sigma0", "0.3", "--t0", "0.1", "--t1", "1.9",
+                "--out", str(tmp_path / "x.csv")])
     assert code == 3
     err, = capsys.readouterr().err.splitlines()
-    assert err.startswith("BudgetExceeded:") and "1011 step attempts" in err
+    assert err.startswith("BudgetExceeded:") and "1201 step attempts" in err
 
 
 def test_series_json(capsys):

@@ -12,6 +12,7 @@ import math
 import re
 import warnings
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,17 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from tdo import cli, dopri, ermakov, models, series
+from tdo import cli, dopri, ermakov, minimum, models, series
 from tdo.errors import (BudgetExceeded, ParameterError, SingularityApproached,
-                        StepSizeUnderflow)
+                        StepSizeUnderflow, TdoError)
 
 SQ2 = 2.0 ** -0.5
 
 
 def stepped(model):
-    """model with its constant Omega^2 undeclared, as a table has it, so
+    """model with its unit basis undeclared, as a table has it, so
     integrate_ep steps it instead of evaluating it in closed form."""
-    return dataclasses.replace(model, constant_omega2=None)
+    return dataclasses.replace(model, unit_basis=None)
 
 
 @pytest.fixture
@@ -138,8 +139,19 @@ OUT_OF_RANGE = [
     (ermakov.fit_hyperbolic, (0.4, 0.0, 0.0, 0.0), "sigma0"),
     (ermakov.phase_hyperbolic, (0.0, 0.5, 0.0, 0.0, 1.0), "L"),
     (ermakov.phase_hyperbolic, (1e200, 1.0, 0.0, 0.0, 1.0), "4 L^2 c1^2"),
+    (ermakov.sigma_oscillating, (1.0, 1e200, 0.0, 0.3),
+     "kconst^2 - omega0^2"),
+    (ermakov.phase_oscillating, (1.0, 1e200, 0.0, 0.0, 1.0),
+     "kconst^2 - omega0^2"),
+    (ermakov.phase_oscillating, (1e-200, 1e150, 0.0, 0.0, 1.0),
+     "(kconst + sqrt(kconst^2 - omega0^2))/omega0"),
+    (ermakov.sigma_hyperbolic, (1.0, 1e300, 0.0, 0.3), "c1^2 + 1/(4 L^2)"),
+    (ermakov.hyperbolic_combination, (1.0, 1e300, 0.0), "c1^2 + 1/(4 L^2)"),
     (models.exp_frequency_phase, (1.0, 0.0, 0.0, 1.0), "gamma0"),
     (models.exp_frequency_phase, (1.0, 1e-320, 0.0, 1.0), "2 omega0/gamma0"),
+    (models.exp_frequency_phase, (1.0, 1.0, -1000.0, 0.0), "exp(-gamma0 t)"),
+    (models.exp_frequency_phase, (1e300, 1.0, -20.0, 0.0),
+     "2 omega0/gamma0 (exp(-gamma0 t0) - exp(-gamma0 t1))"),
     (models.tsquared_phase, (0.0, 1.0, 1.0, 2.0), "m0"),
     (models.tsquared_phase, (1.0, 0.0, 1.0, 2.0), "c"),
     (models.tsquared_phase, (1e-200, 1e-200, 1.0, 2.0), "m0 c^2 t0"),
@@ -210,8 +222,8 @@ def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch,
         force_pair(polar)
         with (pytest.raises(StepSizeUnderflow) as info,
               np.errstate(all="ignore")):
-            ermakov.integrate_ep(models.exp_frequency(gamma0=1e3), 0.25,
-                                 (1.0, 0.0), 0.0, 0.712)
+            ermakov.integrate_ep(stepped(models.exp_frequency(gamma0=1e3)),
+                                 0.25, (1.0, 0.0), 0.0, 0.712)
         message = str(info.value)
         assert message.startswith("exp_frequency: step size underflow")
         assert "t=0.711" in message and "h=" in message
@@ -327,7 +339,7 @@ def _exact_rows(omega2):
                          ids=["harmonic", "kc-oscillating", "kc-hyperbolic",
                               "kc-free"])
 def test_closed_form_matches_the_stepper(model, init):
-    for t_eval in _exact_rows(model.constant_omega2):
+    for t_eval in _exact_rows(float(models.omega2(model, 0.0))):
         args = (0.25, init, 0.0, float(t_eval[-1]))
         got = ermakov.integrate_ep(model, *args, t_eval=t_eval)
         ref = ermakov.integrate_ep(stepped(model), *args, t_eval=t_eval,
@@ -371,8 +383,9 @@ def test_closed_form_keeps_its_invariants(omega2, sigma0, sigma_dot0, K, t0,
                                t_eval=t_eval)
     assert np.array_equal(st_.t, ts)
     assert np.all(np.diff(st_.theta) >= 0.0)
-    if model.constant_omega2 > 0.0:
-        k0 = ermakov.conserved_k(sigma0, sigma_dot0, model.constant_omega2, K)
+    w2 = float(models.omega2(model, t0))
+    if w2 > 0.0:
+        k0 = ermakov.conserved_k(sigma0, sigma_dot0, w2, K)
         assert np.max(np.abs(st_.k - k0)) <= 1e-10 * abs(k0)
 
 
@@ -397,6 +410,148 @@ def test_closed_form_checks_its_times():
     with pytest.raises(StepSizeUnderflow, match=r"^harmonic: no usable "
                                                 r"first step at t=1000000\.0"):
         ermakov.integrate_ep(fast, 0.25, (1.0, 0.0), 1e6, 1e6 + 1.0)
+
+
+# --- closed form where m*omega is constant ----------------------------------
+
+# (model, t0, t1); exp_frequency at gamma0 = 3 turns z under half a period
+PRODUCT_CASES = [
+    (models.exp_frequency(), -1.0, 3.0),
+    (models.exp_frequency(omega0=1.3, gamma0=3.0), 0.5, 2.0),
+    (models.tsquared(), 0.3, 2.0),
+    (models.tsquared(m0=0.7, c=1.3), 1.0, 4.0),
+]
+
+
+@pytest.mark.parametrize("model,t0,t1", PRODUCT_CASES,
+                         ids=["exp", "exp-overdamped", "tsq", "tsq-slow"])
+def test_product_basis_solves_the_linear_equation(model, t0, t1):
+    # unit data at t0, Wronskian C S' - C' S = 1, the derivative columns
+    # against central differences, C'' = -Omega^2 C, and the balance
+    # integrals against adaptive quadrature
+    ts = np.linspace(t0, t1, 41)
+    b = model.unit_basis(t0, ts)
+    assert (b.c[0], b.c_dot[0], b.s[0], b.s_dot[0], b.phi[0]) \
+        == (1.0, 0.0, 0.0, 1.0, 0.0)
+    assert (b.i_cc[0], b.i_cs[0], b.i_ss[0]) == (0.0, 0.0, 0.0)
+    assert np.max(np.abs(b.c * b.s_dot - b.c_dot * b.s - 1.0)) <= 1e-13
+    assert b.rate == float(model.omega(t0))
+    assert np.all(np.diff(b.phi) > 0.0)
+    h = 1e-6
+    inner = ts[1:-1]
+    hi, lo = model.unit_basis(t0, inner + h), model.unit_basis(t0, inner - h)
+    for value, rate in (("c", "c_dot"), ("s", "s_dot")):
+        central = (getattr(hi, value) - getattr(lo, value)) / (2.0 * h)
+        assert np.max(np.abs(central - getattr(b, rate)[1:-1])) <= 1e-7
+    w2 = models.omega2(model, inner)
+    for value, rate in (("c", "c_dot"), ("s", "s_dot")):
+        second = (getattr(hi, rate) - getattr(lo, rate)) / (2.0 * h)
+        assert np.max(np.abs(second + w2 * getattr(b, value)[1:-1])) \
+            <= 1e-7 * np.max(np.abs(w2))
+
+    def integrand(t, pick):
+        row = model.unit_basis(t0, np.array([t]))
+        return float(models.omega2_dot(model, t) * pick(row)[0])
+
+    for name, pick in (("i_cc", lambda r: r.c * r.c),
+                       ("i_cs", lambda r: r.c * r.s),
+                       ("i_ss", lambda r: r.s * r.s)):
+        ref, _ = quad(integrand, t0, t1, args=(pick,), epsabs=1e-13,
+                      epsrel=1e-13, limit=200)
+        assert abs(getattr(b, name)[-1] - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("model,t0,t1", [
+    (models.exp_frequency(omega0=8.0, gamma0=0.5), 0.0, 4.0),
+    (models.tsquared(m0=0.05), 0.3, 2.0)], ids=["exp", "tsq"])
+def test_closed_form_theta_ignores_the_row_spacing(model, t0, t1):
+    # the turn comes from phi, so two rows more than two turns apart give
+    # the theta of a dense grid's last row, bit for bit
+    dense = ermakov.integrate_ep(model, 2.0, (1.3, -0.4), t0, t1,
+                                 t_eval=np.linspace(t0, t1, 400))
+    sparse = ermakov.integrate_ep(model, 2.0, (1.3, -0.4), t0, t1,
+                                  t_eval=[t0, t1])
+    assert math.sqrt(2.0) * dense.theta[-1] > 4.0 * math.pi
+    assert sparse.theta[-1] == dense.theta[-1]
+
+
+# catalog parameter boxes, start windows t0 in [lo, hi] and longest span
+PRODUCT_BOXES = {
+    "exp_frequency": ({"omega0": st.floats(0.5, 2.0),
+                       "gamma0": st.floats(0.2, 1.5),
+                       "c": st.floats(0.5, 1.5)}, (-1.0, 2.0), 3.0),
+    "tsquared": ({"m0": st.floats(0.5, 2.0), "c": st.floats(0.5, 1.5)},
+                 (0.5, 2.0), 2.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(PRODUCT_BOXES)),
+       minimal=st.booleans(), K=st.floats(0.1, 2.0),
+       sigma0=st.floats(0.4, 1.5), sigma_dot0=st.floats(-0.5, 0.5))
+def test_closed_form_agrees_with_the_stepper_over_parameters(
+        data, name, minimal, K, sigma0, sigma_dot0):
+    # the closed form against the Cartesian pair stepped at rtol 1e-12 with
+    # the basis undeclared, from the minimal start (scaled to K) or off it;
+    # worst over the boxes' corners: 4.4e-10 in k, 2.0e-11 in theta
+    box, (lo, hi), longest = PRODUCT_BOXES[name]
+    model = models.get_model(name, **data.draw(st.fixed_dictionaries(box)))
+    t0 = data.draw(st.floats(lo, hi))
+    t1 = t0 + data.draw(st.floats(0.05, longest))
+    if minimal:
+        c = minimum.minimum_model(model).c
+        sigma0, sigma_dot0 = ((4.0 * K) ** 0.25 * float(v)
+                              for v in minimum.minimal_amplitude(model, c, t0))
+    t_eval = np.linspace(t0, t1, 30)
+    with mock.patch.object(ermakov, "_on_a_branch", lambda *args: False):
+        got = ermakov.integrate_ep(model, K, (sigma0, sigma_dot0), t0, t1,
+                                   t_eval=t_eval)
+        ref = ermakov.integrate_ep(stepped(model), K, (sigma0, sigma_dot0),
+                                   t0, t1, t_eval=t_eval, rtol=1e-12)
+    assert np.array_equal(got.t, ref.t)
+    assert np.max(np.abs(got.sigma / ref.sigma - 1.0)) <= 1e-8
+    assert np.max(np.abs(got.sigma_dot - ref.sigma_dot)) \
+        <= 1e-8 * max(1.0, np.max(np.abs(ref.sigma_dot)))
+    assert got.theta[0] == ref.theta[0] == 0.0
+    assert np.max(np.abs(got.theta[1:] / ref.theta[1:] - 1.0)) <= 1e-8
+    scale = np.max(np.abs(ref.k))
+    assert np.max(np.abs(got.k - ref.k)) <= 1e-8 * scale
+    assert np.max(np.abs(got.F - ref.F)) <= 1e-8 * scale
+
+
+def _powers_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(PRODUCT_BOXES)),
+       K=_powers_of_ten(-300, 300), sigma0=_powers_of_ten(-7, 300),
+       sigma_dot0=st.floats(-1e300, 1e300), span=_powers_of_ten(-300, 300))
+def test_the_exact_route_fails_typed_at_extreme_values(data, name, K, sigma0,
+                                                        sigma_dot0, span):
+    # the basis and the route through it either give finite rows or raise
+    # a TdoError: no OverflowError, ZeroDivisionError or RuntimeWarning.
+    # tsquared's t_min keeps t^2 normal, which its coeffs divide by
+    if name == "exp_frequency":
+        params = {"omega0": data.draw(_powers_of_ten(-300, 300)),
+                  "gamma0": data.draw(_powers_of_ten(-300, 300)),
+                  "c": data.draw(_powers_of_ten(-150, 150))}
+        t0 = data.draw(st.floats(-1e300, 1e300))
+    else:
+        params = {"m0": data.draw(_powers_of_ten(-300, 300)),
+                  "c": data.draw(_powers_of_ten(-150, 150)), "t_min": 1e-150}
+        t0 = data.draw(_powers_of_ten(-150, 300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = models.get_model(name, **params)
+            basis = model.unit_basis(t0, np.array([t0, t0 + span]))
+            states = ermakov.integrate_ep(model, K, (sigma0, sigma_dot0), t0,
+                                          t0 + span, t_eval=[t0, t0 + span])
+        except TdoError:
+            return
+    assert len(basis) == 9
+    assert all(np.isfinite(column).all() for column in vars(states).values())
 
 
 def test_sigma_floor_trips():

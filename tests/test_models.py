@@ -61,7 +61,7 @@ def test_harmonic_values_are_exact(m0, omega0, t):
         assert (type(w2), type(w2_dot)) == (float, float)
     assert np.array_equal(w2, omega0 * omega0 * ones)
     assert np.array_equal(w2_dot, 0.0 * ones)
-    assert m.constant_omega2 == omega0 * omega0
+    assert m.unit_basis(0.0, np.zeros(1)).rate == omega0
     assert (m.name, m.params) == ("harmonic", {"m0": m0, "omega0": omega0})
 
 
@@ -223,8 +223,8 @@ def _table(tmp_path, model, lo, hi, n=60):
 
 def _counted_run(model, init, lo, hi):
     """Final sigma of a stepped run at rtol 1e-10, and the model's `coeffs`
-    calls.  A declared constant Omega^2 is dropped, as a table has none, so
-    a catalog model and its table both take the stepper."""
+    calls.  A declared unit basis is dropped, as a table has none, so a
+    catalog model and its table both take the stepper."""
     calls = [0]
 
     def coeffs(t):
@@ -232,7 +232,7 @@ def _counted_run(model, init, lo, hi):
         return model.coeffs(t)
 
     run = ermakov.integrate_ep(
-        dataclasses.replace(model, coeffs=coeffs, constant_omega2=None),
+        dataclasses.replace(model, coeffs=coeffs, unit_basis=None),
         ermakov.DEFAULT_K, init, lo, hi, rtol=1e-10)
     return float(run.sigma[-1]), calls[0]
 

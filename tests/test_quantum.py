@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdo import dopri, ermakov, minimum, models, quantum
-from tdo.errors import ParameterError
+from tdo.errors import NonFiniteResult, ParameterError
 
 SQ2 = 2.0 ** -0.5
 
@@ -171,6 +171,24 @@ def test_units_errors():
             quantum.BogolubovPair(1.0, 0.0, (1.0, 1.0)), hbar=-1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_columns_that_leave_the_float_range_raise():
+    # hbar/m overflows at m0 = 1e-320 and sqrt(m/(2 m0 w0)) at m = 1e300
+    # against a reference product 1e-300; a subnormal reference product is
+    # refused before any column is formed
+    s = make_state(np.array([0.0, 0.5]), np.array([SQ2, 0.8]),
+                   np.array([0.0, 0.1]))
+    first = r"^harmonic: {} is first not finite at t=0\.0$"
+    with pytest.raises(NonFiniteResult, match=first.format("varQ")):
+        quantum.quadratures(models.harmonic(m0=1e-320), s)
+    with pytest.raises(NonFiniteResult, match=first.format("mu")):
+        quantum.bogolubov(models.harmonic(m0=1e300), s, (1e-300, 1.0))
+    for call in (quantum.bogolubov, quantum.moduli_from_balance):
+        with pytest.raises(ParameterError,
+                           match=r"^reference m0 omega0 = 1e-320 leaves"):
+            call(models.harmonic(), s, (1.0, 1e-320))
+
+
 def test_oscillating_saturation_gap_report():
     # worst-case excess is (hbar/2)(k/omega0 - 1); verified against a scan
     gaps = quantum.oscillating_saturation_gap(1.0, [1.0, 2.0, 3.0])
@@ -203,31 +221,32 @@ def test_scalar_and_column_paths_agree(name, monkeypatch):
     model = models.get_model(name)
     t0, t1 = CATALOG_WINDOWS[name]
     solved = []
-    # stepped, or in closed form for a declared constant Omega^2: both
-    # give the rows in the same layout
+    # stepped (bessel_type), or in closed form for a declared unit basis:
+    # both give the rows in the same layout
     for owner, fname in ((dopri, "solve"), (ermakov, "_propagate")):
-        def spy(*args, _route=getattr(owner, fname), **kwargs):
-            solved.append(_route(*args, **kwargs))
-            return solved[-1]
+        def spy(*args, _route=getattr(owner, fname), _name=fname, **kwargs):
+            solved.append((_name, _route(*args, **kwargs)))
+            return solved[-1][1]
 
         monkeypatch.setattr(owner, fname, spy)
     traj = ermakov.integrate_ep(model, 0.25, (0.9, 0.1), t0, t1,
                                 t_eval=np.linspace(t0, t1, 50))
-    (ts, ys), = solved
+    (route, (ts, ys)), = solved
     assert np.array_equal(traj.t, ts)
-    # the rows' state is (x, x', v, v', theta, F/s) with sigma =
-    # |x + iv|, theta = arg(x + iv) / sqrt(K) on the stepped theta's turn
-    # and s = max(1, rtol |k0| / atol)
+    # the rows' state is (x, x', v, v', theta, F) with sigma = |x + iv|
+    # and theta = arg(x + iv) / sqrt(K) on the stepped theta's turn; the
+    # stepper carries F/s with s = max(1, rtol |k0| / atol)
     x, x_dot, v, v_dot, theta, F = ys.T
     sigma = np.hypot(x, v)
     turn = np.arctan2(v, x) - 0.5 * theta
     turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
     k0 = ermakov.conserved_k(0.9, 0.1, model.coeffs(float(t0))[0], 0.25)
+    s = max(1.0, 1e-10 * abs(k0) / 1e-12) if route == "solve" else 1.0
     assert np.array_equal(traj.sigma, sigma)
     assert np.array_equal(traj.sigma_dot, (x * x_dot + v * v_dot) / sigma)
     assert np.array_equal(traj.theta,
                           np.maximum.accumulate(theta + turn / 0.5))
-    assert np.array_equal(traj.F, max(1.0, 1e-10 * abs(k0) / 1e-12) * F)
+    assert np.array_equal(traj.F, s * F)
 
     hbar = 0.7
     ref = quantum.default_reference(model, t0)
