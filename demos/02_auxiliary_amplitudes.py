@@ -1,13 +1,16 @@
 """Solving the auxiliary equation sigma'' + Omega^2(t) sigma = K/sigma^3.
 
-Two independent routes are compared: the closed form built from a basis of
-the reduced linear equation (square root of a quadratic form), and direct
-adaptive integration.  The phase theta = integral dt/sigma^2 accumulates as
-an extra state component of the same stepper.  `integrate_ep` returns the
-trajectory as one `ErmakovState` whose fields are columns over the output
-times.  Each branch's closed-form phase is a plain function of that
-branch's constants and the window (t0, t1): `phase_oscillating` and
-`phase_hyperbolic`.
+`integrate_ep` takes sigma as the modulus of a complex solution z of the
+reduced linear equation.  On a model that declares its unit-data basis
+(harmonic, kanai_caldirola, exp_frequency, tsquared) z is evaluated in
+closed form, and sigma^2 = |z|^2 is Pinney's superposition, a quadratic
+form in that basis; elsewhere z is stepped adaptively, with the phase
+theta = integral dt/sigma^2 as an extra state component.  The closed-form
+branches of a constant Omega^2 are compared with it below.
+`integrate_ep` returns the trajectory as one `ErmakovState` whose fields
+are columns over the output times.  Each branch's closed-form phase is a
+plain function of that branch's constants and the window (t0, t1):
+`phase_oscillating` and `phase_hyperbolic`.
 """
 
 import math
@@ -60,12 +63,22 @@ print(f"sigma grows to {states.sigma[-1]:.4f} by t=3 "
 print(f"theta(3) = {states.theta[-1]:.10f}   (closed form: "
       f"{ermakov.phase_hyperbolic(L, c1, c2, 0.0, 3.0):.10f})")
 
-# --- superposition constants are constrained --------------------------------
+# --- the superposition closed form on the unit basis -------------------------
 
-pair = ermakov.harmonic_basis(1.0)
-comb = ermakov.oscillating_combination(1.0, kconst, 0.0)
-gap = ermakov.constraint_gap(pair, comb)
-print(f"\nsuperposition constraint A*B - C^2 - K/W0^2 = {gap:.2e}")
-res = np.max(np.abs(ermakov.pinney_residual(pair, comb, lambda t: 1.0,
-                                            np.linspace(0.0, 10.0, 101))))
-print(f"auxiliary-equation residual of the closed form: {res:.2e}")
+# with C, S the basis of z'' + Omega^2 z = 0 from unit data at t0 (C S' - C' S
+# = 1), sigma^2 = A C^2 + 2 D C S + B S^2 with A = sigma0^2, D = sigma0
+# sigma0' and B = sigma0'^2 + K/sigma0^2, so A B - D^2 = K by construction
+s0, sd0 = float(s0), float(sd0)
+A, D, B = s0 * s0, s0 * sd0, sd0 * sd0 + 0.25 / (s0 * s0)
+gap = A * B - D * D - 0.25
+print(f"\nsuperposition constants: A*B - D^2 - K = {gap:.2e}")
+for model, (t0, t1) in ((m, (0.0, 10.0)),
+                        (models.exp_frequency(), (0.0, 2.0))):
+    ts = np.linspace(t0, t1, 101)
+    basis = model.unit_basis(t0, ts)
+    wronskian = basis.c * basis.s_dot - basis.c_dot * basis.s
+    drift = np.max(np.abs(wronskian - 1.0))
+    res = np.max(np.abs(ermakov.pinney_residual(model, 0.25, (s0, sd0), t0,
+                                                ts)))
+    print(f"{model.name}: basis Wronskian drift {drift:.2e}, "
+          f"auxiliary-equation residual {res:.2e}")

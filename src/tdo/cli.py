@@ -11,8 +11,9 @@ JSON config file (--config, falling back to $TDO_DEFAULT_CONFIG; null
 counts as unset) > model defaults.  Outputs are deterministic: CSV
 carries 17 significant digits, JSON is key-sorted.  Errors leave a single
 `error_kind: message` line on stderr; exit codes are 2 for configuration
-problems (bad values, grids above MAX_ROWS, sweeps above MAX_SWEEP), 3 for
-solver errors, 1 for failed verification checks.
+problems (bad values, unknown flags, unreadable config files, grids above
+MAX_ROWS, sweeps above MAX_SWEEP), 3 for solver errors, 1 for failed
+verification checks.
 """
 
 import argparse
@@ -119,7 +120,9 @@ def _load_config(path):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: not JSON, not UTF-8, or an integer past Python's
+        # digit limit
         raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -141,6 +144,8 @@ def _value(res, key, default=None):
         if isinstance(val, bool):
             raise TypeError
         num = float(val)
+    except OverflowError:
+        num = math.inf  # an integer past the float range
     except (TypeError, ValueError):
         raise ConfigError(f"{_flag(key)} must be a number, got {val!r}")
     if not math.isfinite(num):
@@ -360,8 +365,22 @@ def cmd_check_min(res):
 
 # ---------------------------------------------------------------------------
 
+def _fail(kind, message, code):
+    """Report `kind: message` on one stderr line, whatever text the message
+    echoes, and return the exit code."""
+    text = str(message).replace("\r", "\\r").replace("\n", "\\n")
+    print(f"{kind}: {text}", file=sys.stderr)
+    return code
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, as every other configuration error
+        self.exit(_fail("config_error", message, 2))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tdo",
         description="Time-dependent oscillator amplitudes, phases and "
                     "uncertainty products.")
@@ -425,11 +444,10 @@ def main(argv=None):
             return args.func(
                 collections.ChainMap(flags, _load_config(args.config)))
     except ConfigError as exc:
-        print(f"config_error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("config_error", exc, 2)
     except TdoError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _fail(type(exc).__name__, exc, 3)
+
 
 
 if __name__ == "__main__":

@@ -1,24 +1,27 @@
 """Auxiliary-equation machinery: closed forms, integration and phases.
 
 The auxiliary equation sigma'' + Omega^2(t) sigma = K / sigma^3 is solved
-two independent ways: as the square root of a quadratic form in a
-closed-form basis of the reduced linear equation y'' + Omega^2 y = 0
-(superposition closed form), and as the modulus of one complex solution
-z of that equation with Wronskian sqrt(K) (Milne's construction,
+as the modulus of one complex solution z of the reduced linear equation
+z'' + Omega^2 z = 0 with Wronskian sqrt(K) (Milne's construction,
 `integrate_ep`).  z takes one of three routes, picked by `integrate_ep`
 from the model and the start: in closed form when the model declares its
 exact unit-data basis and K > 0 (harmonic, kanai_caldirola,
 exp_frequency, tsquared; the minimal branch of the last two excepted),
 and otherwise stepped adaptively, in polar form when the start lies on
-the minimal branch and in Cartesian form from any other start.  On the
-stepped routes the phase theta = integral dt/sigma^2 and the balance
-functional F = integral d(Omega^2)/dt * sigma^2 dt ride along as extra
-state components of the same stepper, so every quadrature shares the
-trajectory's error control.  A trajectory is one `ErmakovState` whose
-fields are equal-length columns, one entry per output time.  The
-closed-form phases of the oscillating and hyperbolic branches,
-`phase_oscillating` and `phase_hyperbolic`, take the branch's constants
-and the window (t0, t1); the constant branch's is 2 omega0 (t1 - t0).
+the minimal branch and in Cartesian form from any other start.  The
+closed-form route is Pinney's superposition: sigma^2 = |z|^2 is a
+quadratic form in the unit basis, whose auxiliary-equation residual
+`pinney_residual` evaluates.  Its independent checks are the stepper and
+the closed-form branches of a constant Omega^2 (`sigma_oscillating`,
+`sigma_hyperbolic`) with their fits.  On the stepped routes the phase
+theta = integral dt/sigma^2 and the balance functional F = integral
+d(Omega^2)/dt * sigma^2 dt ride along as extra state components of the
+same stepper, so every quadrature shares the trajectory's error control.
+A trajectory is one `ErmakovState` whose fields are equal-length columns,
+one entry per output time.  The closed-form phases of the oscillating
+and hyperbolic branches, `phase_oscillating` and `phase_hyperbolic`, take
+the branch's constants and the window (t0, t1); the constant branch's is
+2 omega0 (t1 - t0).
 """
 
 import math
@@ -43,30 +46,6 @@ BRANCH_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class BasisPair:
-    """Two independent solutions of y'' + Omega^2 y = 0 with derivatives."""
-
-    y1: callable
-    y1_dot: callable
-    y2: callable
-    y2_dot: callable
-    W0: float  # constant Wronskian y1*y2' - y1'*y2
-
-    def wronskian(self, t):
-        return self.y1(t) * self.y2_dot(t) - self.y1_dot(t) * self.y2(t)
-
-
-@dataclass(frozen=True)
-class PinneyCombination:
-    """Superposition constants with A*B - C**2 = K / W0**2."""
-
-    A: float
-    B: float
-    C: float
-    K: float
-
-
-@dataclass(frozen=True)
 class ErmakovState:
     """Amplitude state: sigma, its rate, accumulated phase and functionals.
 
@@ -85,69 +64,6 @@ class ErmakovState:
     F: np.ndarray
 
 
-def harmonic_basis(omega0):
-    """cos/sin basis of the constant-frequency reduced equation."""
-    models._require_positive(omega0=omega0)
-    return BasisPair(
-        y1=lambda t: np.cos(omega0 * np.asarray(t, dtype=float)),
-        y1_dot=lambda t: -omega0 * np.sin(omega0 * np.asarray(t, dtype=float)),
-        y2=lambda t: np.sin(omega0 * np.asarray(t, dtype=float)),
-        y2_dot=lambda t: omega0 * np.cos(omega0 * np.asarray(t, dtype=float)),
-        W0=omega0,
-    )
-
-
-def hyperbolic_basis(L):
-    """cosh/sinh basis for a constant negative effective squared frequency."""
-    models._require_positive(L=L)
-    return BasisPair(
-        y1=lambda t: np.cosh(L * np.asarray(t, dtype=float)),
-        y1_dot=lambda t: L * np.sinh(L * np.asarray(t, dtype=float)),
-        y2=lambda t: np.sinh(L * np.asarray(t, dtype=float)),
-        y2_dot=lambda t: L * np.cosh(L * np.asarray(t, dtype=float)),
-        W0=L,
-    )
-
-
-def constraint_gap(pair, comb):
-    return comb.A * comb.B - comb.C ** 2 - comb.K / pair.W0 ** 2
-
-
-def sigma_from_basis(pair, comb, t):
-    """Closed-form (sigma, sigma') from the superposition quadratic form.
-
-    Raises ParameterError when A*B - C^2 strays from K/W0^2 beyond 1e-8
-    relative, or when the radicand is not positive.
-    """
-    target = comb.K / pair.W0 ** 2
-    if abs(constraint_gap(pair, comb)) > 1e-8 * max(1.0, abs(target)):
-        raise ParameterError(
-            f"A*B - C^2 = {comb.A * comb.B - comb.C ** 2!r} but K/W0^2 = {target!r}")
-    y1, y2 = pair.y1(t), pair.y2(t)
-    y1d, y2d = pair.y1_dot(t), pair.y2_dot(t)
-    u = comb.A * y1 * y1 + comb.B * y2 * y2 + 2.0 * comb.C * y1 * y2
-    if np.any(np.asarray(u) <= 0.0):
-        raise ParameterError("superposition radicand is not positive")
-    sigma = np.sqrt(u)
-    u_dot = 2.0 * (comb.A * y1 * y1d + comb.B * y2 * y2d
-                   + comb.C * (y1d * y2 + y1 * y2d))
-    return sigma, u_dot / (2.0 * sigma)
-
-
-def pinney_residual(pair, comb, omega2_fn, t):
-    """sigma'' + Omega^2 sigma - K/sigma^3 of the closed form (analytic)."""
-    sigma, sigma_dot = sigma_from_basis(pair, comb, t)
-    w2 = omega2_fn(t)
-    y1, y2 = pair.y1(t), pair.y2(t)
-    y1d, y2d = pair.y1_dot(t), pair.y2_dot(t)
-    y1dd, y2dd = -w2 * y1, -w2 * y2
-    u_ddot = 2.0 * (comb.A * (y1d * y1d + y1 * y1dd)
-                    + comb.B * (y2d * y2d + y2 * y2dd)
-                    + comb.C * (y1dd * y2 + 2.0 * y1d * y2d + y1 * y2dd))
-    sigma_ddot = (u_ddot - 2.0 * sigma_dot ** 2) / (2.0 * sigma)
-    return sigma_ddot + w2 * sigma - comb.K / sigma ** 3
-
-
 # ---------------------------------------------------------------------------
 # constant-frequency closed-form branches, their fits and phases
 
@@ -162,22 +78,6 @@ def _oscillating_S(omega0, kconst):
     square = kconst * kconst - omega0 * omega0
     models._require_finite("kconst^2 - omega0^2", square)
     return math.sqrt(square)
-
-
-def oscillating_combination(omega0, kconst, c1):
-    """Constants reproducing the oscillating branch (K = 1/4) at all times.
-
-    sigma^2 = [k - sqrt(k^2 - omega0^2) cos(2 c1 + 2 omega0 t)]/(2 omega0^2);
-    requires kconst >= omega0 > 0.
-    """
-    S = _oscillating_S(omega0, kconst)
-    den = models._divisor("2 omega0^2", 2.0 * omega0 ** 2)
-    return PinneyCombination(
-        A=(kconst - S * math.cos(2.0 * c1)) / den,
-        B=(kconst + S * math.cos(2.0 * c1)) / den,
-        C=S * math.sin(2.0 * c1) / den,
-        K=DEFAULT_K,
-    )
 
 
 def sigma_oscillating(omega0, kconst, c1, t):
@@ -235,19 +135,6 @@ def _hyperbolic_R(L, c1):
     square = c1 * c1 + 1.0 / _four_L2(L)
     models._require_finite("c1^2 + 1/(4 L^2)", square)
     return math.sqrt(square)
-
-
-def hyperbolic_combination(L, c1, c2):
-    """Constants reproducing the hyperbolic branch on the cosh/sinh basis.
-
-    With y1 = cosh(Lt), y2 = sinh(Lt) the quadratic form equals
-    c1 + sqrt(c1^2 + 1/(4L^2)) cosh(2 c2 + 2 L t); K = 1/4.
-    """
-    R = _hyperbolic_R(L, c1)
-    return PinneyCombination(A=c1 + R * math.cosh(2.0 * c2),
-                             B=R * math.cosh(2.0 * c2) - c1,
-                             C=R * math.sinh(2.0 * c2),
-                             K=DEFAULT_K)
 
 
 def sigma_hyperbolic(L, c1, c2, t):
@@ -460,6 +347,32 @@ def _propagate(model, K, sigma0, sigma_dot0, t0, t1, t_eval):
         middle = (np.floor(phi / math.pi) + 0.5) * math.pi
         phase += 2.0 * math.pi * np.round((middle - phase) / (2.0 * math.pi))
     return ts, np.column_stack((x, x_dot, v, v_dot, phase / root_k, F))
+
+
+def pinney_residual(model, K, init, t0, t):
+    """sigma'' + Omega^2 sigma - K/sigma^3 of the superposition closed form
+    at the sorted times t >= t0, for a model that declares its unit basis,
+    and K > 0.
+
+    sigma^2 = A C^2 + 2 D C S + B S^2 with A = sigma0^2, D = sigma0
+    sigma0' and B = sigma0'^2 + K/sigma0^2 (so A B - D^2 = K) is |z|^2 for
+    z = x + i v as `_propagate` builds it, so sigma = hypot(x, v), sigma'
+    = (x x' + v v')/sigma and, with x'' = -Omega^2 x and v'' = -Omega^2 v,
+    sigma'' = (x'^2 + v'^2 - Omega^2 sigma^2 - sigma'^2)/sigma, all
+    analytic.
+    """
+    if model.unit_basis is None or not K > 0.0:
+        raise ParameterError(f"{model.name}: the superposition closed form "
+                             f"needs a declared unit basis and K > 0")
+    t = np.asarray(t, dtype=float)
+    _, ys = _propagate(model, K, *init, t0, t[-1], t)
+    x, x_dot, v, v_dot = ys[:, :4].T
+    w2 = models.omega2(model, t)
+    sigma = np.hypot(x, v)
+    sigma_dot = (x * x_dot + v * v_dot) / sigma
+    sigma_ddot = (x_dot * x_dot + v_dot * v_dot - w2 * (x * x + v * v)
+                  - sigma_dot * sigma_dot) / sigma
+    return sigma_ddot + w2 * sigma - K / sigma ** 3
 
 
 def _step(model, K, sigma0, sigma_dot0, t0, t1, t_eval, rtol, k0, polar):

@@ -204,8 +204,10 @@ def tsquared(m0=1.0, c=1.0, t_min=1e-3):
         return b / np.asarray(t, dtype=float) ** 2
 
     def coeffs(t):
-        # Omega = omega = b/t^2, so d(Omega^2)/dt = -4 Omega^2 / t
-        w = b / (t * t)
+        # Omega = omega = b/t^2, so d(Omega^2)/dt = -4 Omega^2 / t.  On a
+        # float t, t * t underflows to 0 below ~1e-162, where b/0 would raise
+        tt = t * t
+        w = b / tt if type(tt) is not float or tt else _INF
         w2 = w * w
         return w2, -4.0 * w2 / t
 

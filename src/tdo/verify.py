@@ -130,8 +130,8 @@ def suite_ermakov():
     # closed form vs integration, constant branch.  Both models declare
     # the unit basis of their constant Omega^2, so integrate_ep evaluates z
     # in closed form from the initial data, a route independent of the
-    # superposition fits; this run, the oscillating and the hyperbolic one
-    # below also give the phase checks
+    # branch closed forms and their fits; this run, the oscillating and the
+    # hyperbolic one below also give the phase checks
     st_c = ermakov.integrate_ep(mh, 0.25, (2.0 ** -0.5, 0.0), 0.0, 20.0)
     err = _rel(st_c.sigma, 2.0 ** -0.5)
     checks.append(_check("harmonic constant branch vs integration (rel)",
@@ -153,28 +153,34 @@ def suite_ermakov():
     checks.append(_check("damped hyperbolic branch vs integration (rel)",
                          err, 1e-6))
 
-    # superposition closed form satisfies the auxiliary equation
-    pair = ermakov.harmonic_basis(1.0)
-    comb = ermakov.oscillating_combination(1.0, 2.0, 0.3)
-    err = np.max(np.abs(ermakov.pinney_residual(pair, comb, lambda t: 1.0,
-                                                np.linspace(0.0, 10.0, 101))))
+    # the superposition closed form on the unit bases satisfies the
+    # auxiliary equation, and those bases keep their unit Wronskian
+    me, mt = models.exp_frequency(), models.tsquared()
+
+    def residual(model, init, t0, t1, n):
+        return np.max(np.abs(ermakov.pinney_residual(
+            model, 0.25, init, t0, np.linspace(t0, t1, n))))
+
+    err = max(residual(mh, ermakov.sigma_oscillating(1.0, 2.0, 0.3, 0.0),
+                       0.0, 10.0, 101),
+              residual(me, (0.9, 0.1), 0.0, 2.0, 201),
+              residual(mt, (0.9, 0.1), 1.0, 3.0, 201))
     checks.append(_check("superposition form: auxiliary-equation residual",
                          err, 1e-8))
-    hpair = ermakov.hyperbolic_basis(L)
-    hcomb = ermakov.hyperbolic_combination(L, c1, c2)
-    err = np.max(np.abs(ermakov.pinney_residual(hpair, hcomb, lambda t: -L * L,
-                                                np.linspace(0.0, 3.0, 61))))
     checks.append(_check("hyperbolic superposition: auxiliary-equation "
-                         "residual", err, 1e-8))
-
-    # Wronskian constancy
-    err = _rel(pair.wronskian(np.linspace(0.0, 20.0, 201)), pair.W0)
+                         "residual", residual(mk, (1.0, 0.0), 0.0, 3.0, 61),
+                         1e-8))
+    err = 0.0
+    for model, (t0, t1) in ((mh, (0.0, 20.0)), (mk, (0.0, 3.0)),
+                            (me, (0.0, 2.0)), (mt, (1.0, 3.0))):
+        b = model.unit_basis(t0, np.linspace(t0, t1, 201))
+        err = max(err, np.max(np.abs(b.c * b.s_dot - b.c_dot * b.s - 1.0)))
     checks.append(_check("basis Wronskian drift (rel)", err, 1e-8))
 
     # conserved k over 20 periods on constant-Omega models, and the
     # generalized balance with co-integrated F on time-dependent Omega,
     # stepped
-    me, mb = models.exp_frequency(), models.bessel_type()
+    mb = models.bessel_type()
     for label, model, init, (t0, t1, n), tol in (
             ("harmonic: conserved k drift over 20 periods", mh,
              (float(s0), float(sd0)), (0.0, 20.0 * math.pi, 401), 1e-8),
@@ -204,7 +210,7 @@ def suite_ermakov():
              _minimal_run(me, 0.0, 1.0)),
             ("tsquared minimal branch",
              partial(models.tsquared_phase, 1.0, 1.0),
-             _minimal_run(models.tsquared(), 1.0, 2.0)),
+             _minimal_run(mt, 1.0, 2.0)),
             ("bessel-type series branch",
              partial(series.theta_series, sseries), st_b)):
         err = abs(phase(st.t[0], st.t[-1]) - st.theta[-1])

@@ -1,12 +1,20 @@
 """Command-line surface tests: formats, exit codes and config precedence."""
 
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import math
+import os
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdo import cli, dopri, ermakov, models
 
@@ -297,6 +305,9 @@ _SOLVE = ["solve", "--model", "harmonic", "--t0", "0", "--t1", "1"]
                        ("hbar", "nan"), ("K", "x"), ("K", -1.0),
                        ("hbar", 0.0), ("hbar", -1.0)]
 ] + [
+    # once an OverflowError traceback
+    pytest.param(_UNC, {**_RUN, "sigma0": 10 ** 400},
+                 id="sigma0-integer-past-the-float-range"),
     pytest.param(_SOLVE + ["--K", "-1"], {}, id="solve-K-negative"),
     pytest.param(["check-min", "--model", "harmonic", "--t0", "2",
                   "--t1", "1"], {}, id="check-min-empty-window"),
@@ -696,6 +707,34 @@ def test_broken_config_file(tmp_path, capsys):
                 "--t0", "0", "--t1", "1"]) == 2
 
 
+@pytest.mark.parametrize("text", [b"\xff\xfe{}",
+                                  b'{"sigma0": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf-8", "past-the-digit-limit"])
+def test_unreadable_config_files_are_one_line_config_errors(tmp_path, capsys,
+                                                            text):
+    # each once ended in a traceback (UnicodeDecodeError, ValueError)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert run(["solve", "--config", str(cfg), "--model", "harmonic",
+                "--t0", "0", "--t1", "1"]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith("config_error: ")
+
+
+@pytest.mark.parametrize("argv", [["solve", "--modle", "harmonic"], [],
+                                  ["solve", "--t0"],
+                                  ["catalog", "a\nb"]],
+                         ids=["unknown-flag", "no-command", "no-value",
+                              "newline-in-a-value"])
+def test_argument_errors_are_one_line_config_errors(capsys, argv):
+    # argparse once answered these with its multi-line usage block
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config_error: ") and err.count("\n") == 1
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     args = ["uncertainty", "--model", "kanai_caldirola", "--t0", "0",
             "--t1", "2", "--dt-out", "0.25"]
@@ -743,3 +782,79 @@ def test_verify_timings_sidecar_leaves_stdout_unchanged(tmp_path, capsys):
 def test_verify_timings_needs_a_file(capsys):
     assert run(["verify", "--suite", "quantum", "--timings", "-"]) == 2
     assert capsys.readouterr().out == ""
+
+
+# --- fuzzed command lines --------------------------------------------------
+
+# flag values: non-finite and extreme numbers, signed zero, strings and
+# counts far past every cap, with a few sweep specs and valid choices
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "-0", "0",
+                     "1", "0.5", "2", "-1", "1e-300", "1e9", "10" * 12,
+                     "0.3", "1.5", "1e-3", "100",
+                     "x", "", "-x", "all", "ermakov", "csv", "json",
+                     "sigma0=0:1:1000000000", "t1=0:1e308:3", "K=nan:1:2",
+                     "sigma0=0.5:1:2", "nu=1:2:2", *models.CATALOG_NAMES]),
+    st.text(max_size=8))
+# config values: the same strings, JSON numbers (huge integers too),
+# booleans, lists and nulls, which count as unset; a config file is such a
+# JSON object or bytes that are not one
+CONFIG_VALUES = st.one_of(
+    FUZZ_VALUES, st.none(), st.booleans(), st.integers(-10 ** 400, 10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True), st.just([1.0]))
+FUZZ_WINDOWS = [("0", "1"), ("0.5", "2"), ("0.2", "0.6"), ("-1", "1e308")]
+
+
+def _fuzz_value(key, value, tmp):
+    """Outputs stay in tmp: an --out or --timings value is one of its paths
+    or stdout."""
+    if key in ("out", "timings") and value is not None:
+        paths = ["-", f"{tmp}/o.csv", f"{tmp}/missing/o.csv"]
+        return paths[len(str(value)) % 3]
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["catalog", "solve", "uncertainty", "verify",
+                                "series", "check-min"]),
+       model=st.sampled_from(models.CATALOG_NAMES),
+       window=st.sampled_from(FUZZ_WINDOWS),
+       flags=st.dictionaries(st.sampled_from(list(cli.KEYS)), FUZZ_VALUES,
+                             max_size=5),
+       config=st.one_of(
+           st.dictionaries(st.sampled_from(list(cli.KEYS)), CONFIG_VALUES,
+                           max_size=5),
+           st.sampled_from([b"\xff\xfe{}", b"[1]", b"{", b"null",
+                            b'{"sigma0": ' + b"1" * 5000 + b"}"])))
+def test_fuzzed_command_lines_exit_with_one_line(command, model, window,
+                                                 flags, config):
+    # every run ends in a documented exit code with at most one stderr line
+    # and no traceback; the caps are lowered so that every grid, sweep and
+    # stepped run stays small
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.multiple(cli, MAX_ROWS=2000, MAX_SWEEP=3), \
+            mock.patch.object(dopri, "MAX_STEPS", 500), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "wb") as fh:
+            fh.write(config if isinstance(config, bytes) else json.dumps(
+                {key: _fuzz_value(key, value, tmp)
+                 for key, value in config.items()}).encode())
+        argv = [command, "--config", cfg]
+        if command in ("solve", "uncertainty", "check-min"):
+            argv += ["--model", model, "--t0", window[0], "--t1", window[1]]
+        for key, value in flags.items():
+            argv += [cli._flag(key), _fuzz_value(key, value, tmp)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert err.count("\n") + err.count("\r") + len(caught) <= 1, \
+        (err, [str(w.message) for w in caught])

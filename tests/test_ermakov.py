@@ -1,8 +1,9 @@
 """Auxiliary-equation tests.
 
-The two solution routes (superposition closed form, integration of a
-complex solution of the linear equation) are checked against each other
-and against the first-integral oracle
+The routes of a complex solution of the linear equation (superposition
+closed form on the unit basis, polar and Cartesian stepping) are checked
+against each other, against the closed-form branches of a constant
+Omega^2 and against the first-integral oracle
 sigma'^2 + Omega^2 sigma^2 + K/sigma^2 = const; phases are checked against
 adaptive quadrature of 1/sigma^2.
 """
@@ -16,13 +17,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from tdo import cli, dopri, ermakov, minimum, models, series
-from tdo.errors import (BudgetExceeded, ParameterError, SingularityApproached,
-                        StepSizeUnderflow, TdoError)
+from tdo.errors import (BudgetExceeded, NonFiniteResult, ParameterError,
+                        SingularityApproached, StepSizeUnderflow, TdoError)
 
 SQ2 = 2.0 ** -0.5
 
@@ -44,51 +45,62 @@ def force_pair(monkeypatch):
 # --- superposition closed form ----------------------------------------------
 
 def test_constant_branch_from_basis():
-    pair = ermakov.harmonic_basis(1.0)
-    # kconst = omega0: A = B = 1/(2 omega0), C = 0
-    comb = ermakov.oscillating_combination(1.0, 1.0, 0.3)
-    assert comb.A == pytest.approx(0.5)
-    for t in np.linspace(0.0, 7.0, 29):
-        sigma, sigma_dot = ermakov.sigma_from_basis(pair, comb, t)
-        assert float(sigma) == pytest.approx(SQ2, rel=1e-14)
-        assert abs(float(sigma_dot)) < 1e-14
+    # kconst = omega0: on the unit basis A = sigma0^2 = 1/(2 omega0), C =
+    # sigma0 sigma0' = 0 and B = K/sigma0^2 = 1/(2 omega0), so sigma^2 =
+    # (cos^2 + sin^2)/2 stays put
+    s0, sd0 = ermakov.sigma_oscillating(1.0, 1.0, 0.3, 0.0)
+    assert float(s0) ** 2 == pytest.approx(0.5)
+    states = ermakov.integrate_ep(models.harmonic(), 0.25,
+                                  (float(s0), float(sd0)), 0.0, 7.0,
+                                  t_eval=np.linspace(0.0, 7.0, 29))
+    assert np.max(np.abs(states.sigma / SQ2 - 1.0)) <= 1e-14
+    assert np.max(np.abs(states.sigma_dot)) < 1e-14
 
 
 def test_oscillating_branch_value_at_turning_point():
     # first integral with sigma'(0) = 0 forces
-    # kconst = omega0^2 sigma^2 + 1/(4 sigma^2); sigma(0)^2 = (2-sqrt(3))/2
-    pair = ermakov.harmonic_basis(1.0)
-    comb = ermakov.oscillating_combination(1.0, 2.0, 0.0)
-    sigma, sigma_dot = ermakov.sigma_from_basis(pair, comb, 0.0)
-    assert float(sigma) ** 2 == pytest.approx((2.0 - math.sqrt(3.0)) / 2.0,
-                                              rel=1e-13)
-    assert abs(float(sigma_dot)) < 1e-13
-    k = float(sigma_dot) ** 2 + float(sigma) ** 2 + 0.25 / float(sigma) ** 2
-    assert k == pytest.approx(2.0, rel=1e-13)
+    # kconst = omega0^2 sigma^2 + 1/(4 sigma^2); sigma(0)^2 = (2-sqrt(3))/2,
+    # and the superposition returns to it every half period
+    s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
+    states = ermakov.integrate_ep(models.harmonic(), 0.25,
+                                  (float(s0), float(sd0)), 0.0, 3 * math.pi,
+                                  t_eval=math.pi * np.arange(4))
+    for sigma, sigma_dot in zip(states.sigma, states.sigma_dot):
+        assert sigma ** 2 == pytest.approx((2.0 - math.sqrt(3.0)) / 2.0,
+                                           rel=1e-13)
+        assert abs(sigma_dot) < 1e-13
+        k = sigma_dot ** 2 + sigma ** 2 + 0.25 / sigma ** 2
+        assert k == pytest.approx(2.0, rel=1e-13)
 
 
-def test_constraint_violation_raises():
-    pair = ermakov.harmonic_basis(1.0)
-    comb = ermakov.PinneyCombination(A=0.5, B=0.5, C=0.3, K=0.25)
-    with pytest.raises(ParameterError, match=r"^A\*B - C\^2 = "):
-        ermakov.sigma_from_basis(pair, comb, 0.0)
+# (model, init, t0, t1) on the four models that declare a unit basis; the
+# harmonic start has A = 0.4 and B = 0.7 on the cos/sin basis of W0 = 2
+SUPERPOSITION_CASES = [
+    (models.harmonic(omega0=2.0),
+     (0.4 ** 0.5, 2.0 * math.sqrt(0.4 * 0.7 - 0.25 / 4.0) / 0.4 ** 0.5),
+     0.0, 4.0),
+    (models.kanai_caldirola(omega0=0.3, gamma=1.0), (1.0, 0.05), 0.0, 3.0),
+    (models.exp_frequency(), (0.9, 0.1), 0.0, 2.0),
+    (models.tsquared(), (0.9, 0.1), 1.0, 3.0),
+]
 
 
-def test_negative_radicand_raises():
-    pair = ermakov.harmonic_basis(1.0)
-    comb = ermakov.PinneyCombination(A=-1.0, B=-0.25, C=0.0, K=0.25)
-    with pytest.raises(ParameterError, match="radicand is not positive"):
-        ermakov.sigma_from_basis(pair, comb, 0.2)
+@pytest.mark.parametrize("model,init,t0,t1", SUPERPOSITION_CASES,
+                         ids=[case[0].name for case in SUPERPOSITION_CASES])
+def test_superposition_residual_is_tiny(model, init, t0, t1):
+    for K in (0.25, 2.0):
+        res = ermakov.pinney_residual(model, K, init, t0,
+                                      np.linspace(t0, t1, 33))
+        assert np.max(np.abs(res)) < 1e-8
 
 
-def test_superposition_residual_is_tiny():
-    pair = ermakov.harmonic_basis(2.0)
-    comb = ermakov.PinneyCombination(A=0.4, B=0.7,
-                                     C=math.sqrt(0.4 * 0.7 - 0.25 / 4.0),
-                                     K=0.25)
-    for t in np.linspace(0.0, 4.0, 33):
-        res = ermakov.pinney_residual(pair, comb, lambda s: 4.0, t)
-        assert abs(float(res)) < 1e-8
+@pytest.mark.parametrize("model,K", [(models.bessel_type(), 0.25),
+                                     (stepped(models.harmonic()), 0.25),
+                                     (models.harmonic(), 0.0)],
+                         ids=["bessel_type", "undeclared", "K-0"])
+def test_superposition_needs_a_declared_basis(model, K):
+    with pytest.raises(ParameterError, match=rf"^{model.name}: "):
+        ermakov.pinney_residual(model, K, (1.0, 0.0), 0.1, [0.1, 0.5])
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,18 +133,12 @@ def test_fit_hyperbolic_roundtrip():
 # ValueError (math domain error), ZeroDivisionError or OverflowError, or in
 # nan
 OUT_OF_RANGE = [
-    (ermakov.harmonic_basis, (0.0,), "omega0"),
-    (ermakov.oscillating_combination, (0.0, 1.0, 0.0), "omega0"),
-    (ermakov.oscillating_combination, (1e-200, 1.0, 0.0), "2 omega0^2"),
-    (ermakov.oscillating_combination, (1.0, 0.5, 0.0), "kconst"),
     (ermakov.sigma_oscillating, (1.0, 0.5, 0.0, 0.3), "kconst"),
     (ermakov.sigma_oscillating, (0.0, 1.0, 0.0, 0.3), "omega0"),
     (ermakov.sigma_oscillating, (1e-200, 1.0, 0.0, 0.3), "2 omega0^2"),
     (ermakov.phase_oscillating, (1.0, 0.5, 0.0, 0.0, 1.0), "kconst"),
     (ermakov.phase_oscillating, (0.0, 1.0, 0.0, 0.0, 1.0), "omega0"),
     (ermakov.fit_oscillating, (1.0, 0.0, 0.1, 0.0), "sigma0"),
-    (ermakov.hyperbolic_basis, (0.0,), "L"),
-    (ermakov.hyperbolic_combination, (0.0, 0.5, 0.0), "L"),
     (ermakov.sigma_hyperbolic, (0.0, 0.5, 0.0, 0.3), "L"),
     (ermakov.sigma_hyperbolic, (1e-200, 0.5, 0.0, 0.3), "4 L^2"),
     (ermakov.fit_hyperbolic, (0.0, 1.0, 0.0, 0.0), "L"),
@@ -146,7 +152,6 @@ OUT_OF_RANGE = [
     (ermakov.phase_oscillating, (1e-200, 1e150, 0.0, 0.0, 1.0),
      "(kconst + sqrt(kconst^2 - omega0^2))/omega0"),
     (ermakov.sigma_hyperbolic, (1.0, 1e300, 0.0, 0.3), "c1^2 + 1/(4 L^2)"),
-    (ermakov.hyperbolic_combination, (1.0, 1e300, 0.0), "c1^2 + 1/(4 L^2)"),
     (models.exp_frequency_phase, (1.0, 0.0, 0.0, 1.0), "gamma0"),
     (models.exp_frequency_phase, (1.0, 1e-320, 0.0, 1.0), "2 omega0/gamma0"),
     (models.exp_frequency_phase, (1.0, 1.0, -1000.0, 0.0), "exp(-gamma0 t)"),
@@ -173,10 +178,10 @@ def test_closed_forms_reject_their_parameters_by_name(func, args, name):
 
 
 def test_wronskian_is_constant():
-    pair = ermakov.harmonic_basis(1.7)
-    for t in np.linspace(-3.0, 9.0, 61):
-        assert float(pair.wronskian(t)) == pytest.approx(pair.W0, rel=1e-8)
-    assert pair.W0 != 0.0
+    # the unit basis starts with C S' - C' S = 1 and keeps it
+    ts = np.linspace(-3.0, 9.0, 61)
+    b = models.harmonic(omega0=1.7).unit_basis(-3.0, ts)
+    assert np.max(np.abs(b.c * b.s_dot - b.c_dot * b.s - 1.0)) <= 1e-8
 
 
 # --- direct integration -----------------------------------------------------
@@ -260,15 +265,40 @@ def test_complex_solution_keeps_its_wronskian(model, monkeypatch):
     assert np.max(np.abs(x * v_dot - x_dot * v - 0.5)) <= 1e-9 * 0.5
 
 
-@pytest.mark.parametrize("model", models.catalog(), ids=lambda m: m.name)
-def test_polar_and_cartesian_pairs_agree(model, force_pair):
+# catalog parameter boxes, start windows t0 in [lo, hi] and longest span
+# of the stepped pairs
+PAIR_BOXES = {
+    "harmonic": ({"omega0": st.floats(0.5, 2.0)}, (-2.0, 2.0), 5.0),
+    "kanai_caldirola": ({"omega0": st.floats(0.5, 2.0),
+                         "gamma": st.floats(0.0, 1.5)}, (-2.0, 2.0), 3.0),
+    "exp_frequency": ({"omega0": st.floats(0.5, 2.0),
+                       "gamma0": st.floats(0.2, 1.5),
+                       "c": st.floats(0.5, 1.5)}, (-1.0, 2.0), 3.0),
+    "tsquared": ({"m0": st.floats(0.5, 2.0), "c": st.floats(0.5, 1.5)},
+                 (0.5, 2.0), 2.0),
+    "bessel_type": ({"nu": st.floats(0.75, 2.0), "k0": st.floats(0.2, 1.0)},
+                    (0.1, 0.5), 0.4),
+}
+
+
+@pytest.mark.parametrize("name", list(PAIR_BOXES))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), K=st.floats(0.1, 2.0), sigma0=st.floats(0.4, 1.5),
+       sigma_dot0=st.floats(-0.5, 0.5))
+def test_polar_and_cartesian_pairs_agree(name, force_pair, data, K, sigma0,
+                                         sigma_dot0):
     # the same z stepped as (sigma, sqrt(K) theta) under the auxiliary
-    # equation and as (x, v) under the linear one
-    t0, t1 = WINDOWS.get(model.name, (0.0, 5.0))
+    # equation and as (x, v) under the linear one, with the basis undeclared
+    box, (lo, hi), longest = PAIR_BOXES[name]
+    model = stepped(models.get_model(name,
+                                     **data.draw(st.fixed_dictionaries(box))))
+    t0 = data.draw(st.floats(lo, hi))
+    t1 = t0 + data.draw(st.floats(0.05, longest))
 
     def run(polar):
         force_pair(polar)
-        return ermakov.integrate_ep(stepped(model), 0.25, (0.9, 0.1), t0, t1,
+        return ermakov.integrate_ep(model, K, (sigma0, sigma_dot0), t0, t1,
                                     t_eval=np.linspace(t0, t1, 50))
 
     cart, polar = run(False), run(True)
@@ -530,8 +560,7 @@ def _powers_of_ten(lo, hi):
 def test_the_exact_route_fails_typed_at_extreme_values(data, name, K, sigma0,
                                                         sigma_dot0, span):
     # the basis and the route through it either give finite rows or raise
-    # a TdoError: no OverflowError, ZeroDivisionError or RuntimeWarning.
-    # tsquared's t_min keeps t^2 normal, which its coeffs divide by
+    # a TdoError: no OverflowError, ZeroDivisionError or RuntimeWarning
     if name == "exp_frequency":
         params = {"omega0": data.draw(_powers_of_ten(-300, 300)),
                   "gamma0": data.draw(_powers_of_ten(-300, 300)),
@@ -539,8 +568,8 @@ def test_the_exact_route_fails_typed_at_extreme_values(data, name, K, sigma0,
         t0 = data.draw(st.floats(-1e300, 1e300))
     else:
         params = {"m0": data.draw(_powers_of_ten(-300, 300)),
-                  "c": data.draw(_powers_of_ten(-150, 150)), "t_min": 1e-150}
-        t0 = data.draw(_powers_of_ten(-150, 300))
+                  "c": data.draw(_powers_of_ten(-150, 150)), "t_min": 1e-300}
+        t0 = data.draw(_powers_of_ten(-300, 300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -552,6 +581,15 @@ def test_the_exact_route_fails_typed_at_extreme_values(data, name, K, sigma0,
             return
     assert len(basis) == 9
     assert all(np.isfinite(column).all() for column in vars(states).values())
+
+
+def test_tsquared_fails_typed_where_t_squared_underflows():
+    # below t ~ 1e-162 the float t * t is 0, which coeffs once divided by
+    for t0 in (1e-170, 1e-161):
+        with pytest.raises(NonFiniteResult,
+                           match=r"^tsquared: k is first not finite"):
+            ermakov.integrate_ep(models.tsquared(t_min=1e-200), 0.25,
+                                 (1.0, 0.0), t0, 10.0 * t0)
 
 
 def test_sigma_floor_trips():
@@ -675,17 +713,16 @@ def test_phase_empty_interval_is_zero():
 
 
 def test_superposition_matches_integration_on_damped_model():
-    # the damped model has constant Omega^2 = 0.75 > 0, so the closed form
-    # lives on the cos/sin basis at the effective frequency even though the
-    # mass grows; matched initial data must agree with direct integration
+    # the damped model has constant Omega^2 = 0.75 > 0, so its amplitude is
+    # the oscillating branch at the effective frequency even though the
+    # mass grows; the branch fitted to the initial data must agree with the
+    # unit-basis route
     m = models.kanai_caldirola(omega0=1.0, gamma=1.0)
     Om = math.sqrt(0.75)
-    pair = ermakov.harmonic_basis(Om)
     kconst, c1 = ermakov.fit_oscillating(Om, 0.8, -0.1, 0.0)
-    comb = ermakov.oscillating_combination(Om, kconst, c1)
     states = ermakov.integrate_ep(m, 0.25, (0.8, -0.1), 0.0, 10.0,
                                   t_eval=np.linspace(0.0, 10.0, 101))
-    ref = ermakov.sigma_from_basis(pair, comb, states.t)[0]
+    ref = ermakov.sigma_oscillating(Om, kconst, c1, states.t)[0]
     assert np.all(np.abs(states.sigma - ref) / ref < 1e-6)
 
 
