@@ -1,22 +1,21 @@
 """Command-line surface: trajectories, uncertainty reports, criterion checks,
 series builds, and the verification suites.
 
-Subcommands: catalog, solve, uncertainty, verify, series, check-min.  Every
-key a subcommand reads is one row of `KEYS`: the argparse flags, the config
-values and the --sweep keys all come from that table, and every read goes
-through the typed check in `_value`, which alone types flag values and
-config values alike.  A model key reaches a catalog factory only when the
-factory's signature names it.  Precedence is sweep member > CLI flags >
+`tdo <command> [--flag value | --flag=value] ...`, for the commands in
+`COMMANDS`.  A token starting with `--` is a flag, so a value may start
+with one `-`; a flag's last value wins; `-h`/`--help` lists the flags.
+Every key a command reads is one row of `KEYS`: its flags, the config
+values and the --sweep keys all come from that table, and `_value` alone
+types flag and config values.  Precedence is sweep member > CLI flags >
 JSON config file (--config, falling back to $TDO_DEFAULT_CONFIG; null
 counts as unset) > model defaults.  Outputs are deterministic: CSV
 carries 17 significant digits, JSON is key-sorted.  Errors leave a single
 `error_kind: message` line on stderr; exit codes are 2 for configuration
-problems (bad values, unknown flags, unreadable config files, grids above
+problems (bad values, argv mistakes, unreadable config files, grids above
 MAX_ROWS, sweeps above MAX_SWEEP), 3 for solver errors, 1 for failed
 verification checks.
 """
 
-import argparse
 import collections
 import json
 import math
@@ -36,10 +35,9 @@ MAX_SWEEP = 1000  # sweep outputs carry a three-digit _NNN suffix
 # of its groups; the table order is the flag order of `tdo <command> --help`.
 KEYS = {
     "out": (str, "io", "output path, or - for stdout"),
-    "format": (("csv", "json"), "io", "output format"),
+    "format": (("csv", "json"), "table", "output format"),
     "model": (str, "model", "catalog model name"),
-    "suite": (str, "verify",
-              "models|ermakov|quantum|minimum|series|bessel|all"),
+    "suite": ((*verify.SUITES, "all"), "verify", "suite to run"),
     "timings": (str, "verify",
                 "write each suite's wall time in seconds as JSON to this file"),
     "m0": (float, "model", None),
@@ -57,7 +55,7 @@ KEYS = {
     "t0": (float, "run check", None),
     "t1": (float, "run check", None),
     "dt_out": (float, "run", None),
-    "hbar": (float, "run", None),
+    "hbar": (float, "quantum", None),
     "tol": (float, "run check", None),
     "K": (float, "run", None),
     "sigma0": (float, "run", None),
@@ -78,9 +76,15 @@ def _flag(key):
     return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
 
 
-def _numeric_keys(group):
-    return [key for key, (kind, groups, _) in KEYS.items()
-            if kind in (float, int) and group in groups.split()]
+def _keys(groups):
+    """The keys of any of the space-separated `groups`, in table order."""
+    groups = set(groups.split())
+    return [key for key, (_, key_groups, _) in KEYS.items()
+            if groups & set(key_groups.split())]
+
+
+def _numeric_keys(groups):
+    return [key for key in _keys(groups) if KEYS[key][0] in (float, int)]
 
 
 def _write_table(path, fmt, columns):
@@ -191,8 +195,8 @@ def _time_grid(res):
     if not t1 > t0:
         raise ConfigError("need t1 > t0")
     dt = _value(res, "dt_out", (t1 - t0) / 200.0)
-    if not dt > 0.0:
-        raise ConfigError("need dt_out > 0")
+    if not 0.0 < dt <= t1 - t0:
+        raise ConfigError(f"--dt-out must lie in (0, t1 - t0], got {dt!r}")
     span = (t1 - t0) / dt + 1e-9
     if not span < MAX_ROWS:
         raise ConfigError(f"the output grid would exceed {MAX_ROWS} rows")
@@ -226,7 +230,7 @@ def _initial_conditions(res, model, t0, t1, K):
     return 1.0, sigma_dot0
 
 
-def _sweep_members(res, spec, unread):
+def _sweep_members(res, spec, groups):
     """One {key: value} layer per sweep member of `spec` = key=lo:hi:n."""
     try:
         key, rng = spec.split("=", 1)
@@ -236,8 +240,7 @@ def _sweep_members(res, spec, unread):
         raise ConfigError("--sweep expects param=lo:hi:n")
     if not 1 <= n <= MAX_SWEEP:
         raise ConfigError(f"sweep count must be between 1 and {MAX_SWEEP}")
-    readable = [k for k in _numeric_keys("run") + _model_keys(res)[1]
-                if k not in unread]
+    readable = _numeric_keys(groups) + _model_keys(res)[1]
     if key not in readable:
         raise ConfigError(f"--sweep {key}: not a key this run reads; "
                           f"choose from {', '.join(readable)}")
@@ -268,13 +271,14 @@ def cmd_catalog(res):
     return 0
 
 
-def _run_solve_like(res, columns, unread=()):
-    """Write the columns built for each job (one, or one per sweep value)."""
+def _run_solve_like(res, columns, groups):
+    """Write the columns built for each job (one, or one per sweep value);
+    a sweep may vary a model key or a numeric key of `groups`."""
     out, fmt = _value(res, "out", "-"), _value(res, "format", "csv")
     spec = _value(res, "sweep")
     jobs = [(out, res)] if spec is None else [
         (_suffixed(out, index), res.new_child(member))
-        for index, member in enumerate(_sweep_members(res, spec, unread))]
+        for index, member in enumerate(_sweep_members(res, spec, groups))]
     for path, job in jobs:
         _write_table(path, fmt, columns(job))
     return 0
@@ -310,12 +314,11 @@ def _uncertainty_columns(res):
 
 
 def cmd_solve(res):
-    # solve takes --hbar alongside uncertainty but has no use for it
-    return _run_solve_like(res, _solve_columns, unread=("hbar",))
+    return _run_solve_like(res, _solve_columns, "run")
 
 
 def cmd_uncertainty(res):
-    return _run_solve_like(res, _uncertainty_columns)
+    return _run_solve_like(res, _uncertainty_columns, "run quantum")
 
 
 def cmd_verify(res):
@@ -323,10 +326,7 @@ def cmd_verify(res):
     if timings_path == "-":
         raise ConfigError("--timings needs a file path, not stdout")
     timings = None if timings_path is None else {}
-    try:
-        report = verify.run_suite(_value(res, "suite", "all"), timings)
-    except KeyError as exc:
-        raise ConfigError(str(exc))
+    report = verify.run_suite(_value(res, "suite", "all"), timings)
     _write_json(_value(res, "out", "-"), report)
     if timings is not None:
         _write_json(timings_path, timings)
@@ -373,81 +373,79 @@ def _fail(kind, message, code):
     return code
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # one line, as every other configuration error
-        self.exit(_fail("config_error", message, 2))
+# name: (key groups, help); `cmd_<name>` handles the command, with `-` as `_`
+COMMANDS = {
+    "catalog": ("io table", "list the model catalog"),
+    "solve": ("io table model run", "integrate the auxiliary equation"),
+    "uncertainty": ("io table model run quantum",
+                    "variances, product and transformation coefficients"),
+    "verify": ("io verify", "run verification suites"),
+    "series": ("io series", "build the scale-function series"),
+    "check-min": ("io model check", "minimum-uncertainty criterion check"),
+}
 
 
-def build_parser():
-    parser = _Parser(
-        prog="tdo",
-        description="Time-dependent oscillator amplitudes, phases and "
-                    "uncertainty products.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {  # name: (handler, key groups, help)
-        "catalog": (cmd_catalog, "io", "list the model catalog"),
-        "solve": (cmd_solve, "io model run",
-                  "integrate the auxiliary equation"),
-        "uncertainty": (cmd_uncertainty, "io model run",
-                        "variances, product and transformation coefficients"),
-        "verify": (cmd_verify, "io verify", "run verification suites"),
-        "series": (cmd_series, "io series", "build the scale-function series"),
-        "check-min": (cmd_check_min, "io model check",
-                      "minimum-uncertainty criterion check"),
-    }
-    for name, (func, groups, help_text) in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config",
-                       help="JSON config file (flags take precedence)")
-        for key, (kind, key_groups, key_help) in KEYS.items():
-            if set(groups.split()) & set(key_groups.split()):
-                # flag values stay strings: `_value` types them
-                p.add_argument(
-                    _flag(key), dest=key, help=key_help,
-                    metavar="{%s}" % ",".join(kind)
-                    if isinstance(kind, tuple) else None)
-        p.set_defaults(func=func)
-    return parser
+def _help(command):
+    """Print the commands, or the flags `command` takes, to stdout."""
+    if command is None:
+        rows = [f"  {name:12} {text}" for name, (_, text) in COMMANDS.items()]
+    else:
+        rows = [COMMANDS[command][1], "",
+                "  --config  JSON config file (flags take precedence)"]
+        for key in _keys(COMMANDS[command][0]):
+            kind, _, text = KEYS[key]
+            flag = _flag(key) + (" {%s}" % ",".join(kind)
+                                 if isinstance(kind, tuple) else "")
+            rows.append(f"  {flag}  {text}" if text else f"  {flag}")
+    sys.stdout.write(f"usage: tdo {command or '<command>'} [--flag value | "
+                     "--flag=value] ...\n\n" + "\n".join(rows) + "\n")
 
 
-def _attach_negative_numbers(argv):
-    """argv with each value that starts with '-' and reads as a number
-    joined to the flag before it (`--t0 -1e-3` -> `--t0=-1e-3`): argparse
-    takes such a value for an option unless it is a plain decimal."""
-    out = []
-    for arg in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and arg.startswith("-") and _is_number(arg)):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
-def _is_number(text):
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+def _parse(argv):
+    """(command, {key: string value}) from argv, or (command, None) when
+    argv asks for help, the command being None before any command."""
+    command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; choose from "
+                          + ", ".join(COMMANDS))
+    known = {_flag(key): key
+             for key in ["config"] + _keys(COMMANDS[command][0])}
+    flags, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        flag, joined, val = token.partition("=")
+        if flag not in known:
+            raise ConfigError(f"tdo {command} takes no argument {token!r}; "
+                              f"see tdo {command} --help")
+        if not joined:
+            val = next(tokens, None)
+            if val is None or val.startswith("--"):
+                raise ConfigError(f"{flag} expects a value")
+        flags[known[flag]] = val
+    return command, flags
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_negative_numbers(argv))
-    flags = {key: getattr(args, key) for key in KEYS
-             if getattr(args, key, None) is not None}
     try:
+        command, flags = _parse(argv)
+        if flags is None:
+            _help(command)
+            return 0
+        res = collections.ChainMap(flags, _load_config(flags.pop("config",
+                                                                 None)))
+        # looked up per call, so that a wrapper set on the module is used
+        handler = globals()["cmd_" + command.replace("-", "_")]
         # non-finite results surface as TdoErrors, not as numpy warnings
         with np.errstate(all="ignore"):
-            return args.func(
-                collections.ChainMap(flags, _load_config(args.config)))
+            return handler(res)
     except ConfigError as exc:
         return _fail("config_error", exc, 2)
     except TdoError as exc:
         return _fail(type(exc).__name__, exc, 3)
-
 
 
 if __name__ == "__main__":

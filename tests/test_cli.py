@@ -7,8 +7,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -504,9 +507,82 @@ def test_bad_flag_values_are_one_line_config_errors(capsys, argv, flag,
 
 
 def test_format_help_lists_its_values(capsys):
-    with pytest.raises(SystemExit):
-        run(["solve", "--help"])
+    assert run(["solve", "--help"]) == 0
     assert "--format {csv,json}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_lists_exactly_the_flags_of_the_command(capsys, command):
+    groups = set(cli.COMMANDS[command][0].split())
+    want = ["--config"] + [cli._flag(key)
+                           for key, (_, key_groups, _) in cli.KEYS.items()
+                           if groups & set(key_groups.split())]
+    for form in ("--help", "-h"):
+        assert run([command, form]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert [line.split()[0] for line in out.out.splitlines()
+                if line.startswith("  --")] == want
+    # every flag has a reader: output format for the table writers only,
+    # hbar for uncertainty only
+    assert ("--format" in want) == (command in ("catalog", "solve",
+                                                "uncertainty"))
+    assert ("--hbar" in want) == (command == "uncertainty")
+
+
+def test_suite_help_lists_the_suites(capsys):
+    assert run(["verify", "--help"]) == 0
+    assert ("  --suite {models,ermakov,quantum,minimum,series,bessel,all}"
+            "  suite to run") in capsys.readouterr().out.splitlines()
+
+
+def test_help_without_a_command_lists_the_commands(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"  {name} " in out for name in cli.COMMANDS)
+
+
+def test_joined_and_separate_flag_values_write_the_same_bytes(tmp_path):
+    pairs = [("--t0", "-1e-3"), ("--t1", "1"), ("--sigma0", "0.8"),
+             ("--sigma-dot0", "-.25"), ("--dt-out", "0.25")]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["uncertainty", "--model", "harmonic"]
+               + [tok for pair in pairs for tok in pair]
+               + ["--out", str(a)]) == 0
+    assert run(["uncertainty", "--model=harmonic"]
+               + ["=".join(pair) for pair in pairs]
+               + [f"--out={b}"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_repeated_flag_takes_its_last_value(tmp_path):
+    a, b, first = (tmp_path / name for name in ("a.csv", "b.csv", "x.csv"))
+    assert run(_SOLVE + ["--sigma0", "0.5", "--sigma0=0.9",
+                         "--out", str(first), "--out", str(a)]) == 0
+    assert run(_SOLVE + ["--sigma0", "0.9", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert not first.exists()
+
+
+@pytest.mark.parametrize("dt_out", ["10", "1.0000001"])
+@pytest.mark.parametrize("start", [[], ["--sigma0", "1"]],
+                         ids=["default-start", "sigma0"])
+def test_dt_out_past_the_window_is_a_config_error(tmp_path, capsys, dt_out,
+                                                  start):
+    # the default start once ended in `DomainError: empty sampling window`
+    # (exit 3) and --sigma0 in a file holding only the t0 row (exit 0)
+    out = tmp_path / "x.csv"
+    assert run(["solve", "--model", "harmonic", "--t0", "0", "--t1", "1",
+                "--dt-out", dt_out, "--out", str(out)] + start) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith("config_error: --dt-out ")
+    assert not out.exists()
+
+
+def test_dt_out_equal_to_the_window_writes_both_ends(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run(_SOLVE + ["--dt-out", "1", "--out", str(out)]) == 0
+    assert read_csv(out)[1][:, 0].tolist() == [0.0, 1.0]
 
 
 def test_sweep_over_series_alias_writes_distinct_runs(tmp_path):
@@ -621,12 +697,18 @@ def test_verify_suite_exit_code(capsys):
 
 def test_verify_unknown_suite(capsys):
     assert run(["verify", "--suite", "nope"]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert line == ("config_error: --suite must be models or ermakov or "
+                    "quantum or minimum or series or bessel or all, "
+                    "got 'nope'")
 
 
 def test_verify_failing_check_exits_nonzero(capsys, monkeypatch):
     from tdo import verify
     bad = [{"name": "synthetic", "pass": False, "max_err": 1.0, "tol": 0.0}]
     monkeypatch.setitem(verify.SUITES, "synthetic", lambda: bad)
+    monkeypatch.setitem(cli.KEYS, "suite",
+                        (("synthetic",),) + cli.KEYS["suite"][1:])
     assert run(["verify", "--suite", "synthetic"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["pass"] is False
@@ -640,9 +722,7 @@ def test_verify_reads_no_order(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
     assert run(["verify", "--suite", "series"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
-    with pytest.raises(SystemExit) as exc:
-        run(["verify", "--order", "8"])
-    assert exc.value.code == 2
+    assert run(["verify", "--order", "8"]) == 2
 
 
 def test_nonpositive_tolerance_is_config_error(capsys):
@@ -721,18 +801,51 @@ def test_unreadable_config_files_are_one_line_config_errors(tmp_path, capsys,
     assert line.startswith("config_error: ")
 
 
-@pytest.mark.parametrize("argv", [["solve", "--modle", "harmonic"], [],
-                                  ["solve", "--t0"],
-                                  ["catalog", "a\nb"]],
-                         ids=["unknown-flag", "no-command", "no-value",
-                              "newline-in-a-value"])
+ARGUMENT_ERRORS = {
+    "unknown-flag": ["solve", "--modle", "harmonic"],
+    "no-command": [],
+    "unknown-command": ["sovle", "--model", "harmonic"],
+    "no-value": ["solve", "--t0"],
+    "a-flag-for-a-value": _SOLVE[:3] + ["--t0", "--t1", "1"],
+    "newline-in-a-value": ["catalog", "a\nb"],
+    "stray-token": _SOLVE + ["harmonic"],
+    "single-dash-flag": _SOLVE + ["-t0", "0"],
+    "format-on-series": ["series", "--lambda", "2", "--format", "csv"],
+    "format-on-verify": ["verify", "--suite", "models", "--format", "json"],
+    "format-on-check-min": ["check-min", "--model", "harmonic",
+                            "--format=json"],
+    "hbar-on-solve": _SOLVE + ["--hbar", "1"],
+    "samples-on-solve": _SOLVE + ["--samples", "5"],
+    "abbreviated-flag": ["solve", "--mod", "harmonic", "--t0", "0",
+                         "--t1", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(ARGUMENT_ERRORS.values()),
+                         ids=list(ARGUMENT_ERRORS))
 def test_argument_errors_are_one_line_config_errors(capsys, argv):
-    # argparse once answered these with its multi-line usage block
-    with pytest.raises(SystemExit) as info:
-        run(argv)
-    assert info.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config_error: ") and err.count("\n") == 1
+    # argparse once answered these with its multi-line usage block, and
+    # series, verify and check-min took --format only to write JSON anyway
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("config_error: ") and out.err.count("\n") == 1
+
+
+def test_the_module_runs_as_a_program():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, "-m", "tdo.cli", "solve"]
+    bad = subprocess.run(cmd + ["--t0"], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr == "config_error: --t0 expects a value\n"
+    help_ = subprocess.run(cmd + ["--help"], capture_output=True, text=True,
+                           env=env, timeout=120)
+    assert (help_.returncode, help_.stderr) == (0, "")
+    assert "  --sigma0" in help_.stdout.splitlines()
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -825,9 +938,11 @@ def _fuzz_value(key, value, tmp):
            st.dictionaries(st.sampled_from(list(cli.KEYS)), CONFIG_VALUES,
                            max_size=5),
            st.sampled_from([b"\xff\xfe{}", b"[1]", b"{", b"null",
-                            b'{"sigma0": ' + b"1" * 5000 + b"}"])))
+                            b'{"sigma0": ' + b"1" * 5000 + b"}"])),
+       joined=st.lists(st.booleans(), min_size=5, max_size=5),
+       stray=st.one_of(st.none(), st.tuples(st.integers(0, 20), FUZZ_VALUES)))
 def test_fuzzed_command_lines_exit_with_one_line(command, model, window,
-                                                 flags, config):
+                                                 flags, config, joined, stray):
     # every run ends in a documented exit code with at most one stderr line
     # and no traceback; the caps are lowered so that every grid, sweep and
     # stepped run stays small
@@ -844,15 +959,17 @@ def test_fuzzed_command_lines_exit_with_one_line(command, model, window,
         argv = [command, "--config", cfg]
         if command in ("solve", "uncertainty", "check-min"):
             argv += ["--model", model, "--t0", window[0], "--t1", window[1]]
-        for key, value in flags.items():
-            argv += [cli._flag(key), _fuzz_value(key, value, tmp)]
+        # each flag as `--flag value` or `--flag=value`, and maybe one stray
+        # token anywhere
+        for (key, value), join in zip(flags.items(), joined):
+            pair = [cli._flag(key), _fuzz_value(key, value, tmp)]
+            argv += ["=".join(pair)] if join else pair
+        if stray is not None:
+            argv.insert(stray[0] % (len(argv) + 1), stray[1])
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     err = err.getvalue()
     assert "Traceback" not in err
