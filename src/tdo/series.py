@@ -119,18 +119,23 @@ def _ratio_step(k, lam_sq, mu_sq):
 def build_series(omega0, lam, mu_s, order):
     """Construct the truncated alpha series and its reciprocal.
 
-    Requires lam**2 > 1 (reality of a1) and 1 <= order <= MAX_ORDER.  The
-    leading coefficient is a1 = 2*omega0/sqrt(lam**2 - 1); higher odd
-    coefficients follow from the ratio recursion; even ones vanish
-    identically.
+    Requires 1 < lam**2 < inf (reality of a1), a finite mu_s, a positive
+    finite omega0 and 1 <= order <= MAX_ORDER.  The leading coefficient is
+    a1 = 2*omega0/sqrt(lam**2 - 1); higher odd coefficients follow from the
+    ratio recursion; even ones vanish identically.  A series whose
+    coefficients do not all come out as finite floats raises
+    ParameterError naming the parameters that set them.
     """
     if not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
         raise ParameterError(
             f"order must be an integer in [1, {MAX_ORDER}], got {order!r}")
-    if lam * lam <= 1.0:
-        raise ParameterError("lam**2 must exceed 1 for a real leading coefficient")
-    if omega0 <= 0.0:
-        raise ParameterError("omega0 must be positive")
+    if not 1.0 < lam * lam < math.inf:
+        raise ParameterError("lambda**2 must exceed 1 (real leading "
+                             f"coefficient) and be finite, got lambda = {lam!r}")
+    if not 0.0 < omega0 < math.inf:
+        raise ParameterError(f"omega0 must be positive and finite, got {omega0!r}")
+    if not math.isfinite(mu_s):
+        raise ParameterError(f"mu must be finite, got {mu_s!r}")
 
     exact = order <= _RATIONAL_ORDER_CAP
     if exact:
@@ -155,8 +160,19 @@ def build_series(omega0, lam, mu_s, order):
         tilde.append(-acc)
 
     a1 = 2.0 * omega0 / math.sqrt(lam * lam - 1.0)
-    a = tuple(a1 * float(r) for r in ratios)
-    a_tilde = tuple(float(q) for q in tilde)
+    if not 0.0 < a1 < math.inf:
+        raise ParameterError(
+            f"a1 = 2*omega0/sqrt(lambda**2 - 1) is {a1!r} at omega0 = "
+            f"{omega0!r}, lambda = {lam!r}; it must be positive and finite")
+    try:
+        a = tuple(a1 * float(r) for r in ratios)
+        a_tilde = tuple(float(q) for q in tilde)
+        finite = all(map(math.isfinite, a + a_tilde))
+    except OverflowError:  # a Fraction past the float range
+        finite = False
+    if not finite:
+        raise ParameterError(f"the series coefficients overflow at mu = "
+                             f"{mu_s!r}, order = {order} (a1 = {a1!r})")
     return AlphaSeries(float(omega0), float(lam), float(mu_s), order,
                        a, a_tilde, tuple(ratios), tuple(tilde))
 
@@ -179,14 +195,22 @@ def product_form_ratios(lam, mu_s, order):
 
 
 def _convolve(x, y):
-    """Cauchy product of two coefficient lists, each entry summed in index
-    order from 0 * x[0], so Fraction input gives exact Fractions."""
-    out = []
-    for k in range(len(x) + len(y) - 1):
-        acc = 0 * x[0]
-        for j in range(max(0, k - len(y) + 1), min(k, len(x) - 1) + 1):
-            acc += x[j] * y[k - j]
-        out.append(acc)
+    """Cauchy product of two coefficient lists, len(x) + len(y) - 1 entries.
+
+    Entry k starts from 0 * x[0] and adds x[j] * y[k - j] in increasing j
+    over the pairs whose factors are both nonzero.  Fraction input gives
+    exact Fractions, and finite float input the dense sum's value (a zero
+    may differ in sign), while the even zeros of an odd series cost nothing.
+    """
+    n = len(x) + len(y) - 1
+    if n <= 0:
+        return []
+    out = [0 * x[0]] * n
+    y_terms = [(i, yi) for i, yi in enumerate(y) if yi != 0]
+    for j, xj in enumerate(x):
+        if xj != 0:
+            for i, yi in y_terms:
+                out[j + i] += xj * yi
     return out
 
 
@@ -309,7 +333,13 @@ def determinant_tilde(series, k):
 
 
 def _det(mat):
-    # fraction-safe Gaussian elimination; exact for Fraction entries
+    """Determinant by Gaussian elimination with the first nonzero pivot.
+
+    Exact for Fraction entries.  A row update touches only the columns
+    right of the pivot where the pivot row is nonzero.  The entries it
+    skips would change by a signed zero or are never read again, so finite
+    float input gives the full update's determinant bit for bit.
+    """
     n = len(mat)
     m = [list(row) for row in mat]
     det = mat[0][0] * 0 + 1
@@ -323,10 +353,14 @@ def _det(mat):
             sign = -sign
         pval = m[col][col]
         det = det * pval
+        pivot_terms = [(j, m[col][j]) for j in range(col + 1, n)
+                       if m[col][j] != 0]
         for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / pval
-                m[r] = [m[r][j] - f * m[col][j] for j in range(n)]
+            row = m[r]
+            if row[col] != 0:
+                f = row[col] / pval
+                for j, v in pivot_terms:
+                    row[j] -= f * v
     return det * sign
 
 

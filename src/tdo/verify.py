@@ -1,21 +1,34 @@
 """Deterministic verification suites behind the `verify` command.
 
 Every check pits a closed form against an independent route (direct
-integration, quadrature, exact rational recursion, library reference) and
-reports the worst error against a pinned tolerance.  No randomness enters
-anywhere, so repeated runs produce byte-identical reports.
+integration, quadrature, exact rational recursion, a frozen library
+reference) and reports the worst error against a pinned tolerance.  No
+randomness enters anywhere, so repeated runs produce byte-identical
+reports.
+
+The gate runs on the package alone: stepping is `tdo.dopri`, quadrature
+the composite Gauss-Legendre rule of `tdo.minimum`'s 16-point table, and
+the library Bessel reference is scipy.special.jv on the bessel suite's
+grid, frozen in the package data file BESSEL_TABLE.  Tier-1 tests keep the
+scipy cross-checks and recompute that table.
 """
 
 import dataclasses
 import math
 from functools import partial
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-from . import bessel, ermakov, minimum, models, quantum, series
+from . import bessel, dopri, ermakov, minimum, models, quantum, series
 
 SERIES_ORDER = 8  # truncation order of the series suite's numeric checks
+# the bessel suite's orders and grid, and scipy.special.jv on them, one row
+# per order
+BESSEL_ORDERS = (0.0, 1.0 / 3.0, 0.5, 1.0)
+BESSEL_GRID = np.linspace(0.1, 20.0, 500)
+BESSEL_TABLE = Path(__file__).with_name("bessel_reference.npy")
 
 
 def _check(name, max_err, tol):
@@ -28,6 +41,26 @@ def _rel(a, b):
     """Worst relative difference of two values or columns."""
     return np.max(np.abs(a - b)
                   / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300))
+
+
+def _gauss_legendre(f, lo, hi):
+    """Integral of f over [lo, hi] by the 16-point Gauss-Legendre rule on
+    1, 2, 4, ... equal panels, up to 1024 of them.
+
+    f takes an array of nodes.  The panels halve until two levels agree
+    within 1e-13, absolute and relative; the finest level's sum is
+    returned if none do.
+    """
+    previous = math.nan
+    for level in range(11):
+        edges = np.linspace(lo, hi, 2 ** level + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        nodes = edges[:-1, None] + half * (1.0 + minimum._X)
+        total = float(np.sum(half * minimum._W * f(nodes)))
+        if abs(total - previous) <= 1e-13 * max(1.0, abs(total)):
+            break
+        previous = total
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -376,27 +409,24 @@ def suite_series():
                          "[0.1, 0.8]", vals[-1], 1e-6))
 
     s = series.build_series(1.0, 2.0, 1.0, SERIES_ORDER)
-    from scipy.integrate import quad
     th = series.theta_series(s, 0.5, 0.8)
-    ref, _ = quad(lambda t: 2.0 / float(s.alpha(t)), 0.5, 0.8,
-                  epsabs=1e-13, epsrel=1e-13)
+    ref = _gauss_legendre(lambda t: 2.0 / s.alpha(t), 0.5, 0.8)
     checks.append(_check("phase series vs adaptive quadrature", abs(th - ref),
                          1e-8))
 
     # shooting comparison: integrate the constraint as an ODE from t ~ 0
-    from scipy.integrate import solve_ivp
     w0_sq, mu_sq, lam_sq = 1.0, 1.0, 4.0
 
     def rhs(t, y):
         al, ald = y
-        return [ald, (ald * ald + 4.0 * w0_sq
-                      - al * al * (mu_sq + lam_sq / (t * t))) / (2.0 * al)]
+        return (ald, (ald * ald + 4.0 * w0_sq
+                      - al * al * (mu_sq + lam_sq / (t * t))) / (2.0 * al))
 
     eps = 1e-3
-    sol = solve_ivp(rhs, (eps, 0.5), [s.a1 * eps, s.a1], rtol=1e-12,
-                    atol=1e-14, dense_output=True)
     grid = np.linspace(0.1, 0.5, 41)
-    err = float(np.max(np.abs(sol.sol(grid)[0] - s.alpha(grid))))
+    _, ys = dopri.solve(rhs, eps, 0.5, [s.a1 * eps, s.a1], rtol=1e-12,
+                        atol=1e-14, t_eval=grid)
+    err = float(np.max(np.abs(ys[:, 0] - s.alpha(grid))))
     checks.append(_check("series vs shooting solution of the constraint",
                          err, 1e-6))
 
@@ -432,17 +462,14 @@ def suite_series():
 # bessel
 
 def suite_bessel():
-    from scipy.special import jv as scipy_jv
-
     checks = []
-    xs = np.linspace(0.1, 20.0, 500)
+    xs = BESSEL_GRID
     ode_err = ref_err = 0.0
-    for rho in (0.0, 1.0 / 3.0, 0.5, 1.0):
+    for rho, reference in zip(BESSEL_ORDERS, np.load(BESSEL_TABLE)):
         values = bessel.jv(rho, xs)
         ode_err = max(ode_err, float(np.max(np.abs(
             bessel.defining_ode_residual(rho, xs, values)))))
-        ref_err = max(ref_err, float(np.max(np.abs(values[0]
-                                                   - scipy_jv(rho, xs)))))
+        ref_err = max(ref_err, float(np.max(np.abs(values[0] - reference))))
     checks.append(_check("evaluator satisfies the defining equation "
                          "(rho in {0, 1/3, 1/2, 1})", ode_err, 1e-8))
     checks.append(_check("evaluator matches the library Bessel reference",

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import jv as scipy_jv
 
-from tdo import bessel
+from tdo import bessel, verify
 from tdo.errors import ParameterError
 
 GRID = np.linspace(0.1, 20.0, 500)
@@ -29,6 +29,18 @@ def test_defining_ode_residual(rho):
 def test_matches_scipy_reference(rho):
     mine = bessel.jv(rho, GRID)[0]
     assert np.max(np.abs(mine - scipy_jv(rho, GRID))) < 1e-10
+
+
+def test_the_gate_bessel_table_is_scipys_jv_on_its_grid():
+    # the release gate reads scipy.special.jv from this frozen table; to
+    # refresh it after a scipy upgrade, np.save(verify.BESSEL_TABLE, the
+    # array below)
+    assert verify.BESSEL_ORDERS == ORDERS
+    assert np.array_equal(verify.BESSEL_GRID, GRID)
+    fresh = np.array([scipy_jv(rho, GRID) for rho in ORDERS])
+    table = np.load(verify.BESSEL_TABLE)
+    assert table.shape == fresh.shape and table.dtype == np.float64
+    assert np.max(np.abs(table - fresh)) <= 1e-15
 
 
 def test_scipy_reference_or_parameter_error_across_the_domain():

@@ -676,6 +676,32 @@ def test_series_parameter_errors_are_config_errors(capsys, args):
     assert capsys.readouterr().err.startswith("config_error:")
 
 
+_BESSEL_SOLVE = ["solve", "--model", "bessel_type", "--t0", "0.1",
+                 "--t1", "0.5"]
+
+
+# each of these ended in a traceback or wrote non-finite or all-zero
+# coefficients before build_series checked what it returns
+@pytest.mark.parametrize("argv,name", [
+    (_BESSEL_SOLVE + ["--k0", "1e308"], "mu"),
+    (_BESSEL_SOLVE + ["--nu", "1e308"], "lambda"),
+    (_BESSEL_SOLVE + ["--lambda", "1e200"], "lambda"),
+    (_BESSEL_SOLVE + ["--mu", "1e200"], "mu"),
+    (["series", "--lambda", "2", "--mu", "1e200"], "mu"),
+    (["series", "--lambda", "2", "--omega0", "1e308", "--order", "3"],
+     "omega0"),
+    (["series", "--lambda", "1e200"], "lambda"),
+    (["series", "--lambda", "2", "--mu", "1e20", "--order", "30"], "order"),
+], ids=["solve-k0", "solve-nu", "solve-lambda", "solve-mu", "series-mu",
+        "series-omega0", "series-lambda", "series-order"])
+def test_series_past_the_float_range_is_a_config_error(capsys, argv, name):
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    line, = out.err.splitlines()
+    assert line.startswith("config_error: ") and out.out == ""
+    assert f"{name} = " in line or f"{name} must" in line
+
+
 def test_check_min_reports(capsys):
     assert run(["check-min", "--model", "exp_frequency"]) == 0
     data = json.loads(capsys.readouterr().out)

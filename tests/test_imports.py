@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and
-the package exports exactly the error classes it defines.
+"""Source hygiene: every module-level import in the package is used, the
+release gate's module imports no scipy, and the package exports exactly
+the error classes it defines.
 
 A name counts as used when the module reads it anywhere or lists it in
 `__all__`.  An import whose statement carries `# noqa: F401` is exempt;
@@ -54,6 +55,26 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("import math\nfrom x import (a,\n    b)\n"
                           "from y import c  # noqa: F401\n"
                           "__all__ = ['b']\n") == [(1, "math"), (2, "a")]
+
+
+def imported_modules(source):
+    """Every module an import statement of `source` names, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_the_release_gate_imports_no_scipy():
+    assert imported_modules("import scipy.special as s\n"
+                            "def f():\n    from scipy import integrate\n"
+                            "from . import dopri\n") == {"scipy.special",
+                                                         "scipy"}
+    modules = imported_modules((SRC / "verify.py").read_text())
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}
 
 
 def test_the_package_exports_exactly_the_error_classes():

@@ -421,3 +421,108 @@ def test_reciprocal_identity_matches_the_reference_loop_exactly(order, mu_s):
     rec = series.reciprocal_identity_coefficients(s)
     assert rec == _reference_reciprocal_identity(s)
     assert all(type(x) is Fraction for x in rec)
+
+
+def _dense_convolve(x, y):
+    # every index pair, zero factors included, summed in index order
+    out = []
+    for k in range(len(x) + len(y) - 1):
+        acc = 0 * x[0]
+        for j in range(len(x)):
+            if 0 <= k - j < len(y):
+                acc += x[j] * y[k - j]
+        out.append(acc)
+    return out
+
+
+def _dense_det(mat):
+    # Gaussian elimination updating every entry of every row below the pivot
+    n = len(mat)
+    m = [list(row) for row in mat]
+    det = mat[0][0] * 0 + 1
+    sign = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return det * 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        det = det * m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [m[r][j] - f * m[col][j] for j in range(n)]
+    return det * sign
+
+
+_CONVOLVE_PAIRS = [
+    ([Fraction(0), Fraction(3, 7), Fraction(0), Fraction(-2, 5)],
+     [Fraction(0), Fraction(0), Fraction(5, 3)]),
+    ([Fraction(-1, 2), Fraction(0)], [Fraction(0)] * 4),
+    ([Fraction(k - 4, k + 1) if k % 3 else Fraction(0) for k in range(10)],
+     [Fraction(0) if k % 2 else Fraction(1, k + 2) for k in range(7)]),
+    ([-1.5, 0.0, 0.25, -0.0, 3.0], [0.0, -2.0, 0.0, 1e-300, 7.5]),
+    ([0.0, 1.1547005383792517, 0.0, -0.08247860988423227],
+     [1.0, 0.0, 0.03, 0.0, -0.002]),
+    # enough terms per entry that another summation order rounds otherwise
+    ([0.1 * k - 1 / 3 if k % 3 else 0.0 for k in range(12)],
+     [1 / (k + 1.5) if k % 2 else 0.0 for k in range(9)]),
+    ([Fraction(2, 3)], [Fraction(0), Fraction(1, 9)]),
+    ([0.5, -0.0], []),
+]
+
+
+@pytest.mark.parametrize("x,y", _CONVOLVE_PAIRS,
+                         ids=[f"pair{i}" for i in range(len(_CONVOLVE_PAIRS))])
+def test_sparse_convolution_matches_the_dense_loops(x, y):
+    got = series._convolve(x, y)
+    want = _dense_convolve(x, y)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+_DET_MATRICES = [
+    [[Fraction(0), Fraction(2, 3), Fraction(0)],
+     [Fraction(1, 4), Fraction(0), Fraction(-1)],
+     [Fraction(0), Fraction(5), Fraction(7, 2)]],
+    [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
+    [[Fraction(i * j % 5 - 2, i + j + 1) if (i + j) % 2 else Fraction(0)
+      for j in range(6)] for i in range(6)],
+    [[0.0, 1.5, 0.0, -2.0], [0.3, 0.0, 1e-3, 0.0],
+     [0.0, -0.7, 0.0, 4.0], [2.0, 0.0, -0.0, 0.0]],
+    [[1.0 / (i + j + 1) for j in range(5)] for i in range(5)],
+]
+
+
+def _assert_same_determinant(got, want):
+    # Fractions exactly, floats bit for bit
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert _bits(got) == _bits(want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("mat", _DET_MATRICES,
+                         ids=[f"mat{i}" for i in range(len(_DET_MATRICES))])
+def test_sparse_determinant_matches_the_dense_elimination(mat):
+    _assert_same_determinant(series._det(mat), _dense_det(mat))
+
+
+# orders 10 and 13 lie on either side of the exact-rational cap
+@pytest.mark.parametrize("order", [10, 13])
+def test_determinant_tilde_matrices_match_the_dense_elimination(
+        order, monkeypatch):
+    s = series.build_series(1.0, 2.0, 1.0, order)
+    seen = []
+    det = series._det
+
+    def recorded(mat):
+        seen.append(mat)
+        return det(mat)
+
+    monkeypatch.setattr(series, "_det", recorded)
+    values = [series.determinant_tilde(s, k) for k in range(7)]
+    assert len(seen) == 6  # k = 0 needs no matrix
+    for mat, value in zip(seen, values[1:]):
+        _assert_same_determinant(value, _dense_det(mat))

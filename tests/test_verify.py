@@ -3,6 +3,9 @@ on request."""
 
 import json
 
+import scipy.integrate
+import scipy.special
+
 from tdo import ermakov, verify
 
 SUITE_ORDER = ["models", "ermakov", "quantum", "minimum", "series", "bessel"]
@@ -114,3 +117,18 @@ def test_single_suite_timings_name_only_that_suite():
 def test_report_rows_are_pinned():
     report = verify.run_suite("all")
     assert [(c["name"], c["tol"]) for c in report["checks"]] == REPORT_ROWS
+
+
+def test_the_gate_calls_no_scipy(monkeypatch):
+    # quadrature, stepping and the Bessel reference all come from the
+    # package; tier-1 keeps the scipy cross-checks
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gate called scipy")
+
+    for module, name in ((scipy.integrate, "quad"),
+                         (scipy.integrate, "solve_ivp"),
+                         (scipy.special, "jv")):
+        monkeypatch.setattr(module, name, refuse)
+    report = verify.run_suite("all")
+    assert len(report["checks"]) == len(REPORT_ROWS)
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == []
