@@ -8,15 +8,16 @@ Every key a command reads is one row of `KEYS`: its flags, the config
 values and the --sweep keys all come from that table, and `_value` alone
 types flag and config values.  Precedence is sweep member > CLI flags >
 JSON config file (--config, falling back to $TDO_DEFAULT_CONFIG; null
-counts as unset) > model defaults.  Outputs are deterministic: CSV
-carries 17 significant digits, JSON is key-sorted.  Errors leave a single
-`error_kind: message` line on stderr; exit codes are 2 for configuration
-problems (bad values, argv mistakes, unreadable config files, grids above
-MAX_ROWS, sweeps above MAX_SWEEP), 3 for solver errors, 1 for failed
-verification checks.
+counts as unset) > model defaults.  Outputs are deterministic: each CSV
+value is the bytes of `"%.17g" % value` (`g17` writes the rows in
+blocks), JSON is key-sorted.  Errors leave a single `error_kind: message`
+line on stderr; exit codes are 2 for configuration problems (bad values,
+argv mistakes, unreadable config files, grids above MAX_ROWS, sweeps above
+MAX_SWEEP), 3 for solver errors, 1 for failed verification checks.
 """
 
 import collections
+import itertools
 import json
 import math
 import os
@@ -24,11 +25,12 @@ import sys
 
 import numpy as np
 
-from . import ermakov, minimum, models, quantum, series, verify
+from . import ermakov, g17, minimum, models, quantum, series, verify
 from .errors import TdoError
 
 ENV_CONFIG = "TDO_DEFAULT_CONFIG"
-MAX_ROWS = 10 ** 6  # every output row is held in memory until it is written
+# the columns of every output row are held in memory; their text is not
+MAX_ROWS = 10 ** 6
 MAX_SWEEP = 1000  # sweep outputs carry a three-digit _NNN suffix
 
 # key: (type or string choices, key groups, help).  A command reads the keys
@@ -88,29 +90,31 @@ def _numeric_keys(groups):
 
 
 def _write_table(path, fmt, columns):
-    """Write named equal-length columns as CSV (17 digits) or JSON rows."""
+    """Write named equal-length columns as CSV or JSON rows; a CSV value
+    reads as its `"%.17g"` and the rows stream out in blocks."""
     header = list(columns)
-    rows = np.column_stack(list(columns.values())).tolist()
     if fmt == "json":
+        rows = np.column_stack(list(columns.values())).tolist()
         _write_json(path, {"columns": header, "rows": rows})
         return
-    line = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(line % tuple(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, itertools.chain([",".join(header) + "\n"],
+                                      g17.csv_rows(columns.values())))
 
 
 def _write_json(path, obj):
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_text(path, [json.dumps(obj, sort_keys=True, indent=2) + "\n"])
 
 
-def _write_text(path, text):
+def _write_text(path, chunks):
+    """Write the text chunks, taken one at a time, to `path` or stdout."""
     if path == "-":
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
 
@@ -265,7 +269,7 @@ def cmd_catalog(res):
             '%s,"%s"' % (m["name"], json.dumps(
                 m["params"], sort_keys=True).replace('"', '""'))
             for m in entries]
-        _write_text(out, "\n".join(lines) + "\n")
+        _write_text(out, ["\n".join(lines) + "\n"])
     else:
         _write_json(out, {"models": entries})
     return 0

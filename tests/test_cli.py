@@ -903,6 +903,44 @@ def test_csv_rows_format_special_values_as_17g(tmp_path):
     assert out.read_text() == "\n".join(expected) + "\n"
 
 
+CATALOG_WINDOWS = [("harmonic", "0", "3"), ("kanai_caldirola", "0", "2"),
+                   ("exp_frequency", "0", "10"), ("tsquared", "0.5", "3"),
+                   ("bessel_type", "0.1", "1.9")]
+
+
+def _per_value_17g(table):
+    """A JSON table's rows as CSV, written out value by value; JSON floats
+    round-trip, so these are the values the CSV run wrote."""
+    lines = [table["columns"]] + [["%.17g" % x for x in row]
+                                  for row in table["rows"]]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("command", ["solve", "uncertainty"])
+@pytest.mark.parametrize("model,t0,t1", CATALOG_WINDOWS)
+def test_csv_bytes_are_per_value_17g(tmp_path, capsys, command, model, t0,
+                                     t1):
+    # 701 rows of 6 or 8 columns take the block kernel across a block edge
+    argv = [command, "--model", model, "--t0", t0, "--t1", t1,
+            "--dt-out", repr((float(t1) - float(t0)) / 700)]
+    sweep = ["--sweep", "sigma0=0.6:1.2:2"]
+    assert run(argv + sweep + ["--format", "json",
+                               "--out", str(tmp_path / "s.json")]) == 0
+    assert run(argv + sweep + ["--out", str(tmp_path / "s.csv")]) == 0
+    for i in range(2):
+        table = json.loads((tmp_path / f"s_{i:03d}.json").read_text())
+        assert len(table["rows"]) == 701
+        assert (tmp_path / f"s_{i:03d}.csv").read_text() \
+            == _per_value_17g(table)
+    # the default start, written to stdout
+    assert run(argv + ["--format", "json",
+                       "--out", str(tmp_path / "d.json")]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out \
+        == _per_value_17g(json.loads((tmp_path / "d.json").read_text()))
+
+
 def test_verify_timings_sidecar_leaves_stdout_unchanged(tmp_path, capsys):
     assert run(["verify", "--suite", "quantum"]) == 0
     plain = capsys.readouterr().out
