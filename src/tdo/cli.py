@@ -6,9 +6,12 @@ series builds, and the verification suites.
 with one `-`; a flag's last value wins; `-h`/`--help` lists the flags.
 Every key a command reads is one row of `KEYS`: its flags, the config
 values and the --sweep keys all come from that table, and `_value` alone
-types flag and config values.  Precedence is sweep member > CLI flags >
-JSON config file (--config, falling back to $TDO_DEFAULT_CONFIG; null
-counts as unset) > model defaults.  Outputs are deterministic: each CSV
+types flag and config values.  The key groups and each command's flags are
+derived from `KEYS` and `COMMANDS` once per process; nothing read from
+argv, the environment or a config file is kept between calls.  Each job
+reads one plain dict, resolved once, so precedence is sweep member > CLI
+flags > JSON config file (--config, falling back to $TDO_DEFAULT_CONFIG;
+null counts as unset) > model defaults.  Outputs are deterministic: each CSV
 value is the bytes of `"%.17g" % value` (`g17` writes the rows in
 blocks), JSON is key-sorted.  Errors leave a single `error_kind: message`
 line on stderr; exit codes are 2 for configuration problems (bad values,
@@ -16,7 +19,7 @@ argv mistakes, unreadable config files, grids above MAX_ROWS, sweeps above
 MAX_SWEEP), 3 for solver errors, 1 for failed verification checks.
 """
 
-import collections
+import functools
 import itertools
 import json
 import math
@@ -78,27 +81,52 @@ def _flag(key):
     return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
 
 
+@functools.cache
 def _keys(groups):
     """The keys of any of the space-separated `groups`, in table order."""
     groups = set(groups.split())
-    return [key for key, (_, key_groups, _) in KEYS.items()
-            if groups & set(key_groups.split())]
+    return tuple(key for key, (_, key_groups, _) in KEYS.items()
+                 if groups & set(key_groups.split()))
 
 
+@functools.cache
 def _numeric_keys(groups):
-    return [key for key in _keys(groups) if KEYS[key][0] in (float, int)]
+    return tuple(key for key in _keys(groups) if KEYS[key][0] in (float, int))
 
 
 def _write_table(path, fmt, columns):
     """Write named equal-length columns as CSV or JSON rows; a CSV value
-    reads as its `"%.17g"` and the rows stream out in blocks."""
+    reads as its `"%.17g"`, and either format streams its rows in blocks."""
     header = list(columns)
     if fmt == "json":
-        rows = np.column_stack(list(columns.values())).tolist()
-        _write_json(path, {"columns": header, "rows": rows})
+        _write_text(path, _json_table(header, list(columns.values())))
         return
     _write_text(path, itertools.chain([",".join(header) + "\n"],
                                       g17.csv_rows(columns.values())))
+
+
+# what separates two rows, and two values of a row, in a JSON table
+_JSON_ROW, _JSON_VALUE = "\n    ],\n    [\n      ", ",\n      "
+
+
+def _json_table(header, columns):
+    """The text of `json.dumps({"columns": header, "rows": rows},
+    sort_keys=True, indent=2) + "\\n"` in chunks of about `g17.BLOCK`
+    values, `rows` being the rows of `columns`."""
+    empty = json.dumps({"columns": header, "rows": []}, sort_keys=True,
+                       indent=2)
+    if not len(columns[0]):
+        yield empty + "\n"
+        return
+    yield empty[:-len("[]\n}")] + "[\n    [\n      "
+    step = max(1, g17.BLOCK // len(columns))
+    for r0 in range(0, len(columns[0]), step):
+        block = np.column_stack([col[r0:r0 + step] for col in columns])
+        # json writes a finite number as its repr
+        number = repr if np.isfinite(block).all() else json.dumps
+        yield (_JSON_ROW if r0 else "") + _JSON_ROW.join(
+            _JSON_VALUE.join(map(number, row)) for row in block.tolist())
+    yield "\n    ]\n  ]\n}\n"
 
 
 def _write_json(path, obj):
@@ -244,7 +272,7 @@ def _sweep_members(res, spec, groups):
         raise ConfigError("--sweep expects param=lo:hi:n")
     if not 1 <= n <= MAX_SWEEP:
         raise ConfigError(f"sweep count must be between 1 and {MAX_SWEEP}")
-    readable = _numeric_keys(groups) + _model_keys(res)[1]
+    readable = [*_numeric_keys(groups), *_model_keys(res)[1]]
     if key not in readable:
         raise ConfigError(f"--sweep {key}: not a key this run reads; "
                           f"choose from {', '.join(readable)}")
@@ -281,7 +309,7 @@ def _run_solve_like(res, columns, groups):
     out, fmt = _value(res, "out", "-"), _value(res, "format", "csv")
     spec = _value(res, "sweep")
     jobs = [(out, res)] if spec is None else [
-        (_suffixed(out, index), res.new_child(member))
+        (_suffixed(out, index), {**res, **member})
         for index, member in enumerate(_sweep_members(res, spec, groups))]
     for path, job in jobs:
         _write_table(path, fmt, columns(job))
@@ -389,6 +417,11 @@ COMMANDS = {
 }
 
 
+# command: {flag: key} of the flags it takes
+_FLAGS = {command: {_flag(key): key for key in ("config", *_keys(groups))}
+          for command, (groups, _) in COMMANDS.items()}
+
+
 def _help(command):
     """Print the commands, or the flags `command` takes, to stdout."""
     if command is None:
@@ -414,8 +447,7 @@ def _parse(argv):
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from "
                           + ", ".join(COMMANDS))
-    known = {_flag(key): key
-             for key in ["config"] + _keys(COMMANDS[command][0])}
+    known = _FLAGS[command]
     flags, tokens = {}, iter(argv[1:])
     for token in tokens:
         if token in ("-h", "--help"):
@@ -439,8 +471,8 @@ def main(argv=None):
         if flags is None:
             _help(command)
             return 0
-        res = collections.ChainMap(flags, _load_config(flags.pop("config",
-                                                                 None)))
+        config = _load_config(flags.pop("config", None))
+        res = {**config, **flags}
         # looked up per call, so that a wrapper set on the module is used
         handler = globals()["cmd_" + command.replace("-", "_")]
         # non-finite results surface as TdoErrors, not as numpy warnings

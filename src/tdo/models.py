@@ -290,6 +290,9 @@ _FACTORIES = {
 }
 
 CATALOG_NAMES = tuple(_FACTORIES)
+# name: the keyword parameters its factory takes
+_PARAMETERS = {name: tuple(inspect.signature(factory).parameters)
+               for name, factory in _FACTORIES.items()}
 
 
 def catalog():
@@ -297,9 +300,9 @@ def catalog():
     return [f() for f in _FACTORIES.values()]
 
 
-def _factory(name):
+def _by_name(table, name):
     try:
-        return _FACTORIES[name]
+        return table[name]
     except (KeyError, TypeError):
         raise ParameterError(
             f"unknown model {name!r}; choose from {', '.join(_FACTORIES)}")
@@ -307,12 +310,12 @@ def _factory(name):
 
 def get_model(name, **params):
     """Build a catalog model by name with parameter overrides."""
-    return _factory(name)(**params)
+    return _by_name(_FACTORIES, name)(**params)
 
 
 def parameter_names(name):
     """The keyword parameters the catalog factory `name` takes."""
-    return tuple(inspect.signature(_factory(name)).parameters)
+    return _by_name(_PARAMETERS, name)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdo import cli, dopri, ermakov, models
+from tdo import cli, dopri, ermakov, g17, models
 
 
 def run(args):
@@ -858,11 +858,17 @@ def test_argument_errors_are_one_line_config_errors(capsys, argv):
     assert out.err.startswith("config_error: ") and out.err.count("\n") == 1
 
 
-def test_the_module_runs_as_a_program():
+def _program_env():
+    """The environment that runs `python -m tdo.cli` from this tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"),
                     env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_the_module_runs_as_a_program():
+    env = _program_env()
     cmd = [sys.executable, "-m", "tdo.cli", "solve"]
     bad = subprocess.run(cmd + ["--t0"], capture_output=True, text=True,
                          env=env, timeout=120)
@@ -872,6 +878,55 @@ def test_the_module_runs_as_a_program():
                            env=env, timeout=120)
     assert (help_.returncode, help_.stderr) == (0, "")
     assert "  --sigma0" in help_.stdout.splitlines()
+
+
+def test_no_call_keeps_state_for_the_next(tmp_path, monkeypatch, capsys):
+    # each call in one process writes what it writes in a fresh interpreter
+    def config(name, **values):
+        path = tmp_path / name
+        path.write_text(json.dumps({"t0": 0.0, "t1": 1.0, "dt_out": 0.25,
+                                    **values}))
+        return str(path)
+
+    env_a = config("a.json", model="harmonic", omega0=2.0)
+    env_b = config("b.json", model="kanai_caldirola", gamma=0.5)
+    file_c = config("c.json", model="exp_frequency", c=0.7)
+    calls = [
+        (env_a, ["solve", "--out", "env_a.csv"]),
+        (env_b, ["solve", "--out", "env_b.csv"]),
+        (None, ["uncertainty", "--config", file_c, "--out", "file.csv"]),
+        (None, ["uncertainty", "--config", file_c, "--c", "0.9",
+                "--out", "flag.csv"]),
+        (None, ["uncertainty", "--config", file_c, "--c", "0.9",
+                "--sweep", "c=0.5:0.6:2", "--out", "sweep.csv"]),
+        (None, ["uncertainty", "--model", "exp_frequency", "--t0", "0",
+                "--t1", "1", "--dt-out", "0.25", "--out", "plain.csv"]),
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    base = _program_env()
+    base.pop(cli.ENV_CONFIG, None)
+    for env_config, argv in calls:
+        if env_config is None:
+            monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        else:
+            monkeypatch.setenv(cli.ENV_CONFIG, env_config)
+        rc = run(argv)
+        out, err = capsys.readouterr()
+        env = base if env_config is None else {**base,
+                                               cli.ENV_CONFIG: env_config}
+        ref = subprocess.run([sys.executable, "-m", "tdo.cli", *argv],
+                             cwd=fresh, env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert (rc, out, err) == (ref.returncode, ref.stdout, ref.stderr)
+    written = sorted(p.name for p in here.iterdir())
+    assert written == sorted(p.name for p in fresh.iterdir())
+    for name in written:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+    # every layer took effect: no two outputs are alike
+    assert len({(here / name).read_bytes() for name in written}) == 7
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -901,6 +956,28 @@ def test_csv_rows_format_special_values_as_17g(tmp_path):
     expected = ["a,b"] + [f"{x:.17g},{y:.17g}"
                           for x, y in zip(values, values[::-1])]
     assert out.read_text() == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("rows,n_cols", [
+    (1, 3), (7, 1), (g17.BLOCK // 3, 3), (g17.BLOCK // 3 + 1, 3),
+    (2 * g17.BLOCK + 5, 1), (0, 2)],
+    ids=["one-row", "one-column", "one-block", "past-a-block-edge",
+         "three-blocks", "no-rows"])
+def test_json_tables_are_json_dumps_in_blocks(tmp_path, rows, n_cols):
+    special = [-0.0, 5e-324, 1e300, 1e-300, -1e300, 1e16, 0.1, math.nan,
+               math.inf]
+    values = np.resize(
+        np.concatenate([special, np.random.default_rng(7).normal(size=64)]),
+        rows * n_cols)
+    columns = {f"c{j}": values[j::n_cols] for j in range(n_cols)}
+    # c0 ends with the special values, so only its last block is non-finite
+    columns["c0"][-len(special):] = special[:rows]
+    out = tmp_path / "table.json"
+    cli._write_table(str(out), "json", columns)
+    rows_ = np.column_stack(list(columns.values())).tolist()
+    assert out.read_text() == json.dumps(
+        {"columns": list(columns), "rows": rows_}, sort_keys=True,
+        indent=2) + "\n"
 
 
 CATALOG_WINDOWS = [("harmonic", "0", "3"), ("kanai_caldirola", "0", "2"),

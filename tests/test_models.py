@@ -7,6 +7,7 @@ analytic derivatives.
 """
 
 import dataclasses
+import inspect
 import itertools
 import math
 import os
@@ -374,3 +375,18 @@ def test_import_leaves_scipy_interpolate_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "False", proc.stderr
+
+
+@pytest.mark.parametrize("name", [*models.CATALOG_NAMES, "nope", []],
+                         ids=[*models.CATALOG_NAMES, "unknown", "unhashable"])
+def test_parameter_names_are_each_factory_signature(name):
+    if name in models.CATALOG_NAMES:
+        factory = getattr(models, name)
+        assert models.parameter_names(name) \
+            == tuple(inspect.signature(factory).parameters)
+        return
+    with pytest.raises(ParameterError) as err:
+        models.parameter_names(name)
+    assert str(err.value) == (
+        f"unknown model {name!r}; choose from harmonic, kanai_caldirola, "
+        "exp_frequency, tsquared, bessel_type")
