@@ -11,12 +11,16 @@ derived from `KEYS` and `COMMANDS` once per process; nothing read from
 argv, the environment or a config file is kept between calls.  Each job
 reads one plain dict, resolved once, so precedence is sweep member > CLI
 flags > JSON config file (--config, falling back to $TDO_DEFAULT_CONFIG;
-null counts as unset) > model defaults.  Outputs are deterministic: each CSV
-value is the bytes of `"%.17g" % value` (`g17` writes the rows in
-blocks), JSON is key-sorted.  Errors leave a single `error_kind: message`
-line on stderr; exit codes are 2 for configuration problems (bad values,
-argv mistakes, unreadable config files, grids above MAX_ROWS, sweeps above
-MAX_SWEEP), 3 for solver errors, 1 for failed verification checks.
+null counts as unset) > model defaults.  A sweep over a key of the
+`quantum` group (hbar) computes the model, the trajectory and (mu, nu) once
+per call and only the quadratures per member; every other sweep runs each
+member in full, and each member writes what a separate call with its value
+writes.  Outputs are deterministic: each CSV value is the bytes of
+`"%.17g" % value` (`g17` writes the rows in blocks), JSON is key-sorted.
+Errors leave a single `error_kind: message` line on stderr; exit codes are
+2 for configuration problems (bad values, argv mistakes, unreadable config
+files, grids above MAX_ROWS, sweeps above MAX_SWEEP or with a non-finite
+member), 3 for solver errors, 1 for failed verification checks.
 """
 
 import functools
@@ -262,8 +266,8 @@ def _initial_conditions(res, model, t0, t1, K):
     return 1.0, sigma_dot0
 
 
-def _sweep_members(res, spec, groups):
-    """One {key: value} layer per sweep member of `spec` = key=lo:hi:n."""
+def _sweep(res, spec, groups):
+    """The key and the member values of `spec` = key=lo:hi:n."""
     try:
         key, rng = spec.split("=", 1)
         lo, hi, n = rng.split(":")
@@ -276,7 +280,13 @@ def _sweep_members(res, spec, groups):
     if key not in readable:
         raise ConfigError(f"--sweep {key}: not a key this run reads; "
                           f"choose from {', '.join(readable)}")
-    return [{key: float(v)} for v in np.linspace(lo, hi, n)]
+    # finite bounds far apart overflow linspace's step
+    values = np.linspace(lo, hi, n)
+    if not (math.isfinite(lo) and math.isfinite(hi)
+            and np.isfinite(values).all()):
+        raise ConfigError(f"--sweep {spec}: the bounds and every member "
+                          "must be finite")
+    return key, values.tolist()
 
 
 def _suffixed(path, index):
@@ -303,16 +313,21 @@ def cmd_catalog(res):
     return 0
 
 
-def _run_solve_like(res, columns, groups):
-    """Write the columns built for each job (one, or one per sweep value);
-    a sweep may vary a model key or a numeric key of `groups`."""
+def _run_solve_like(res, tables, groups):
+    """Write the table of each job: one, or one per sweep value.  A sweep
+    may vary a model key or a numeric key of `groups`.  `tables(jobs,
+    quantum_only)` yields the columns of each job in turn; `quantum_only`
+    says that the jobs differ only in a key that just the quantum columns
+    read."""
     out, fmt = _value(res, "out", "-"), _value(res, "format", "csv")
     spec = _value(res, "sweep")
-    jobs = [(out, res)] if spec is None else [
-        (_suffixed(out, index), {**res, **member})
-        for index, member in enumerate(_sweep_members(res, spec, groups))]
-    for path, job in jobs:
-        _write_table(path, fmt, columns(job))
+    key, jobs, paths = None, [res], [out]
+    if spec is not None:
+        key, values = _sweep(res, spec, groups)
+        jobs = [{**res, key: value} for value in values]
+        paths = [_suffixed(out, index) for index in range(len(values))]
+    for path, columns in zip(paths, tables(jobs, key in _keys("quantum"))):
+        _write_table(path, fmt, columns)
     return 0
 
 
@@ -329,28 +344,38 @@ def _trajectory(res):
     return model, traj
 
 
-def _solve_columns(res):
-    return vars(_trajectory(res)[1])
+def _solve_tables(jobs, quantum_only):
+    for res in jobs:
+        yield vars(_trajectory(res)[1])
 
 
-def _uncertainty_columns(res):
-    hbar = _positive(res, "hbar", 1.0)
-    model, s = _trajectory(res)
-    rep = quantum.quadratures(model, s, hbar)
-    pair = quantum.bogolubov(model, s,
-                             quantum.default_reference(model, s.t[0]))
-    return {"t": s.t, "varQ": rep.varQ, "varP": rep.varP,
-            "product": rep.product, "mu_re": pair.mu.real,
-            "mu_im": pair.mu.imag, "nu_re": pair.nu.real,
-            "nu_im": pair.nu.imag}
+def _uncertainty_tables(jobs, quantum_only):
+    """The uncertainty columns of each job.  hbar scales the quadratures
+    alone, so jobs that differ only in it share the first one's model,
+    trajectory and (mu, nu); each is computed where a lone job computes it,
+    so the first job fails as a lone one would."""
+    pair = None
+    for res in jobs:
+        hbar = _positive(res, "hbar", 1.0)
+        fresh = pair is None or not quantum_only
+        if fresh:
+            model, s = _trajectory(res)
+        rep = quantum.quadratures(model, s, hbar)
+        if fresh:
+            pair = quantum.bogolubov(
+                model, s, quantum.default_reference(model, s.t[0]))
+        yield {"t": s.t, "varQ": rep.varQ, "varP": rep.varP,
+               "product": rep.product, "mu_re": pair.mu.real,
+               "mu_im": pair.mu.imag, "nu_re": pair.nu.real,
+               "nu_im": pair.nu.imag}
 
 
 def cmd_solve(res):
-    return _run_solve_like(res, _solve_columns, "run")
+    return _run_solve_like(res, _solve_tables, "run")
 
 
 def cmd_uncertainty(res):
-    return _run_solve_like(res, _uncertainty_columns, "run quantum")
+    return _run_solve_like(res, _uncertainty_tables, "run quantum")
 
 
 def cmd_verify(res):

@@ -9,10 +9,13 @@ through a numpy kernel that writes the same bytes:
   two-product against a (hi, lo) table of powers of ten), with e corrected
   until the scaled value lies in [1e16, 1e17);
 - the scaled value is rounded to a 17-digit integer (10^17 carries to
-  10^16 and e + 1), whose digits come out of a table of digit pairs;
+  10^16 and e + 1), which splits into a lead digit and four groups of
+  four digits; each group is written as one uint32 word, its "%04d" read
+  from a table of 10,000 entries, into a 32-byte source row per value;
 - each field is laid out by a column template picked by the exponent class
   (fixed notation for -4 <= e < 17, else an exponent of at least two
-  digits) and the count of significant digits, which strips the trailing
+  digits) and the count of significant digits, read from a second
+  10,000-entry table on the last nonzero group, which strips the trailing
   zeros; the pad bytes are dropped when the block is joined.
 
 Once in [1e16, 1e17) the scaled value is within 1e-14 of |x| 10^(16-e),
@@ -37,26 +40,31 @@ _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's split factor for float64
 _K_MIN, _K_MAX = -270, 300  # exponents of the power table, past 16 - e
 _WIDTH = 25  # "-1.2345678901234567e-308" and a separator
 
-# source columns of one value: its 17 digits, then these bytes
-_SIGN, _ESIGN, _E100, _E10, _E1, _DOT, _ZERO, _E, _SEP, _PAD = range(17, 27)
-_SOURCE = 27
+# byte columns of one value's 32-byte source row, written partly as eight
+# uint32 words: the constants ".0e" and the lead digit, four words of four
+# digits each (digit i is at `_LEAD + i`), the exponent as "%04d", then the
+# sign, exponent sign, separator and pad bytes; the last four are unused
+_DOT, _ZERO, _E, _LEAD = range(4)
+_E100, _E10, _E1 = range(21, 24)
+_SIGN, _ESIGN, _SEP, _PAD = range(24, 28)
+_SOURCE = 32
 _FIXED = range(-4, 17)  # exponents written in fixed notation
 _CLASSES = len(_FIXED) + 2  # then two- and three-digit exponents
-_CONSTANTS = np.frombuffer(b".0e", dtype=np.uint8)
-_PAIR_OFFSETS = 100 * np.arange(8)[:, None]
+_HEAD = np.frombuffer(b".0e0", dtype=np.uint32)[0]
+_LEAD_ONE = np.frombuffer(b"\0\0\0\1", dtype=np.uint32)[0]
 
 
 @functools.cache
 def _tables():
-    """(powers, templates, pairs, significant), built on first use.
+    """(powers, templates, quads, significant), built on first use.
 
     powers[:, k - _K_MIN] holds hi, hi's Veltkamp halves and lo, with
     hi + lo = 10^k to 2^-106 relative; hi and lo are correctly rounded
     quotients of integers.  templates[18 c + s] lists the source columns of
     a field of exponent class c with s significant digits, then its
-    separator and pads.  pairs[i] is the two ASCII digits of i < 100 as one
-    uint16.  significant[100 k + p] counts the significant digits through
-    the digit pair k when that pair is p, or 1 when p is 0.
+    separator and pads.  quads[g] is the four ASCII digits of `"%04d" % g`,
+    g < 10^4, as one uint32, and significant[g] their count once trailing
+    zeros are stripped (0 for g = 0).
     """
     powers = np.empty((4, _K_MAX - _K_MIN + 1))
     for k in range(_K_MIN, _K_MAX + 1):
@@ -78,24 +86,25 @@ def _tables():
             if c < len(_FIXED):
                 e = _FIXED[c]
                 if e >= 0:
-                    cols += range(e + 1)
+                    cols += range(_LEAD, _LEAD + e + 1)
                     if s > e + 1:
-                        cols += [_DOT, *range(e + 1, s)]
+                        cols += [_DOT, *range(_LEAD + e + 1, _LEAD + s)]
                 else:
-                    cols += [_ZERO, _DOT] + [_ZERO] * (-e - 1) + [*range(s)]
+                    cols += [_ZERO, _DOT] + [_ZERO] * (-e - 1) \
+                        + [*range(_LEAD, _LEAD + s)]
             else:
-                cols += [0] + ([_DOT, *range(1, s)] if s > 1 else [])
+                cols += [_LEAD] + ([_DOT, *range(_LEAD + 1, _LEAD + s)]
+                                   if s > 1 else [])
                 cols += [_E, _ESIGN] + [_E100] * (c > len(_FIXED)) + [_E10,
                                                                       _E1]
             cols.append(_SEP)
             templates[18 * c + s, :len(cols)] = cols
 
-    p = np.arange(100)
-    pairs = np.stack([48 + p // 10, 48 + p % 10], axis=1).astype(np.uint8)
-    significant = np.where(p == 0, 1, 2 * np.arange(8)[:, None] + 2
-                           + (p % 10 != 0))
-    return (powers, templates, pairs.view(np.uint16).ravel(),
-            significant.ravel())
+    quads = np.frombuffer("".join(["%04d" % g for g in range(10 ** 4)])
+                          .encode(), dtype=np.uint8).reshape(-1, 4)
+    # the significant digits end at the last nonzero one
+    significant = np.max(np.where(quads != 48, np.arange(1, 5), 0), axis=1)
+    return powers, templates, quads.view(np.uint32).ravel(), significant
 
 
 def _scaled(a, e):
@@ -113,22 +122,24 @@ def _scaled(a, e):
     return hi, err + a * p_lo
 
 
+def _divmod(v, unit):
+    """np.divmod(v, unit) of integers v >= 0, with one division."""
+    q = v // unit
+    return q, v - q * unit
+
+
 def _below(hi, lo, bound):
     """Whether hi + lo < bound, for a bound that is a float."""
     return (hi < bound) | ((hi == bound) & (lo < 0.0))
 
 
-def _fields(x, sep):
-    """The `"%.17g" % x` field of every value of `x`, followed by its
-    separator byte `sep`, as rows of `_WIDTH` bytes padded with zeros."""
-    _, templates, pairs, significant = _tables()
-    n = len(x)
+def _digits(x):
+    """(digits, e, exact): |x| rounded to a 17-digit integer `digits` times
+    10^(e-16), and whether the kernel's rounding is exact; zeros and |x|
+    outside [LOW, HIGH] come out as 1.0, not exact."""
     a = np.abs(x)
-    zero = a == 0.0
-    kernel = (a >= LOW) & (a <= HIGH)
-    # the rest work on 1.0: a zero keeps its field with the digit zeroed,
-    # the others are rewritten by % at the end
-    a[~kernel] = 1.0
+    exact = (a >= LOW) & (a <= HIGH)
+    a[~exact] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
     hi, lo = _scaled(a, e)
     low = np.flatnonzero(_below(hi, lo, 1e16))
@@ -136,47 +147,67 @@ def _fields(x, sep):
     for idx, step in ((low, -1), (high, 1)):
         e[idx] += step
         hi[idx], lo[idx] = _scaled(a[idx], e[idx])
-    kernel &= ~_below(hi, lo, 1e16) & _below(hi, lo, 1e17)
+    exact &= ~_below(hi, lo, 1e16) & _below(hi, lo, 1e17)
     whole = np.floor(lo)
     frac = lo - whole
-    kernel &= np.abs(frac - 0.5) >= TIE_GAP
+    exact &= np.abs(frac - 0.5) >= TIE_GAP
     digits = hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
     carry = digits == 10 ** 17
     digits[carry] = 10 ** 16
     e += carry
+    return digits, e, exact
 
-    # the leading digit, then eight pairs, split in rows of the pair index
-    lead = digits // 10 ** 16
-    split = np.empty((8, n), dtype=np.intp)
-    split[0] = digits - lead * 10 ** 16
-    for width in (4, 2, 1):  # each group of 2 width pairs into two halves
-        upper = split[::2 * width] // 100 ** width
-        split[width::2 * width] = split[::2 * width] - upper * 100 ** width
-        split[::2 * width] = upper
-    count = np.max(np.take(significant, split + _PAIR_OFFSETS), axis=0)
+
+def _source(x, sep):
+    """(src, keys, exact): the source row of each value of `x`, the row of
+    `templates` that lays out its field, and `exact` as `_digits` has it."""
+    _, _, quads, significant = _tables()
+    # allocated before the work arrays, so that these are freed into the
+    # top of the heap, where the gather's indices reuse them
+    src = np.empty((len(x), _SOURCE // 4), dtype=np.uint32)
+    keys = np.empty(len(x), dtype=np.intp)
+    digits, e, exact = _digits(x)
+    # the leading digit, then four groups of four digits; the significant
+    # digits end in the last nonzero group
+    lead, rest = _divmod(digits, 10 ** 16)
+    upper, lower = _divmod(rest, 10 ** 8)
+    g0, g1, g2, g3 = *_divmod(upper, 10 ** 4), *_divmod(lower, 10 ** 4)
+    n1, n2, n3 = g1 != 0, g2 != 0, g3 != 0
+    last = np.where(n3, g3, np.where(n2, g2, np.where(n1, g1, g0)))
+    count = np.take(significant, last) \
+        + np.where(n3, 13, np.where(n2, 9, np.where(n1, 5, 1)))
     ae = np.abs(e)
     cls = np.where((e >= _FIXED[0]) & (e <= _FIXED[-1]), e - _FIXED[0],
                    len(_FIXED) + (ae >= 100))
 
-    src = np.empty((n, _SOURCE), dtype=np.uint8)
-    src[:, 0] = lead + 48
-    src[zero, 0] = 48
-    src[:, 1:17] = np.take(pairs, split.T).view(np.uint8)
-    src[:, _SIGN] = np.signbit(x) * np.uint8(45)
+    lead[x == 0.0] = 0  # a zero keeps the field of 1.0, its digit zeroed
+    src[:, 0] = _HEAD + lead.astype(np.uint32) * _LEAD_ONE
+    for word, group in enumerate((g0, g1, g2, g3), 1):
+        src[:, word] = np.take(quads, group)
     expo = np.flatnonzero(cls >= len(_FIXED))
-    if len(expo):
-        src[expo, _ESIGN] = np.where(e[expo] < 0, 45, 43)
-        src[expo, _E100] = ae[expo] // 100 + 48
-        src[expo, _E10:_E1 + 1] = np.take(pairs, ae[expo] % 100)[:, None] \
-            .view(np.uint8)
-    src[:, _DOT:_SEP] = _CONSTANTS
+    src[expo, _E1 // 4] = np.take(quads, ae[expo])  # the exponent's word
+    src = src.view(np.uint8)
+    src[expo, _ESIGN] = np.where(e[expo] < 0, 45, 43)
+    src[:, _SIGN] = np.signbit(x) * np.uint8(45)
     src[:, _SEP] = sep
     src[:, _PAD] = 0
+    np.add(18 * cls, count, out=keys)
+    return src, keys, exact
 
-    cols = np.take(templates, 18 * cls + count, axis=0)
-    cols += (_SOURCE * np.arange(n))[:, None]
+
+def _fields(x, sep):
+    """The `"%.17g" % x` field of every value of `x`, followed by its
+    separator byte `sep`, as rows of `_WIDTH` bytes padded with zeros."""
+    # `_source` frees its work arrays before the gather's n x 25 indices
+    # are allocated in their place, which keeps a block's heap small enough
+    # that glibc does not trim it at each block and fault it back in at the
+    # next
+    src, keys, exact = _source(x, sep)
+    cols = np.take(_tables()[1], keys, axis=0)
+    cols += (_SOURCE * np.arange(len(x)))[:, None]
     out = np.take(src.ravel(), cols, mode="clip")
-    for i in np.flatnonzero(~(kernel | zero)):
+    # the values `_digits` did not round exactly, but for zeros
+    for i in np.flatnonzero(~exact & (x != 0.0)):
         text = ("%.17g" % x[i]).encode()
         out[i] = 0
         out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)

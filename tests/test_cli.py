@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdo import cli, dopri, ermakov, g17, models
+from tdo import cli, dopri, ermakov, g17, models, quantum
 
 
 def run(args):
@@ -340,6 +340,13 @@ _SOLVE = ["solve", "--model", "harmonic", "--t0", "0", "--t1", "1"]
     pytest.param(_SOLVE + ["--sweep", "sigma0=1:2:1001"], {}, id="sweep-cap"),
     pytest.param(_SOLVE + ["--sweep", "sigma0=1:2:100000000"], {},
                  id="sweep-cap-huge"),
+    # each once failed on a member value nobody wrote: "got nan"
+    pytest.param(_UNC + ["--sweep", "hbar=1:inf:2"], _RUN,
+                 id="sweep-hbar-to-inf"),
+    pytest.param(_SOLVE + ["--sweep", "sigma0=inf:inf:2"], {},
+                 id="sweep-sigma0-inf"),
+    pytest.param(_SOLVE + ["--sweep", "sigma0=1e308:-1e308:3"], {},
+                 id="sweep-step-overflows"),
     pytest.param(_SOLVE + ["--dt-out", "1e-9"], {}, id="row-cap"),
     pytest.param(["check-min", "--model", "harmonic", "--samples", "1000001"],
                  {}, id="samples-cap"),
@@ -630,6 +637,12 @@ def test_step_size_underflow_is_solver_error(tmp_path, capsys):
                          "--dt-out", "0.5"],
                  "NonFiniteResult", ["harmonic: varQ", "t=0.0"],
                  id="quantum-column-leaves-float-range"),
+    # an hbar sweep shares (mu, nu) but still computes them after the
+    # quadratures, so it fails as a lone call does
+    pytest.param(_UNC + ["--m0", "1e-320", "--t0", "0", "--t1", "1",
+                         "--dt-out", "0.5", "--sweep", "hbar=1:2:2"],
+                 "NonFiniteResult", ["harmonic: varQ", "t=0.0"],
+                 id="quantum-column-leaves-float-range-in-an-hbar-sweep"),
     pytest.param(_UNC + ["--omega0", "1e-320", "--sigma0", "1", "--t0", "0",
                          "--t1", "1", "--dt-out", "0.5"],
                  "ParameterError", ["reference m0 omega0 = 1e-320"],
@@ -767,6 +780,42 @@ def test_sweep_fans_out(tmp_path):
         _, rows = read_csv(tmp_path / f"sweep_{i:03d}.csv")
         # default initial condition is the constant branch 1/sqrt(2 w0)
         assert rows[0, 1] == pytest.approx((2.0 * w0) ** -0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (_UNC + ["--t0", "0", "--t1", "1"], "hbar=1:inf:2"),
+    (_SOLVE, "sigma0=inf:inf:2"),
+    (_SOLVE, "sigma0=1e308:-1e308:3"),
+])
+def test_a_non_finite_sweep_is_named_by_its_spec(tmp_path, capsys, argv,
+                                                 spec):
+    assert run(argv + ["--sweep", spec, "--out", str(tmp_path / "u.csv")]) \
+        == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config_error: --sweep {spec}: ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sweep,runs", [("hbar=0.5:2:3", 1),
+                                        ("sigma0=0.6:1.2:3", 3)])
+def test_only_an_hbar_sweep_shares_its_trajectory(tmp_path, monkeypatch,
+                                                  sweep, runs):
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(ermakov, "integrate_ep")
+    spy(quantum, "bogolubov")
+    assert run(_UNC + ["--t0", "0", "--t1", "1", "--sweep", sweep,
+                       "--out", str(tmp_path / "u.csv")]) == 0
+    assert sorted(calls) == ["bogolubov"] * runs + ["integrate_ep"] * runs
+    assert len(list(tmp_path.iterdir())) == 3
 
 
 def test_sweep_requires_file_output(capsys):
@@ -1016,6 +1065,23 @@ def test_csv_bytes_are_per_value_17g(tmp_path, capsys, command, model, t0,
     assert run(argv + ["--out", "-"]) == 0
     assert capsys.readouterr().out \
         == _per_value_17g(json.loads((tmp_path / "d.json").read_text()))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("model,t0,t1", CATALOG_WINDOWS)
+def test_an_hbar_sweep_writes_what_separate_calls_write(tmp_path, model, t0,
+                                                        t1, fmt):
+    # 201 rows of 8 columns take the block kernel
+    argv = ["uncertainty", "--model", model, "--t0", t0, "--t1", t1,
+            "--dt-out", repr((float(t1) - float(t0)) / 200),
+            "--format", fmt]
+    assert run(argv + ["--sweep", "hbar=0.5:2:3",
+                       "--out", str(tmp_path / f"s.{fmt}")]) == 0
+    for i, hbar in enumerate(np.linspace(0.5, 2.0, 3).tolist()):
+        lone = tmp_path / f"lone.{fmt}"
+        assert run(argv + ["--hbar", repr(hbar), "--out", str(lone)]) == 0
+        assert (tmp_path / f"s_{i:03d}.{fmt}").read_bytes() \
+            == lone.read_bytes()
 
 
 def test_verify_timings_sidecar_leaves_stdout_unchanged(tmp_path, capsys):

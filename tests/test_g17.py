@@ -96,6 +96,16 @@ def test_power_table_holds_each_power_to_half_an_ulp_of_lo():
         assert error <= Fraction(math.ulp(lo)) / 2
 
 
+def test_digit_tables_hold_every_four_digit_group():
+    _, _, quads, significant = g17._tables()
+    assert len(quads) == len(significant) == 10 ** 4
+    text = quads.view(np.uint8).tobytes().decode("ascii")
+    for g in range(10 ** 4):
+        digits = "%04d" % g
+        assert text[4 * g:4 * g + 4] == digits
+        assert significant[g] == len(digits.rstrip("0"))
+
+
 VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(SPECIAL),
