@@ -115,8 +115,8 @@ _JSON_ROW, _JSON_VALUE = "\n    ],\n    [\n      ", ",\n      "
 
 def _json_table(header, columns):
     """The text of `json.dumps({"columns": header, "rows": rows},
-    sort_keys=True, indent=2) + "\\n"` in chunks of about `g17.BLOCK`
-    values, `rows` being the rows of `columns`."""
+    sort_keys=True, indent=2) + "\\n"` in chunks of at most `g17.BLOCK`
+    values (or one row), `rows` being the rows of `columns`."""
     empty = json.dumps({"columns": header, "rows": []}, sort_keys=True,
                        indent=2)
     if not len(columns[0]):

@@ -22,7 +22,9 @@ its increments' sign instead of drowning in the rounding of y.  The output
 times inside one step are read row by row on floats or, from ARRAY_ROWS
 of them on, in one numpy pass over a (rows x n) array, in the same
 operation order and so to the same bits.  An output time equal to a step
-end takes the step's solution itself.
+end takes the step's solution itself.  Every row is written straight into
+the one (len(t_eval), n) float64 array that `solve` returns, allocated
+before the first step: a float row as it is read, an array pass by slice.
 
 The step loop runs on Python floats: the state and the stages are lists,
 and each stage combination is written out term by term.  On the short
@@ -289,11 +291,11 @@ def _floats(v, n):
     return v.reshape(n).tolist()
 
 
-def _table(t_out, out_y, y):
-    """The times and the recorded rows as arrays; the output times left
-    over, which lie at most 1e-12 past t1, take the final state y."""
-    out_y += [y] * (len(t_out) - len(out_y))
-    return np.array(t_out), np.array(out_y).reshape(len(t_out), len(y))
+def _table(ts, ys, i, y):
+    """(ts, ys) once the rows from i on, whose output times lie at most
+    1e-12 past t1, hold the final state y."""
+    ys[i:] = y
+    return ts, ys
 
 
 def _dense(coef, s):
@@ -390,7 +392,9 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None,
 
     Returns
     -------
-    (ts, ys) : recorded times (ndarray) and states (ndarray, one row per time)
+    (ts, ys) : the output times, a copy, and the states, one row per time:
+        C-contiguous float64 arrays of shapes (len(t_eval),) and
+        (len(t_eval), len(y0))
 
     Raises ParameterError for t1 < t0, a y0 that is not 1-D, a t_eval
     outside [t0, t1] or decreasing or an f value of the wrong size,
@@ -409,12 +413,14 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None,
     n_out = len(t_out)
     y = y_arr.tolist()
     n = len(y)
+    ts = t_eval.copy()
+    ys = np.empty((n_out, n))
 
     t = t0
     i_next = bisect_right(t_out, t)
-    out_y = [y] * i_next
+    ys[:i_next] = y
     if t1 == t0:
-        return _table(t_out, out_y, y)
+        return _table(ts, ys, i_next, y)
 
     k1 = _floats(f(t, y), n)
     h = _initial_step(f, t, y_arr, k1, t1, rtol, atol)
@@ -515,15 +521,16 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None,
                 coef = _contd8(f, t, h_try, y, y_new, k1, k6, k7, k8, k9,
                                k10, k11, k12, k13)
                 if i_in - i_next < ARRAY_ROWS:
-                    for t_row in t_out[i_next:i_in]:
-                        s = (t_row - t) / h_try
-                        out_y.append([_dense(c, s) for c in coef])
+                    for i in range(i_next, i_in):
+                        s = (t_out[i] - t) / h_try
+                        ys[i] = [_dense(c, s) for c in coef]
                 else:
                     s = (t_eval[i_next:i_in] - t) / h_try
-                    out_y += _dense(np.array(coef).T, s[:, None]).tolist()
+                    ys[i_next:i_in] = _dense(np.array(coef).T, s[:, None])
             t, y, k1 = t_new, y_new, k13
             i_next = bisect_right(t_out, t, i_in)
-            out_y += [y] * (i_next - i_in)
+            if i_next > i_in:
+                ys[i_in:i_next] = y
             if step_callback is not None:
                 step_callback(t, y)
             if err == 0.0:
@@ -539,4 +546,4 @@ def solve(f, t0, t1, y0, rtol=1e-10, atol=1e-12, t_eval=None,
             h = h_try * max(_FAC_MIN, _SAFETY * err ** -_EXPO)
             rejected = True
 
-    return _table(t_out, out_y, y)
+    return _table(ts, ys, i_next, y)

@@ -525,3 +525,39 @@ def test_forced_linear_systems_match_reference(data, n, rtol, t1, with_grid):
         grid = [t1 * i / 64 for i in sorted(ticks)]
     _assert_same_run(lambda t, y: A @ y + math.sin(t), 0.0, t1, y0,
                      rtol=rtol, atol=1e-12, t_eval=grid)
+
+
+def _step_ends(f, t0, t1, y0):
+    ends = [t0]
+    dopri.solve(f, t0, t1, y0, step_callback=lambda t, y: ends.append(t))
+    return ends
+
+
+def _array_rows_grid():
+    # ARRAY_ROWS output times strictly inside the first step, then t1: one
+    # step's rows in the array pass, whatever the row count of the others
+    a, b = _step_ends(_harmonic, 0.0, 3.0, [1.0, 0.0])[:2]
+    inside = np.linspace(a, b, dopri.ARRAY_ROWS + 2)[1:-1]
+    assert a < inside[0] and inside[-1] < b
+    return np.append(inside, 3.0)
+
+
+@pytest.mark.parametrize("t0, t1, t_eval", [
+    (0.0, 3.0, []),
+    (0.0, 3.0, None),
+    (1.0, 1.0, [1.0 - 1e-12, 1.0, 1.0 + 1e-12]),
+    (0.0, 3.0, [0.0, 1.5, 3.0, 3.0 + 5e-13, 3.0 + 1e-12]),
+    (0.0, 3.0, _array_rows_grid()),
+    (0.0, 3.0, np.linspace(0.0, 3.0, 41)[::2]),  # a strided t_eval
+], ids=["empty", "default", "zero-span", "past-t1", "array-rows",
+        "strided"])
+def test_solution_arrays_have_one_row_per_output_time(t0, t1, t_eval):
+    ts, ys = dopri.solve(_harmonic, t0, t1, [1.0, 0.0], t_eval=t_eval)
+    n_out = 2 if t_eval is None else len(t_eval)
+    for a in (ts, ys):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+    assert ts.shape == (n_out,) and ys.shape == (n_out, 2)
+    if t_eval is not None:
+        np.testing.assert_array_equal(ts, np.asarray(t_eval, dtype=float))
+        assert not np.shares_memory(ts, t_eval)
+    assert np.all(np.isfinite(ys))

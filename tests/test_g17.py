@@ -1,6 +1,7 @@
 """The block CSV writer against per-value "%.17g": byte for byte."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -133,3 +134,62 @@ def test_tables_of_any_shape_match_per_value_17g(n_cols, size, seed, scale,
     for where, value in planted:
         values[where % len(values)] = value
     assert_written_as_17g(as_table(values, n_cols))
+
+
+BLOCKS = (64, 4096, g17.BLOCK)
+
+
+def _split_rows(n_cols, block):
+    """Row counts at and around the even-split boundaries of `block` for
+    an n_cols-wide table: one, two and three chunks, one row more (a new
+    chunk) and one row less (a shorter last chunk)."""
+    per = max(1, block // n_cols)
+    return {k * per + d for k in (1, 2, 3) for d in (-1, 0, 1)} - {0}
+
+
+@pytest.mark.parametrize("n_cols", range(1, 10))
+def test_chunking_keeps_the_bytes(monkeypatch, n_cols):
+    # the shapes around each block size's boundaries, written under every
+    # block size that cuts them into at most 100 chunks; every write equals
+    # the per-value reference, so the writes of one shape are identical
+    shapes = sorted(set().union({1}, *(_split_rows(n_cols, block)
+                                       for block in BLOCKS)))
+    rng = np.random.default_rng(n_cols)
+    n_values = n_cols * shapes[-1]
+    values = rng.standard_normal(n_values) \
+        * 10.0 ** rng.integers(-30, 30, n_values)
+    fields = ["%.17g" % x for x in values.tolist()]
+    for n_rows in shapes:
+        n = n_rows * n_cols
+        want = "".join(",".join(fields[i:i + n_cols]) + "\n"
+                       for i in range(0, n, n_cols))
+        for block in [block for block in BLOCKS if n <= 100 * block]:
+            monkeypatch.setattr(g17, "BLOCK", block)
+            chunks = list(g17.csv_rows(as_table(values[:n], n_cols)))
+            assert "".join(chunks) == want, (n_rows, block)
+            if n < g17.SMALL_TABLE:
+                continue  # the row path writes one chunk
+            rows = [chunk.count("\n") for chunk in chunks]
+            assert all(chunk.endswith("\n") for chunk in chunks)
+            assert max(rows) <= -(-n_rows // -(-n // block)), (n_rows, block)
+            assert max(rows) * n_cols <= max(block, n_cols), (n_rows, block)
+            assert len(set(rows[:-1])) <= 1 and rows[-1] <= rows[0]
+
+
+def test_streaming_memory_does_not_grow_with_the_table():
+    # the peak traced memory of consuming the rows, over the input columns
+    # (made before tracing starts), is the same for a table four times as
+    # long: chunks are formatted and dropped one at a time
+    written(as_table(np.arange(1.0, 2 * g17.SMALL_TABLE), 8))  # the tables
+    rng = np.random.default_rng(30)
+    peaks = []
+    for n_rows in (10 ** 5, 4 * 10 ** 5):
+        columns = list(rng.standard_normal((8, n_rows)))
+        tracemalloc.start()
+        try:
+            for _ in g17.csv_rows(columns):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 ** 20, peaks
