@@ -3,25 +3,22 @@
 The auxiliary equation sigma'' + Omega^2(t) sigma = K / sigma^3 is solved
 as the modulus of one complex solution z of the reduced linear equation
 z'' + Omega^2 z = 0 with Wronskian sqrt(K) (Milne's construction,
-`integrate_ep`).  z takes one of three routes, picked by `integrate_ep`
-from the model and the start: in closed form when the model declares its
-exact unit-data basis and K > 0 (harmonic, kanai_caldirola,
-exp_frequency, tsquared; the minimal branch of the last two excepted),
-and otherwise stepped adaptively, in polar form when the start lies on
-the minimal branch and in Cartesian form from any other start.  The
-closed-form route is Pinney's superposition: sigma^2 = |z|^2 is a
-quadratic form in the unit basis, whose auxiliary-equation residual
-`pinney_residual` evaluates.  Its independent checks are the stepper and
-the closed-form branches of a constant Omega^2 (`sigma_oscillating`,
-`sigma_hyperbolic`) with their fits.  On the stepped routes the phase
-theta = integral dt/sigma^2 and the balance functional F = integral
-d(Omega^2)/dt * sigma^2 dt ride along as extra state components of the
-same stepper, so every quadrature shares the trajectory's error control.
-A trajectory is one `ErmakovState` whose fields are equal-length columns,
-one entry per output time.  The closed-form phases of the oscillating
-and hyperbolic branches, `phase_oscillating` and `phase_hyperbolic`, take
-the branch's constants and the window (t0, t1); the constant branch's is
-2 omega0 (t1 - t0).
+`integrate_ep`), Pinney's superposition z = sigma0 C + (sigma0' + i
+sqrt(K)/sigma0) S on the unit basis C, S of the linear equation, so that
+sigma^2 = |z|^2 is a quadratic form in the basis (`pinney_residual`).  The
+basis is the model's declared closed form where it has one and K > 0
+(harmonic, kanai_caldirola, exp_frequency, tsquared; the minimal branch of
+the last two excepted), and is otherwise stepped adaptively from unit
+data, its turn variable and balance integrals riding along as extra
+state components.  Either way the phase theta = integral dt/sigma^2 and
+the balance functional F = integral d(Omega^2)/dt * sigma^2 dt follow
+from the basis by algebra.  The independent checks are the closed-form
+branches of a constant Omega^2 (`sigma_oscillating`, `sigma_hyperbolic`)
+with their fits, and `verify`'s nonlinear oracle.  A trajectory is one
+`ErmakovState` of equal-length columns, one entry per output time.  The
+closed-form phases of the oscillating and hyperbolic branches,
+`phase_oscillating` and `phase_hyperbolic`, take the branch's constants
+and the window (t0, t1); the constant branch's is 2 omega0 (t1 - t0).
 """
 
 import math
@@ -34,14 +31,12 @@ from .errors import (BudgetExceeded, NonFiniteResult, ParameterError,
                      SingularityApproached, StepSizeUnderflow, require_finite)
 
 DEFAULT_K = 0.25
+# sigma below this absolute floor raises SingularityApproached; it does not
+# scale with sigma0, so a scale-equivalent start that is tiny enough trips it
 SIGMA_FLOOR = 1e-8
-# A start this close (relative) to the minimal branch is stepped in the
-# polar pair.  Starts built from the closed forms lie within a few ulp,
-# and the pair's gain fades fast off the branch: bessel_type (nu = 80),
-# stepped over the 37.5 periods of its frequency on [0.1, 1.9] from the
-# minimal start scaled by 1 + d, makes 6,976 / 6,979 / 8,959 / 10,606
-# coeffs calls in it at d = 0 / 1e-9 / 1e-6 / 1e-5, and 9,097 in the
-# Cartesian.
+# A start this close (relative) to the minimal branch of a time-dependent
+# Omega^2 steps the basis even where the model declares it (integrate_ep);
+# starts built from the closed forms lie within a few ulp.
 BRANCH_RTOL = 1e-9
 
 
@@ -213,44 +208,22 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
     solution of the linear equation z'' + Omega^2 z = 0 with z(t0) = sigma0
     and z'(t0) = sigma0' + i sqrt(K)/sigma0, whose Wronskian x v' - x' v
     is sqrt(K) (Milne, Phys. Rev. 35, 863, 1930; Pinney, Proc. AMS 1, 681,
-    1950).  z takes one of three routes, picked from the model and the
-    start, never by the caller:
-
-    - exact, when the model declares its unit basis
-      (`ModelDescriptor.unit_basis`: harmonic, kanai_caldirola,
-      exp_frequency, tsquared) and K > 0: z and F are evaluated in closed
-      form at the output times and theta = arg z / sqrt(K) takes its turn
-      from the basis's turn variable (`_propagate`).  A start on the
-      minimal branch of a time-dependent Omega^2 (d(Omega^2)/dt != 0 at
-      t0) is the exception and is stepped in the polar pair.
-    - polar, stepped, when init starts the minimal branch (nu(t0) = 0;
-      `_on_a_branch`), where sigma moves slowly while z still turns: the
-      state is (sigma, sigma', theta, F/s) under the auxiliary equation
-      sigma'' + Omega^2 sigma = K/sigma^3 itself.
-    - Cartesian, stepped, from any other start: the state is (x, x', v,
-      v', theta, F/s) with z = x + i v and a linear right-hand side.  z
-      turns once per period whatever sigma does, so this is the cheaper
-      pair when sigma oscillates.
-
-    The stepped routes (K = 0, bessel_type, tables and that exception)
-    use the adaptive 8th-order stepper (dopri.solve, DOP853, absolute
-    tolerance 1e-12) with theta' = 1/sigma^2 and F' = d(Omega^2)/dt *
-    sigma^2 riding along, and read the rows from its continuous extension
-    between steps.  F, which enters the results only through k, is
-    stepped as F/s with s = max(1, rtol |k0| / 1e-12) and k0 the balance
-    at t0; its absolute tolerance is so 1e-12 s, on k's scale.  The exact
-    and the Cartesian route share what follows: sigma = hypot(x, v),
-    sigma' = (x x' + v v')/sigma and, for K > 0, theta = arg z / sqrt(K)
-    on the turn the stepped (or counted) theta lies on.  Returns one
-    ErmakovState of columns at t_eval (default: 201 uniform times).
+    1950).  Every start takes one route, `_propagate`'s algebra on the
+    unit basis C, S of the linear equation from t0.  The basis is the
+    model's declared one (`ModelDescriptor.unit_basis`) when K > 0, and is
+    otherwise stepped from unit data (`_stepped_basis`): on bessel_type,
+    tables, K = 0 and, on a time-dependent Omega^2 (d(Omega^2)/dt != 0
+    at t0), from a start on the minimal branch (`_on_a_branch`).  Returns
+    one ErmakovState of columns at t_eval (default: 201 uniform times).
 
     Raises NonFiniteResult when k0 or a column leaves the floating-point
-    range, SingularityApproached when sigma falls below SIGMA_FLOOR at an
-    accepted step and DomainError when [t0, t1] leaves the model's
+    range, SingularityApproached when sigma = |z| falls below the absolute
+    SIGMA_FLOOR at an accepted step or, for K = 0, when the real z changes
+    sign across one, and DomainError when [t0, t1] leaves the model's
     domain.  The stepper's StepSizeUnderflow and BudgetExceeded come back
     with the model's name and the sigma of the last accepted step added
-    to their message; the exact route raises StepSizeUnderflow when the
-    float times cannot resolve the basis's fastest half turn.
+    to their message; a declared basis raises StepSizeUnderflow when the
+    float times cannot resolve its fastest half turn.
     """
     if K < 0.0:
         raise ParameterError("K < 0 regime is not supported")
@@ -258,8 +231,7 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
     if not sigma0 > SIGMA_FLOOR:
         raise SingularityApproached(
             f"initial sigma {sigma0} at or below floor {SIGMA_FLOOR}")
-    model.domain.require(t0)
-    model.domain.require(t1)
+    model.domain.require([t0, t1])
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 201)
 
@@ -269,34 +241,23 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
         raise NonFiniteResult(
             f"{model.name}: k is first not finite at t={float(t0)!r}")
 
-    exact = model.unit_basis is not None and K > 0.0
-    # a minimal-branch start on a time-dependent Omega^2 still steps the
-    # polar pair: the benchmark's traced-count test needs that stepped call
+    t0, t1 = float(t0), float(t1)
+    ts = dopri.output_times(t0, t1, t_eval)
+    # a minimal-branch start on a time-dependent Omega^2 steps the basis:
+    # the benchmark's traced-count test needs that stepped call
     # (bench/test_bench.py; see ROADMAP)
-    polar = ((not exact or w2_dot != 0.0)
-             and _on_a_branch(model, K, sigma0, sigma_dot0, t0))
-    if exact and not polar:
-        ts, ys = _propagate(model, K, sigma0, sigma_dot0, t0, t1, t_eval)
+    if (model.unit_basis is not None and K > 0.0
+            and not (w2_dot != 0.0
+                     and _on_a_branch(model, K, sigma0, sigma_dot0, t0))):
+        basis = _declared_basis(model, t0, t1, ts)
     else:
-        ts, ys = _step(model, K, sigma0, sigma_dot0, t0, t1, t_eval, rtol,
-                       k0, polar)
+        basis = _stepped_basis(model, K, sigma0, sigma_dot0, t0, t1, ts,
+                               rtol, w2)
+    x, x_dot, v, v_dot, theta, F = _propagate(K, sigma0, sigma_dot0, basis)
     # what leaves the float range is reported below
     with np.errstate(all="ignore"):
-        if polar:
-            sigma, sigma_dot, theta, F = ys.T
-        else:
-            x, x_dot, v, v_dot, theta, F = ys.T
-            sigma = np.hypot(x, v)
-            sigma_dot = (x * x_dot + v * v_dot) / sigma
-            if K > 0.0:
-                # sqrt(K) theta is the angle of z (arg z0 = 0), as accurate
-                # as z itself; the stepped or counted theta picks its turn.
-                # Where theta stalls, the angle's rounding (a few ulp) must
-                # not turn it back
-                root_k = math.sqrt(K)
-                turn = np.arctan2(v, x) - root_k * theta
-                turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
-                theta = np.maximum.accumulate(theta + turn / root_k)
+        sigma = np.hypot(x, v)
+        sigma_dot = (x * x_dot + v * v_dot) / sigma
         k = conserved_k(sigma, sigma_dot, models.omega2(model, ts), K) - F
     state = ErmakovState(t=ts, sigma=sigma, sigma_dot=sigma_dot, theta=theta,
                          k=k, F=F)
@@ -304,27 +265,48 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
     return state
 
 
-def _propagate(model, K, sigma0, sigma_dot0, t0, t1, t_eval):
-    """Rows (x, x', v, v', theta, F) of z = x + i v at t_eval in closed
-    form, for a model that declares its unit basis, and K > 0.
+def _propagate(K, sigma0, sigma_dot0, basis):
+    """Columns (x, x', v, v', theta, F) of z = x + i v = sigma0 C +
+    (sigma0' + i sqrt(K)/sigma0) S on a unit basis, with F = sigma0^2 I_CC
+    + 2 sigma0 sigma0' I_CS + (sigma0'^2 + K/sigma0^2) I_SS.
 
-    With the basis C, S of z'' + Omega^2 z = 0 from t0
-    (`ModelDescriptor.unit_basis`), z = sigma0 C + (sigma0' + i
-    sqrt(K)/sigma0) S and F = sigma0^2 I_CC + 2 sigma0 sigma0' I_CS +
-    (sigma0'^2 + K/sigma0^2) I_SS.  theta = arg z / sqrt(K) takes its turn
-    from the basis's turn variable phi: z(phi + pi) = -z up to a positive
-    factor and arg z grows, so where phi lies in [n pi, (n + 1) pi), arg z
-    does too, however far apart the rows are.  Where the basis does not
-    turn (Omega^2 <= 0), v >= 0 and arg z stays in [0, pi].  Returns (ts,
-    ys) as dopri.solve does for the Cartesian pair, output times up to
-    1e-12 outside [t0, t1] taking the state at the nearer end.
-
-    Raises StepSizeUnderflow when the half period pi/rate at the basis's
-    fastest turn lies below the stepper's floor 1e-14 max(1, |t0|, |t1|),
-    where float times cannot resolve it.
+    For K > 0, theta = arg z / sqrt(K) takes its turn from the basis's turn
+    variable phi: z(phi + pi) = -z up to a positive factor and arg z grows,
+    so where phi lies in [n pi, (n + 1) pi), arg z does too, however far
+    apart the rows are.  For K = 0, z is real and W(z, S/sigma0) = 1, so
+    theta = S/(sigma0 z).
     """
-    t0, t1 = float(t0), float(t1)
-    ts = dopri.output_times(t0, t1, t_eval)
+    # columns past the float range turn inf or nan; the caller reports them
+    with np.errstate(all="ignore"):
+        c, c_dot, s, s_dot, phi = basis[:5]
+        root_k = math.sqrt(K)
+        x = sigma0 * c + sigma_dot0 * s
+        x_dot = sigma0 * c_dot + sigma_dot0 * s_dot
+        v, v_dot = root_k / sigma0 * s, root_k / sigma0 * s_dot
+        F = (sigma0 * (sigma0 * basis.i_cc + 2.0 * sigma_dot0 * basis.i_cs)
+             + (sigma_dot0 * sigma_dot0 + K / (sigma0 * sigma0)) * basis.i_ss)
+        if K > 0.0:
+            # the true angle lies within pi/2 of its half turn's middle
+            angle = np.arctan2(v, x)
+            middle = (np.floor(phi / math.pi) + 0.5) * math.pi
+            theta = (angle + 2.0 * math.pi
+                     * np.round((middle - angle) / (2.0 * math.pi))) / root_k
+            # sqrt(K) theta rounds apart from the angle; the remainder,
+            # modulo 2 pi, goes back into theta
+            rest = angle - root_k * theta
+            rest -= 2.0 * math.pi * np.round(rest / (2.0 * math.pi))
+            theta = theta + rest / root_k
+        else:
+            theta = s / (sigma0 * x)
+        # where theta stalls, rounding must not turn it back
+        theta = np.maximum.accumulate(theta)
+    return x, x_dot, v, v_dot, theta, F
+
+
+def _declared_basis(model, t0, t1, ts):
+    """The model's declared unit basis at ts (clipped to [t0, t1]); raises
+    StepSizeUnderflow when the half period pi/rate of its fastest turn is
+    below the stepper's floor 1e-14 max(1, |t0|, |t1|)."""
     basis = model.unit_basis(t0, np.clip(ts, t0, t1))
     half = math.pi / basis.rate if basis.rate > 0.0 else math.inf
     floor = 1e-14 * max(1.0, abs(t0), abs(t1))
@@ -332,21 +314,7 @@ def _propagate(model, K, sigma0, sigma_dot0, t0, t1, t_eval):
         raise StepSizeUnderflow(
             f"{model.name}: no usable first step at t={t0!r}: the half "
             f"period {half!r} is below the step floor {floor!r}")
-    root_k = math.sqrt(K)
-    # past the float range the columns turn inf or nan, which the caller
-    # reports
-    with np.errstate(all="ignore"):
-        c, c_dot, s, s_dot, phi = basis[:5]
-        x = sigma0 * c + sigma_dot0 * s
-        x_dot = sigma0 * c_dot + sigma_dot0 * s_dot
-        v, v_dot = root_k / sigma0 * s, root_k / sigma0 * s_dot
-        F = (sigma0 * (sigma0 * basis.i_cc + 2.0 * sigma_dot0 * basis.i_cs)
-             + (sigma_dot0 * sigma_dot0 + K / (sigma0 * sigma0)) * basis.i_ss)
-        # the true angle lies within pi/2 of its half turn's middle
-        phase = np.arctan2(v, x)
-        middle = (np.floor(phi / math.pi) + 0.5) * math.pi
-        phase += 2.0 * math.pi * np.round((middle - phase) / (2.0 * math.pi))
-    return ts, np.column_stack((x, x_dot, v, v_dot, phase / root_k, F))
+    return basis
 
 
 def pinney_residual(model, K, init, t0, t):
@@ -356,17 +324,15 @@ def pinney_residual(model, K, init, t0, t):
 
     sigma^2 = A C^2 + 2 D C S + B S^2 with A = sigma0^2, D = sigma0
     sigma0' and B = sigma0'^2 + K/sigma0^2 (so A B - D^2 = K) is |z|^2 for
-    z = x + i v as `_propagate` builds it, so sigma = hypot(x, v), sigma'
-    = (x x' + v v')/sigma and, with x'' = -Omega^2 x and v'' = -Omega^2 v,
-    sigma'' = (x'^2 + v'^2 - Omega^2 sigma^2 - sigma'^2)/sigma, all
-    analytic.
+    z = x + i v from `_propagate`: sigma = hypot(x, v), sigma' = (x x' + v
+    v')/sigma and, as x'' = -Omega^2 x and v'' = -Omega^2 v, sigma'' =
+    (x'^2 + v'^2 - Omega^2 sigma^2 - sigma'^2)/sigma, all analytic.
     """
     if model.unit_basis is None or not K > 0.0:
         raise ParameterError(f"{model.name}: the superposition closed form "
                              f"needs a declared unit basis and K > 0")
     t = np.asarray(t, dtype=float)
-    _, ys = _propagate(model, K, *init, t0, t[-1], t)
-    x, x_dot, v, v_dot = ys[:, :4].T
+    x, x_dot, v, v_dot, _, _ = _propagate(K, *init, model.unit_basis(t0, t))
     w2 = models.omega2(model, t)
     sigma = np.hypot(x, v)
     sigma_dot = (x * x_dot + v * v_dot) / sigma
@@ -375,51 +341,57 @@ def pinney_residual(model, K, init, t0, t):
     return sigma_ddot + w2 * sigma - K / sigma ** 3
 
 
-def _step(model, K, sigma0, sigma_dot0, t0, t1, t_eval, rtol, k0, polar):
-    """Rows of the polar pair (sigma, sigma', theta, F) or of the Cartesian
-    pair (x, x', v, v', theta, F) at t_eval, stepped by dopri.solve with F
-    as F/s; see integrate_ep."""
+def _stepped_basis(model, K, sigma0, sigma_dot0, t0, t1, ts, rtol, w2):
+    """The unit basis at ts, stepped from unit data by dopri.solve (DOP853,
+    absolute tolerance 1e-12) with the balance integrands d(Omega^2)/dt
+    (C^2, C S, S^2) riding along.
+
+    S is stepped as a S with a = sqrt|Omega^2(t0)| (1 where that is 0),
+    so that C + i a S turns at the rate of the motion; phi, its unwrapped
+    arg, has phi' = a/(C^2 + a^2 S^2), and rate is the fastest phi' at an
+    accepted step.  The integrals run as I/s with s = max(1, 4 rtol
+    max(|Omega^2(t0)|, 1) / 1e-12): F, the integrals' combination, enters
+    k only, whose other terms carry the rows' error of a few rtol.  The
+    steps do not depend on the start, which only feeds the guard on z.
+    """
     atol = 1e-12
-    s = max(1.0, rtol * abs(k0) / atol)
+    a = math.sqrt(abs(w2)) or 1.0
+    s = max(1.0, 4.0 * rtol * max(abs(w2), 1.0) / atol)
     coeffs = model.coeffs
-    if polar:
-        def rhs(t, y):
-            sigma, sigma_dot, _, _ = y
-            if not 1e-100 < abs(sigma) < 1e100:
-                # past these bounds the powers below can overflow or divide
-                # by zero, which raises on a float; a numpy scalar gives inf
-                sigma = np.float64(sigma)
-            w2, w2_dot = coeffs(t)
-            u = sigma ** 2
-            return (sigma_dot, -w2 * sigma + K / sigma ** 3, 1.0 / u,
-                    w2_dot * u / s)
 
-        y0 = [sigma0, sigma_dot0, 0.0, 0.0]
-    else:
-        def rhs(t, y):
-            x, x_dot, v, v_dot, _, _ = y
-            w2, w2_dot = coeffs(t)
-            u = x * x + v * v
-            # u underflows to 0 or overflows to inf on a float without
-            # raising; only the division must be kept off 0
-            return (x_dot, -w2 * x, v_dot, -w2 * v,
-                    1.0 / u if u else math.inf, w2_dot * u / s)
+    def rhs(t, y):
+        c, c_dot, sa, sa_dot, _, _, _, _ = y
+        w2, w2_dot = coeffs(t)
+        u = c * c + sa * sa
+        w = w2_dot / s
+        # u underflows to 0 or overflows to inf on a float without raising;
+        # only the division must be kept off 0
+        return (c_dot, -w2 * c, sa_dot, -w2 * sa, a / u if u else math.inf,
+                w * c * c, w * c * sa, w * sa * sa)
 
-        y0 = [sigma0, sigma_dot0, 0.0, math.sqrt(K) / sigma0, 0.0, 0.0]
-
-    last = [sigma0]  # sigma of the last accepted step
+    x_rate, v_rate = sigma_dot0 / a, math.sqrt(K) / sigma0 / a
+    last = [t0, sigma0, a]  # t and sigma of the last accepted step, rate
 
     def guard(t, y):
-        sigma = y[0] if polar else math.hypot(y[0], y[2])
+        c, _, sa = y[:3]
+        x = sigma0 * c + x_rate * sa
+        sigma = math.hypot(x, v_rate * sa)
         if sigma < SIGMA_FLOOR:
             raise SingularityApproached(
                 f"sigma reached {sigma:.3e} at t={t:.6g}")
-        last[0] = sigma
+        if x < 0.0 and not K:
+            raise SingularityApproached(
+                f"z changed sign in the step from t={last[0]:.6g} to "
+                f"t={t:.6g}")
+        last[:] = t, sigma, max(last[2], a / (c * c + sa * sa))
 
     try:
-        ts, ys = dopri.solve(rhs, t0, t1, y0, rtol=rtol, atol=atol,
-                             t_eval=t_eval, step_callback=guard)
+        _, ys = dopri.solve(rhs, t0, t1, [1.0, 0.0, 0.0, a] + [0.0] * 4,
+                            rtol=rtol, atol=atol, t_eval=ts,
+                            step_callback=guard)
     except (StepSizeUnderflow, BudgetExceeded) as exc:
         raise type(exc)(f"{model.name}: {exc}; last accepted "
-                        f"sigma={float(last[0])!r}") from exc
-    return ts, np.column_stack((ys[:, :-1], s * ys[:, -1]))
+                        f"sigma={float(last[1])!r}") from exc
+    c, c_dot, sa, sa_dot, phi, i_cc, i_cs, i_ss = ys.T
+    return models.UnitBasis(c, c_dot, sa / a, sa_dot / a, phi, last[2],
+                            s * i_cc, s * i_cs / a, s * i_ss / a / a)

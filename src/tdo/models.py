@@ -64,12 +64,12 @@ class ModelDescriptor:
     per right-hand-side evaluation.  `unit_basis(t0, t)` declares the
     model's exact basis of z'' + Omega^2 z = 0 started at t0 with unit
     data (a `UnitBasis` of columns at the times t >= t0), and is None
-    where no closed form is known; with it `ermakov.integrate_ep`
-    evaluates the amplitude in closed form instead of stepping it.  The
-    constant-Omega^2 families (harmonic, kanai_caldirola) and the families
-    that keep m*omega constant in closed form (exp_frequency, tsquared)
-    declare it; bessel_type and tables leave it None.  Instances are
-    immutable; every operation on them is a pure function.
+    where no closed form is known, where `ermakov.integrate_ep` steps the
+    basis instead.  The constant-Omega^2 families (harmonic,
+    kanai_caldirola) and the families that keep m*omega constant in closed
+    form (exp_frequency, tsquared) declare it; bessel_type and tables leave
+    it None.  Instances are immutable; every operation on them is a pure
+    function.
     """
 
     name: str
@@ -89,10 +89,11 @@ class UnitBasis(NamedTuple):
     = 1 and C'(t0) = S(t0) = 0, at times t >= t0.
 
     phi is a turn variable: every solution z obeys z(phi + pi) = -z up to
-    a positive factor, so arg z gains pi per pi of phi (phi = 0 where the
-    basis does not turn).  rate is d(phi)/dt at t0, the fastest on the
-    window.  i_cc, i_cs and i_ss are the balance integrals of
-    d(Omega^2)/dt (C^2, C S, S^2) from t0.
+    a positive factor, so arg z gains pi per pi of phi (phi = 0 where a
+    declared basis does not turn).  rate is the fastest d(phi)/dt on the
+    window: at t0 for the declared bases, and the fastest the stepper saw
+    at an accepted step for a stepped one.  i_cc, i_cs and i_ss are the
+    balance integrals of d(Omega^2)/dt (C^2, C S, S^2) from t0.
     """
 
     c: np.ndarray

@@ -6,6 +6,10 @@ reference) and reports the worst error against a pinned tolerance.  No
 randomness enters anywhere, so repeated runs produce byte-identical
 reports.
 
+The nonlinear oracle `_nonlinear_run` steps the auxiliary equation itself,
+independent of `integrate_ep`'s unit basis; it gives the suites' stepped
+minimal-branch rows.
+
 The gate runs on the package alone: stepping is `tdo.dopri`, quadrature
 the composite Gauss-Legendre rule of `tdo.minimum`'s 16-point table, and
 the library Bessel reference is scipy.special.jv on the bessel suite's
@@ -148,12 +152,35 @@ def _stepped(model):
     return dataclasses.replace(model, unit_basis=None)
 
 
+def _nonlinear_run(model, K, init, t0, t1, t_eval, rtol=1e-10):
+    """ErmakovState at t_eval of the auxiliary equation stepped itself
+    (absolute tolerance 1e-12) as (sigma, sigma', theta, F/s), with s =
+    max(1, rtol |k0| / 1e-12) for the balance k0 at t0."""
+    k0 = ermakov.conserved_k(*init, model.coeffs(float(t0))[0], K)
+    s = max(1.0, rtol * abs(k0) / 1e-12)
+    coeffs = model.coeffs
+
+    def rhs(t, y):
+        sigma, sigma_dot, _, _ = y
+        w2, w2_dot = coeffs(t)
+        u = sigma ** 2
+        return (sigma_dot, -w2 * sigma + K / sigma ** 3, 1.0 / u,
+                w2_dot * u / s)
+
+    ts, ys = dopri.solve(rhs, t0, t1, [*init, 0.0, 0.0], rtol=rtol,
+                         atol=1e-12, t_eval=t_eval)
+    sigma, sigma_dot, theta = ys[:, :3].T
+    F = s * ys[:, 3]
+    k = ermakov.conserved_k(sigma, sigma_dot, models.omega2(model, ts), K) - F
+    return ermakov.ErmakovState(t=ts, sigma=sigma, sigma_dot=sigma_dot,
+                                theta=theta, k=k, F=F)
+
+
 def _minimal_run(model, t0, t1, n=201):
-    """Stepped minimal branch of `model` from its exact state at t0."""
+    """The nonlinear oracle from the exact minimal-branch state at t0."""
     c = minimum.minimum_model(model).c
-    return ermakov.integrate_ep(_stepped(model), 0.25,
-                                minimum.minimal_amplitude(model, c, t0),
-                                t0, t1, t_eval=np.linspace(t0, t1, n))
+    return _nonlinear_run(model, 0.25, minimum.minimal_amplitude(model, c, t0),
+                          t0, t1, np.linspace(t0, t1, n))
 
 
 def suite_ermakov():

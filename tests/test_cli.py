@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdo import cli, dopri, ermakov, g17, models, quantum
+from tdo import cli, dopri, ermakov, g17, models, quantum, verify
 
 
 def run(args):
@@ -138,23 +139,17 @@ def undeclared(monkeypatch):
                             stepped(models._FACTORIES[name]))
 
 
-def _count_pairs(monkeypatch):
-    """Spy on dopri.solve: the state width of each integration (4 is the
-    polar pair, 6 the Cartesian) and the right-hand-side calls it made."""
-    solve, seen = dopri.solve, []
+def _solve_widths(monkeypatch):
+    """Spy on dopri.solve: the state width of each integration (8 is the
+    stepped basis)."""
+    solve, widths = dopri.solve, []
 
     def spy(rhs, t0, t1, y0, *args, **kwargs):
-        calls = [len(y0), 0]
-        seen.append(calls)
-
-        def counted(t, y):
-            calls[1] += 1
-            return rhs(t, y)
-
-        return solve(counted, t0, t1, y0, *args, **kwargs)
+        widths.append(len(y0))
+        return solve(rhs, t0, t1, y0, *args, **kwargs)
 
     monkeypatch.setattr(dopri, "solve", spy)
-    return seen
+    return widths
 
 
 @pytest.mark.parametrize("argv,polar", [
@@ -170,13 +165,28 @@ def _count_pairs(monkeypatch):
 ])
 def test_default_initial_data_step_in_the_polar_pair(tmp_path, monkeypatch,
                                                      undeclared, argv, polar):
-    # the minimal branch (the default where m*omega is constant, or the
-    # same start typed out) moves slowly, so its sigma is stepped itself;
-    # any other start steps x + iv
-    seen = _count_pairs(monkeypatch)
+    # the CLI steps one basis (8 components) from any start; the same
+    # start stepped in the polar pair of verify's nonlinear oracle gives
+    # the same rows.  polar marks the starts on the minimal branch: the
+    # default where m*omega is constant, or the same start typed out
+    calls, widths = [], _solve_widths(monkeypatch)
+    integrate_ep = ermakov.integrate_ep
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, integrate_ep(*args, **kwargs)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(ermakov, "integrate_ep", spy)
     assert run(["solve", *argv, "--t0", "0", "--t1", "1",
                 "--out", str(tmp_path / "x.csv")]) == 0
-    assert [width for width, _ in seen] == [4 if polar else 6]
+    assert widths == [8]
+    ((model, K, init, t0, t1), kwargs, got), = calls
+    assert ermakov._on_a_branch(model, K, *init, t0) == polar
+    ref = verify._nonlinear_run(model, K, init, t0, t1, kwargs["t_eval"],
+                                rtol=1e-12)
+    assert np.max(np.abs(got.sigma / ref.sigma - 1.0)) <= 1e-8
+    assert np.max(np.abs(got.sigma_dot - ref.sigma_dot)) <= 1e-8
+    assert np.max(np.abs(got.theta[1:] / ref.theta[1:] - 1.0)) <= 1e-8
 
 
 @pytest.mark.parametrize("argv,widths", [
@@ -185,57 +195,42 @@ def test_default_initial_data_step_in_the_polar_pair(tmp_path, monkeypatch,
     (["--model", "kanai_caldirola"], []),
     (["--model", "kanai_caldirola", "--gamma", "2.2"], []),
     (["--model", "kanai_caldirola", "--gamma", "2"], []),  # Omega^2 = 0
-    (["--model", "harmonic", "--K", "0"], [6]),
-    (["--model", "kanai_caldirola", "--K", "0"], [6]),
-    (["--model", "exp_frequency"], [4]),
+    (["--model", "harmonic", "--K", "0"], [8]),
+    (["--model", "kanai_caldirola", "--K", "0"], [8]),
+    (["--model", "exp_frequency"], [8]),
     (["--model", "exp_frequency", "--sigma0", "0.8"], []),
-    (["--model", "tsquared", "--t0", "1", "--t1", "2"], [4]),
+    (["--model", "tsquared", "--t0", "1", "--t1", "2"], [8]),
     (["--model", "tsquared", "--t0", "1", "--t1", "2", "--sigma0", "0.8"],
      []),
-    (["--model", "bessel_type", "--t0", "0.1", "--t1", "0.8"], [4]),
+    (["--model", "bessel_type", "--t0", "0.1", "--t1", "0.8"], [8]),
     (["--model", "bessel_type", "--t0", "0.1", "--t1", "0.8",
-      "--sigma0", "0.3"], [6]),
+      "--sigma0", "0.3"], [8]),
     (["--model", "exp_frequency", "--sigma0", "0.8", "--sigma-dot0", "-0.3",
       "--K", "2"], []),
-    (["--model", "exp_frequency", "--K", "0"], [6]),
+    (["--model", "exp_frequency", "--K", "0"], [8]),
     (["--model", "tsquared", "--t0", "1", "--t1", "2", "--sigma0", "1.3",
       "--sigma-dot0", "0.4", "--K", "0.1"], []),
-    (["--model", "tsquared", "--t0", "1", "--t1", "2", "--K", "0"], [6]),
+    (["--model", "tsquared", "--t0", "1", "--t1", "2", "--K", "0"], [8]),
 ])
 def test_the_model_and_K_pick_the_exact_route(tmp_path, monkeypatch, argv,
                                               widths):
     # a declared unit basis with K > 0 is evaluated in closed form, with no
     # stepper call, except from the minimal branch of a time-dependent
-    # Omega^2 (exp_frequency and tsquared by default); K = 0 and
-    # bessel_type are stepped in the polar (4) or the Cartesian (6) pair
-    seen, exact = _count_pairs(monkeypatch), []
-    propagate = ermakov._propagate
+    # Omega^2 (exp_frequency and tsquared by default); there, for K = 0 and
+    # on bessel_type, the basis is stepped as 8 components
+    seen, exact = _solve_widths(monkeypatch), []
+    declared = ermakov._declared_basis
 
     def spy(*args, **kwargs):
         exact.append(args[0].name)
-        return propagate(*args, **kwargs)
+        return declared(*args, **kwargs)
 
-    monkeypatch.setattr(ermakov, "_propagate", spy)
+    monkeypatch.setattr(ermakov, "_declared_basis", spy)
     window = [] if "--t0" in argv else ["--t0", "0", "--t1", "1"]
     assert run(["solve", *argv, *window,
                 "--out", str(tmp_path / "x.csv")]) == 0
-    assert [width for width, _ in seen] == widths
+    assert seen == widths
     assert len(exact) == (0 if widths else 1)
-
-
-def test_a_typed_branch_start_is_stepped_cheaply(tmp_path, monkeypatch,
-                                                 undeclared):
-    # the minimal branch typed as --sigma0 takes the polar pair by itself:
-    # over 40 periods it needs under a quarter of the Cartesian pair's calls
-    argv = ["solve", "--model", "harmonic", "--sigma0", "0.7071067811865476",
-            "--t0", "0", "--t1", "250", "--out", str(tmp_path / "x.csv")]
-    seen = _count_pairs(monkeypatch)
-    assert run(argv) == 0
-    monkeypatch.setattr(ermakov, "_on_a_branch", lambda *args: False)
-    assert run(argv) == 0
-    (polar, polar_calls), (cartesian, cartesian_calls) = seen
-    assert (polar, cartesian) == (4, 6)
-    assert 4 * polar_calls < cartesian_calls
 
 
 @pytest.mark.parametrize("argv,line", [
@@ -245,13 +240,6 @@ def test_a_typed_branch_start_is_stepped_cheaply(tmp_path, monkeypatch,
     pytest.param(["--model", "exp_frequency", "--sigma0", "1e200"],
                  "NonFiniteResult: exp_frequency: k is first not finite at "
                  "t=0.0", id="exp_frequency-k0-overflows"),
-    # a stepped model finds no first step at a scale-equivalent start,
-    # whose zero components' slopes grow like sigma0 while atol stays 1e-12
-    pytest.param(["--model", "bessel_type", "--t0", "0.1", "--K", "1e300",
-                  "--sigma0", "1e75"],
-                 "StepSizeUnderflow: bessel_type: step size underflow in "
-                 "dopri.solve at t=0.1, h=1.4106166675083393e-79; last "
-                 "accepted sigma=1e+75", id="stepper-finds-no-step"),
 ])
 def test_huge_amplitudes_fail_as_solver_errors(capsys, argv, line):
     # K/sigma0^4 overflows or underflows in the branch test without raising;
@@ -260,28 +248,69 @@ def test_huge_amplitudes_fail_as_solver_errors(capsys, argv, line):
     assert capsys.readouterr().err == line + "\n"
 
 
-@pytest.mark.parametrize("model,t0,t1", [("exp_frequency", "0", "1"),
-                                         ("tsquared", "1", "2")])
-@pytest.mark.parametrize("lam", ["1e30", "1e75"])
-@pytest.mark.parametrize("rate", [0.0, 0.3])
+def _scaled_rows(tmp_path, argv, scale, K=1.0, rate=0.0):
+    """Rows of `tdo solve argv` from sigma0 = scale, sigma0' = rate scale
+    and K scale^4, the start of scale 1 scaled."""
+    out = tmp_path / f"{scale!r}.csv"
+    assert run(["solve", *argv, "--K", repr(scale ** 4 * K),
+                "--sigma0", repr(scale), "--sigma-dot0", repr(rate * scale),
+                "--out", str(out)]) == 0
+    return read_csv(out)[1]
+
+
+# t, sigma, sigma', theta, k, F scale by lam to these powers
+_SCALE_POWERS = [0.0, 1.0, 1.0, -2.0, 2.0, 2.0]
+# (model, t0, t1, K): the closed form, the stepped basis (bessel_type, and
+# every model at K = 0) and, at rate 0, the minimal branch of exp_frequency
+# and tsquared, whose basis is stepped too
+_SCALE_CASES = [("exp_frequency", "0", "1", 1.0), ("tsquared", "1", "2", 1.0),
+                ("bessel_type", "0.1", "0.8", 1.0),
+                ("harmonic", "0", "1", 0.0), ("exp_frequency", "0", "1", 0.0)]
+_LAMS = {"1e30": 1e30, "1e75": 1e75, "2^100": 2.0 ** 100, "2^-20": 2.0 ** -20}
+
+
+@pytest.mark.parametrize("model,t0,t1,K,lam,rate", [
+    pytest.param(model, t0, t1, K, lam, rate,
+                 id="-".join((repr(rate), lam, model, t0, t1))
+                 + ("" if K else "-K0"))
+    for model, t0, t1, K in _SCALE_CASES for lam in _LAMS
+    for rate in (0.0, 0.3)
+    if K or lam.startswith("2^")])
 def test_scale_equivalent_starts_are_solved_exactly(tmp_path, model, t0, t1,
-                                                    lam, rate):
-    # sigma -> lam sigma, K -> lam^4 K (at rate 0 the stepper's repros):
-    # the closed form scales its rows by lam (sigma, sigma'), 1/lam^2
-    # (theta) and lam^2 (k, F), where the stepper found no first step; at
-    # most 7.1e-16 relative measured
+                                                    K, lam, rate):
+    # sigma -> lam sigma, K -> lam^4 K: z = sigma0 C + (sigma0' + i
+    # sqrt(K)/sigma0) S on a basis from unit data, declared or stepped,
+    # scales its rows by lam (sigma, sigma'), 1/lam^2 (theta) and lam^2
+    # (k, F); bit for bit at a power of two, and at most 7.1e-16 relative
+    # measured at lam = 1e30 and 1e75, where the stepper once found no
+    # first step
+    argv = ["--model", model, "--t0", t0, "--t1", t1]
+    scale = _LAMS[lam]
+    ref = _scaled_rows(tmp_path, argv, 1.0, K, rate)
+    got = _scaled_rows(tmp_path, argv, scale, K, rate)
+    for column, power in enumerate(_SCALE_POWERS):
+        want = ref[:, column] * scale ** power
+        if lam.startswith("2^"):
+            assert np.array_equal(got[:, column], want)
+        else:
+            assert np.max(np.abs(got[:, column] - want)) \
+                <= 2e-15 * np.max(np.abs(want))
+
+
+def test_a_huge_start_on_a_stepped_model_is_solved(tmp_path):
+    # the scale-equivalent start that once ended in StepSizeUnderflow (the
+    # zero components' slopes grew like sigma0 while atol stayed 1e-12)
+    # steps the same unit basis as sigma0 = 1, K = 1
+    argv = ["--model", "bessel_type", "--t0", "0.1", "--t1", "1"]
     rows = []
-    for scale in (1.0, float(lam)):
-        out = tmp_path / f"{scale!r}.csv"
-        assert run(["solve", "--model", model, "--t0", t0, "--t1", t1,
-                    "--K", repr(scale ** 4), "--sigma0", repr(scale),
-                    "--sigma-dot0", repr(rate * scale),
+    for K, sigma0 in (("1", "1"), ("1e300", "1e75")):
+        out = tmp_path / f"{sigma0}.csv"
+        assert run(["solve", *argv, "--K", K, "--sigma0", sigma0,
                     "--out", str(out)]) == 0
         rows.append(read_csv(out)[1])
     ref, got = rows
-    powers = [0.0, 1.0, 1.0, -2.0, 2.0, 2.0]  # t, sigma, sigma', theta, k, F
-    for column, power in enumerate(powers):
-        want = ref[:, column] * float(lam) ** power
+    for column, power in enumerate(_SCALE_POWERS):
+        want = ref[:, column] * 1e75 ** power
         assert np.max(np.abs(got[:, column] - want)) \
             <= 2e-15 * np.max(np.abs(want))
 
@@ -602,15 +631,16 @@ def test_sweep_over_series_alias_writes_distinct_runs(tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_step_size_underflow_is_solver_error(tmp_path, capsys):
-    # sigma runs away near t = 0.7112; 0.712 is about the shortest window
-    # that still reaches the underflow.  K = 0 keeps the run on the stepper
+    # the basis runs away like exp(500 t) and its slopes leave the float
+    # range near t = 1.3889; 1.389 is about the shortest window that still
+    # reaches the underflow.  K = 0 keeps the run on the stepper
     code = run(["solve", "--model", "exp_frequency", "--gamma0", "1e3",
-                "--t0", "0", "--t1", "0.712", "--sigma0", "1", "--K", "0",
+                "--t0", "0", "--t1", "1.389", "--sigma0", "1", "--K", "0",
                 "--out", str(tmp_path / "x.csv")])
     assert code == 3
     err, = capsys.readouterr().err.splitlines()
     assert err.startswith("StepSizeUnderflow:")
-    assert "t=0.711" in err and "h=" in err
+    assert "t=1.388" in err and "h=" in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -625,7 +655,8 @@ def test_step_size_underflow_is_solver_error(tmp_path, capsys):
                  id="run-leaves-float-range"),
     pytest.param(_SOLVE[:3] + ["--K", "0", "--sigma0", "1", "--t0", "0",
                                "--t1", "5"],
-                 "SingularityApproached", ["t=1.5708"],
+                 "SingularityApproached",
+                 ["z changed sign in the step from t=1.33849 to t=1.66604"],
                  id="K-zero-sigma-reaches-zero"),
     # Omega^2 = 1 - 2500: cosh(L t) overflows near t = 14.2
     pytest.param(["solve", "--model", "kanai_caldirola", "--gamma", "100",
@@ -658,15 +689,56 @@ def test_solver_errors_exit_3_with_one_line(tmp_path, capsys, argv, kind,
 
 def test_step_budget_is_solver_error(tmp_path, capsys, monkeypatch):
     # the frequency nu/t with nu = 50 turns z some 23 times on [0.1, 1.9],
-    # more than 1000 step attempts' worth
+    # more than 400 step attempts' worth of the stepped basis
     from tdo import dopri
-    monkeypatch.setattr(dopri, "MAX_STEPS", 1000)
+    monkeypatch.setattr(dopri, "MAX_STEPS", 200)
     code = run(["solve", "--model", "bessel_type", "--nu", "50",
                 "--sigma0", "0.3", "--t0", "0.1", "--t1", "1.9",
                 "--out", str(tmp_path / "x.csv")])
     assert code == 3
     err, = capsys.readouterr().err.splitlines()
-    assert err.startswith("BudgetExceeded:") and "1201 step attempts" in err
+    assert err.startswith("BudgetExceeded:") and "401 step attempts" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--model", "harmonic", "--sigma0", "1", "--t0", "0", "--t1", "2"], 3),
+    (["--model", "bessel_type", "--sigma0", "0.3", "--t0", "0.1",
+      "--t1", "0.8"], 3),
+    (["--model", "harmonic", "--sigma0", "1", "--sigma-dot0", "0.5",
+      "--t0", "0", "--t1", "1"], 0),
+], ids=["harmonic-reaches-zero", "bessel_type-reaches-zero",
+        "harmonic-stays-off-zero"])
+def test_k_zero_starts_keep_their_outcome(tmp_path, capsys, argv, code):
+    # K = 0: z = sigma is real and the run fails where it reaches zero
+    assert run(["solve", "--K", "0", *argv,
+                "--out", str(tmp_path / "x.csv")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("SingularityApproached:") if code else err == ""
+
+
+def test_k_zero_sign_change_inside_one_step_is_reported(tmp_path, capsys,
+                                                       monkeypatch):
+    # z = cos t changes sign at pi/2 inside one long accepted step, with
+    # rows only at the window's ends: the run fails and names that step
+    # instead of returning theta = tan t across its pole
+    ends, solve = [0.0], dopri.solve
+
+    def spy(f, t0, t1, y0, *args, step_callback, **kwargs):
+        def callback(t, y):
+            ends.append(t)
+            step_callback(t, y)
+
+        return solve(f, t0, t1, y0, *args, step_callback=callback, **kwargs)
+
+    monkeypatch.setattr(dopri, "solve", spy)
+    assert run(["solve", "--model", "harmonic", "--K", "0", "--sigma0", "1",
+                "--t0", "0", "--t1", "2", "--dt-out", "2",
+                "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    lo, hi = (float(v) for v in re.findall(r"t=(\S+)", err))
+    assert ends[-2] < math.pi / 2 < ends[-1]
+    assert ends[-1] - ends[-2] > 0.1
+    assert (lo, hi) == pytest.approx((ends[-2], ends[-1]), rel=1e-5)
 
 
 def test_series_json(capsys):

@@ -1,9 +1,10 @@
 """Auxiliary-equation tests.
 
-The routes of a complex solution of the linear equation (superposition
-closed form on the unit basis, polar and Cartesian stepping) are checked
-against each other, against the closed-form branches of a constant
-Omega^2 and against the first-integral oracle
+The complex solution of the linear equation, the superposition on a unit
+basis declared in closed form or stepped, is checked against itself
+across the two kinds of basis, against the auxiliary equation stepped
+itself (`verify`'s nonlinear oracle), against the closed-form branches of
+a constant Omega^2 and against the first-integral oracle
 sigma'^2 + Omega^2 sigma^2 + K/sigma^2 = const; phases are checked against
 adaptive quadrature of 1/sigma^2.
 """
@@ -17,11 +18,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from tdo import cli, dopri, ermakov, minimum, models, series
+from tdo import cli, dopri, ermakov, minimum, models, series, verify
 from tdo.errors import (BudgetExceeded, NonFiniteResult, ParameterError,
                         SingularityApproached, StepSizeUnderflow, TdoError)
 
@@ -32,14 +33,6 @@ def stepped(model):
     """model with its unit basis undeclared, as a table has it, so
     integrate_ep steps it instead of evaluating it in closed form."""
     return dataclasses.replace(model, unit_basis=None)
-
-
-@pytest.fixture
-def force_pair(monkeypatch):
-    """force(polar): integrate_ep steps the polar pair, or the Cartesian."""
-    def force(polar):
-        monkeypatch.setattr(ermakov, "_on_a_branch", lambda *args: polar)
-    return force
 
 
 # --- superposition closed form ----------------------------------------------
@@ -219,27 +212,29 @@ def test_stalled_phase_stays_nondecreasing_between_steps(omega0):
         assert np.all(np.diff(states.theta) >= 0.0)
 
 
-def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch,
-                                                        force_pair):
-    # sigma runs away near t = 0.7112 (the CLI's underflow repro): the step
-    # underflows there, one step after sigma has left the float range
-    for polar in (False, True):
-        force_pair(polar)
-        with (pytest.raises(StepSizeUnderflow) as info,
-              np.errstate(all="ignore")):
-            ermakov.integrate_ep(stepped(models.exp_frequency(gamma0=1e3)),
-                                 0.25, (1.0, 0.0), 0.0, 0.712)
-        message = str(info.value)
-        assert message.startswith("exp_frequency: step size underflow")
-        assert "t=0.711" in message and "h=" in message
-        assert float(message.rsplit("last accepted sigma=", 1)[1]) > 1e150
+def test_solver_errors_name_the_model_and_the_last_sigma(monkeypatch):
+    # the basis runs away like exp(500 t) (the CLI's underflow repro): the
+    # step underflows near t = 1.3889, where its slopes leave the float
+    # range
+    with (pytest.raises(StepSizeUnderflow) as info,
+          np.errstate(all="ignore")):
+        ermakov.integrate_ep(stepped(models.exp_frequency(gamma0=1e3)),
+                             0.25, (1.0, 0.0), 0.0, 1.389)
+    message = str(info.value)
+    assert message.startswith("exp_frequency: step size underflow")
+    assert "t=1.388" in message and "h=" in message
+    assert float(message.rsplit("last accepted sigma=", 1)[1]) > 1e150
     monkeypatch.setattr(dopri, "MAX_STEPS", 100)
-    force_pair(False)
     with pytest.raises(BudgetExceeded,
                        match=r"^harmonic: .*t=.*h=.*103 step attempts; "
-                             r"last accepted sigma=0\.9"):
+                             r"last accepted sigma=") as info:
         ermakov.integrate_ep(stepped(models.harmonic()), 0.25, (1.0, 0.0),
                              0.0, 1000.0, t_eval=[0.0, 500.0, 1000.0])
+    # the last accepted sigma is |cos t + i sin(t)/2| at the reported t
+    t, sigma = (float(re.search(pattern, str(info.value)).group(1))
+                for pattern in (r" at t=(\S+),", r"sigma=(\S+)$"))
+    assert sigma == pytest.approx(math.hypot(math.cos(t), 0.5 * math.sin(t)),
+                                  rel=1e-9)
 
 
 # a window inside each catalog model's domain
@@ -249,25 +244,36 @@ WINDOWS = {"tsquared": (1.0, 3.0), "bessel_type": (0.1, 0.8)}
 @pytest.mark.parametrize("model", models.catalog(), ids=lambda m: m.name)
 def test_complex_solution_keeps_its_wronskian(model, monkeypatch):
     # sigma = |x + iv| solves the auxiliary equation while x v' - x' v
-    # stays sqrt(K), stepped or in closed form (same row layout)
-    solved = []
-    for owner, name in ((dopri, "solve"), (ermakov, "_propagate")):
-        def spy(*args, _route=getattr(owner, name), **kwargs):
-            solved.append(_route(*args, **kwargs))
-            return solved[-1]
+    # stays sqrt(K), on a basis stepped as 8 components (bessel_type) or
+    # declared in closed form, whose Wronskian C S' - C' S stays 1
+    widths, bases = [], []
+    solve, propagate = dopri.solve, ermakov._propagate
 
-        monkeypatch.setattr(owner, name, spy)
+    def spy_solve(f, t0, t1, y0, *args, **kwargs):
+        widths.append(len(y0))
+        return solve(f, t0, t1, y0, *args, **kwargs)
+
+    def spy_propagate(K, sigma0, sigma_dot0, basis):
+        bases.append(basis)
+        return propagate(K, sigma0, sigma_dot0, basis)
+
+    monkeypatch.setattr(dopri, "solve", spy_solve)
+    monkeypatch.setattr(ermakov, "_propagate", spy_propagate)
     t0, t1 = WINDOWS.get(model.name, (0.0, 5.0))
-    ermakov.integrate_ep(model, 0.25, (0.9, 0.1), t0, t1,
-                         t_eval=np.linspace(t0, t1, 50))
-    (_, ys), = solved
-    x, x_dot, v, v_dot = ys[:, :4].T
+    st_ = ermakov.integrate_ep(model, 0.25, (0.9, 0.1), t0, t1,
+                               t_eval=np.linspace(t0, t1, 50))
+    assert widths == ([] if model.unit_basis else [8])
+    b, = bases
+    assert np.max(np.abs(b.c * b.s_dot - b.c_dot * b.s - 1.0)) <= 1e-9
+    x, x_dot, v, v_dot, theta, F = propagate(0.25, 0.9, 0.1, b)
     assert np.max(np.abs(x * v_dot - x_dot * v - 0.5)) <= 1e-9 * 0.5
+    assert np.array_equal(np.hypot(x, v), st_.sigma)
+    assert np.array_equal(theta, st_.theta) and np.array_equal(F, st_.F)
 
 
 # catalog parameter boxes, start windows t0 in [lo, hi] and longest span
-# of the stepped pairs
-PAIR_BOXES = {
+# of the stepped (Cartesian) pair against the (polar) nonlinear oracle
+ORACLE_BOXES = {
     "harmonic": ({"omega0": st.floats(0.5, 2.0)}, (-2.0, 2.0), 5.0),
     "kanai_caldirola": ({"omega0": st.floats(0.5, 2.0),
                          "gamma": st.floats(0.0, 1.5)}, (-2.0, 2.0), 3.0),
@@ -281,53 +287,148 @@ PAIR_BOXES = {
 }
 
 
-@pytest.mark.parametrize("name", list(PAIR_BOXES))
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def _exp(omega0, gamma0):
+    return ("exp_frequency", {"omega0": omega0, "gamma0": gamma0, "c": 1.0})
+
+
+def _assert_pairs_agree(name, params, t0, t1, K, init):
+    # z stepped as (x, v), the unit basis of the linear equation (closed
+    # forms stripped), against z stepped as (sigma, sqrt(K) theta), the
+    # auxiliary equation itself in (sigma, sigma', theta, F) at rtol 1e-12.
+    # k is the small remainder of terms of size sigma'^2, |Omega^2| sigma^2
+    # and K/sigma^2, so its bound is set by those terms, not by |k|
+    model = models.get_model(name, **params)
+    t_eval = np.linspace(t0, t1, 50)
+    got = ermakov.integrate_ep(stepped(model), K, init, t0, t1,
+                               t_eval=t_eval)
+    ref = verify._nonlinear_run(model, K, init, t0, t1, t_eval, rtol=1e-12)
+    assert np.array_equal(got.t, ref.t)
+    assert np.max(np.abs(got.sigma / ref.sigma - 1.0)) <= 1e-8
+    assert np.max(np.abs(got.sigma_dot - ref.sigma_dot)) <= 1e-8
+    assert np.max(np.abs(got.theta[1:] / ref.theta[1:] - 1.0)) <= 1e-8
+    u = ref.sigma * ref.sigma
+    terms = np.maximum(np.maximum(ref.sigma_dot ** 2,
+                                  np.abs(models.omega2(model, ref.t)) * u),
+                       K / u)
+    assert np.max(np.abs(got.k - ref.k)) <= 1e-8 * np.max(terms)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_BOXES))
+@settings(max_examples=30, deadline=None)
 @given(data=st.data(), K=st.floats(0.1, 2.0), sigma0=st.floats(0.4, 1.5),
        sigma_dot0=st.floats(-0.5, 0.5))
-def test_polar_and_cartesian_pairs_agree(name, force_pair, data, K, sigma0,
-                                         sigma_dot0):
-    # the same z stepped as (sigma, sqrt(K) theta) under the auxiliary
-    # equation and as (x, v) under the linear one, with the basis undeclared
-    box, (lo, hi), longest = PAIR_BOXES[name]
-    model = stepped(models.get_model(name,
-                                     **data.draw(st.fixed_dictionaries(box))))
+def test_polar_and_cartesian_pairs_agree(name, data, K, sigma0, sigma_dot0):
+    # the Cartesian pair is the stepped basis of integrate_ep, the polar
+    # pair the nonlinear oracle of verify
+    box, (lo, hi), longest = ORACLE_BOXES[name]
+    params = data.draw(st.fixed_dictionaries(box))
     t0 = data.draw(st.floats(lo, hi))
     t1 = t0 + data.draw(st.floats(0.05, longest))
-
-    def run(polar):
-        force_pair(polar)
-        return ermakov.integrate_ep(model, K, (sigma0, sigma_dot0), t0, t1,
-                                    t_eval=np.linspace(t0, t1, 50))
-
-    cart, polar = run(False), run(True)
-    assert np.array_equal(cart.t, polar.t)
-    assert np.max(np.abs(cart.sigma / polar.sigma - 1.0)) <= 1e-8
-    assert np.max(np.abs(cart.sigma_dot - polar.sigma_dot)) <= 1e-8
-    assert np.max(np.abs(cart.theta[1:] / polar.theta[1:] - 1.0)) <= 1e-8
-    assert np.max(np.abs(cart.k - polar.k)) <= 1e-8 * np.max(np.abs(polar.k))
+    _assert_pairs_agree(name, params, t0, t1, K, (sigma0, sigma_dot0))
 
 
-def test_polar_pair_steps_a_branch_in_few_calls(force_pair):
+# regression draws (a)-(g), which once broke these bounds in theta (a), k
+# (b, c, e, f, g) or sigma' (d); (e)'s window, K and start were not
+# recorded and are filled in
+RECORDED_DRAWS = {
+    "a": (*_exp(1.5, 0.5625), 0.0, 1.0, 0.625, (0.875, 0.0)),
+    "b": (*_exp(1.03125, 1.1953125), 1.25, 2.25, 1.25,
+          (1.4921875, 0.3359375)),
+    "c": (*_exp(1.0, 1.5), 1.0, 4.0, 2.0, (1.5, 0.0)),
+    "d": ("tsquared", {"m0": 0.5, "c": 0.5}, 0.5, 1.0, 1.625,
+          (0.40234375, 0.0)),
+    "e": (*_exp(1.0, 1.5), 0.0, 3.0, 1.0, (1.0, 0.0)),
+    "f": (*_exp(1.0, 1.25390625), 1.25, 2.25, 0.86328125,
+          (1.25390625, 0.0)),
+    "g": (*_exp(1.0, 1.0), 1.5, 3.5, 1.0, (1.5, 0.0)),
+}
+
+
+@pytest.mark.parametrize("draw", list(RECORDED_DRAWS.values()),
+                         ids=list(RECORDED_DRAWS))
+def test_pairs_agree_on_the_recorded_draws(draw):
+    _assert_pairs_agree(*draw)
+
+
+def _counted_harmonic():
+    """harmonic with its unit basis undeclared, and its coeffs calls."""
+    n, m = [0], models.harmonic()
+
+    def coeffs(t):
+        n[0] += 1
+        return m.coeffs(t)
+
+    return dataclasses.replace(m, coeffs=coeffs, unit_basis=None), n
+
+
+def test_polar_pair_steps_a_branch_in_few_calls():
     # on the constant branch sigma stands still while z turns once per
-    # period: over 40 periods the polar pair needs a fraction of the calls
-    m = stepped(models.harmonic())
+    # period: over 40 periods the nonlinear oracle's polar pair needs a
+    # fraction of the calls of the stepped basis, which turns with z
+    model, n = _counted_harmonic()
     calls = []
-    for polar in (False, True):
-        force_pair(polar)
-        n = [0]
-
-        def coeffs(t):
-            n[0] += 1
-            return m.coeffs(t)
-
-        st = ermakov.integrate_ep(dataclasses.replace(m, coeffs=coeffs),
-                                  0.25, (2.0 ** -0.5, 0.0), 0.0, 80 * math.pi)
-        assert np.max(np.abs(st.sigma * 2.0 ** 0.5 - 1.0)) <= 1e-9
+    for run in (verify._nonlinear_run, ermakov.integrate_ep):
+        n[0] = 0
+        st_ = run(model, 0.25, (2.0 ** -0.5, 0.0), 0.0, 80 * math.pi,
+                  np.linspace(0.0, 80 * math.pi, 201))
+        assert np.max(np.abs(st_.sigma * 2.0 ** 0.5 - 1.0)) <= 1e-9
         calls.append(n[0])
-    assert 4 * calls[1] < calls[0]
+    assert 4 * calls[0] < calls[1]
 
+
+def test_the_basis_is_stepped_once_whatever_the_start():
+    # the stepped basis starts from unit data, so its steps, and the
+    # coeffs calls that make them, do not depend on sigma0, sigma0' or K
+    model, n = _counted_harmonic()
+    calls = []
+    for init, K in (((2.0 ** -0.5, 0.0), 0.25), ((1.3, -0.4), 2.0),
+                    ((0.3, 0.2), 0.0)):
+        n[0] = 0
+        ermakov.integrate_ep(model, K, init, 0.0, 1.0)
+        calls.append(n[0])
+    assert calls[0] > 0 and calls.count(calls[0]) == 3
+
+
+# C1 and C2 of the accuracy that --tol buys on the stepped basis, fixed
+# from a sample of 1,400 draws from these boxes at the three rtol (worst
+# 9.8 in sigma, on a hyperbolic kanai_caldirola window at rtol 1e-6, and
+# 4.7 in theta)
+TOL_C1, TOL_C2 = 16.0, 8.0
+TOL_BOXES = {
+    "harmonic": ({"omega0": st.floats(0.5, 2.0)}, (-2.0, 2.0), 40.0),
+    "kanai_caldirola": ({"omega0": st.floats(0.5, 2.0),
+                         "gamma": st.floats(0.0, 1.5)}, (-2.0, 2.0), 40.0),
+    "exp_frequency": ({"omega0": st.floats(0.5, 2.0),
+                       "gamma0": st.floats(0.2, 1.5),
+                       "c": st.floats(0.5, 1.5)}, (-1.0, 2.0), 10.0),
+    "tsquared": ({"m0": st.floats(0.5, 2.0), "c": st.floats(0.5, 1.5)},
+                 (0.5, 2.0), 10.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(list(TOL_BOXES)),
+       rtol=st.sampled_from([1e-6, 1e-8, 1e-10]), K=st.floats(0.1, 2.0),
+       sigma0=st.floats(0.4, 1.5), sigma_dot0=st.floats(-0.5, 0.5))
+def test_tol_bounds_the_error_of_the_stepped_basis(data, name, rtol, K,
+                                                   sigma0, sigma_dot0):
+    # --tol is the stepper's local rtol; against the closed form, the
+    # stepped basis keeps sigma within C1 rtol per period of the basis's
+    # turn (phase error grows with the window) and theta within C2 rtol
+    box, (lo, hi), longest = TOL_BOXES[name]
+    model = models.get_model(name, **data.draw(st.fixed_dictionaries(box)))
+    t0 = data.draw(st.floats(lo, hi))
+    t1 = t0 + data.draw(st.floats(0.5, longest))
+    t_eval = np.linspace(t0, t1, 201)
+    ref = ermakov.integrate_ep(model, K, (sigma0, sigma_dot0), t0, t1,
+                               t_eval=t_eval)
+    got = ermakov.integrate_ep(stepped(model), K, (sigma0, sigma_dot0), t0,
+                               t1, t_eval=t_eval, rtol=rtol)
+    periods = float(model.unit_basis(t0, [t1]).phi[-1]) / (2.0 * math.pi)
+    assert np.max(np.abs(got.sigma / ref.sigma - 1.0)) \
+        <= TOL_C1 * rtol * (1.0 + periods)
+    assert np.max(np.abs(got.theta[1:] / ref.theta[1:] - 1.0)) \
+        <= TOL_C2 * rtol
 
 # the catalog models whose m*omega is constant
 MINIMAL_MODELS = [m for m in models.catalog() if m.name != "kanai_caldirola"]
@@ -403,15 +504,14 @@ def test_closed_form_keeps_its_invariants(omega2, sigma0, sigma_dot0, K, t0,
     # decreases and, for Omega^2 > 0, k keeps its initial value
     model = _kanai_caldirola_with(omega2)
     t_eval = np.linspace(t0, t0 + span, 30)
-    ts, ys = ermakov._propagate(model, K, sigma0, sigma_dot0, t0, t0 + span,
-                                t_eval)
-    x, x_dot, v, v_dot, _, F = ys.T
+    x, x_dot, v, v_dot, _, F = ermakov._propagate(
+        K, sigma0, sigma_dot0, model.unit_basis(t0, t_eval))
     root_k = math.sqrt(K)
     assert np.max(np.abs(x * v_dot - x_dot * v - root_k)) <= 1e-12 * root_k
     assert np.all(F == 0.0)
     st_ = ermakov.integrate_ep(model, K, (sigma0, sigma_dot0), t0, t0 + span,
                                t_eval=t_eval)
-    assert np.array_equal(st_.t, ts)
+    assert np.array_equal(st_.t, t_eval)
     assert np.all(np.diff(st_.theta) >= 0.0)
     w2 = float(models.omega2(model, t0))
     if w2 > 0.0:
@@ -521,9 +621,10 @@ PRODUCT_BOXES = {
        sigma0=st.floats(0.4, 1.5), sigma_dot0=st.floats(-0.5, 0.5))
 def test_closed_form_agrees_with_the_stepper_over_parameters(
         data, name, minimal, K, sigma0, sigma_dot0):
-    # the closed form against the Cartesian pair stepped at rtol 1e-12 with
-    # the basis undeclared, from the minimal start (scaled to K) or off it;
-    # worst over the boxes' corners: 4.4e-10 in k, 2.0e-11 in theta
+    # the closed form against the basis stepped at rtol 1e-12 with the
+    # closed form undeclared, from the minimal start (scaled to K) or off
+    # it; _on_a_branch is patched so that the minimal start, too, takes the
+    # closed form
     box, (lo, hi), longest = PRODUCT_BOXES[name]
     model = models.get_model(name, **data.draw(st.fixed_dictionaries(box)))
     t0 = data.draw(st.floats(lo, hi))
@@ -652,12 +753,13 @@ def test_phase_oscillating_matches_quadrature():
     assert th == pytest.approx(ref, abs=1e-8)
 
 
-@pytest.mark.parametrize("polar", [False, True])
-def test_integrated_phase_matches_the_closed_form(polar, force_pair):
-    # the oscillating branch over three periods, at every row
-    force_pair(polar)
+@pytest.mark.parametrize("undeclared", [False, True])
+def test_integrated_phase_matches_the_closed_form(undeclared):
+    # the oscillating branch over three periods, at every row, on the
+    # declared basis or the stepped one
     s0, sd0 = ermakov.sigma_oscillating(1.0, 2.0, 0.0, 0.0)
-    st = ermakov.integrate_ep(stepped(models.harmonic()), 0.25,
+    model = models.harmonic()
+    st = ermakov.integrate_ep(stepped(model) if undeclared else model, 0.25,
                               (float(s0), float(sd0)), 0.0, 20.0,
                               t_eval=np.linspace(0.0, 20.0, 41))
     ref = [ermakov.phase_oscillating(1.0, 2.0, 0.0, 0.0, float(t))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdo import dopri, ermakov, minimum, models, quantum
+from tdo import ermakov, minimum, models, quantum
 from tdo.errors import NonFiniteResult, ParameterError
 
 SQ2 = 2.0 ** -0.5
@@ -221,32 +221,23 @@ def test_scalar_and_column_paths_agree(name, monkeypatch):
     model = models.get_model(name)
     t0, t1 = CATALOG_WINDOWS[name]
     solved = []
-    # stepped (bessel_type), or in closed form for a declared unit basis:
-    # both give the rows in the same layout
-    for owner, fname in ((dopri, "solve"), (ermakov, "_propagate")):
-        def spy(*args, _route=getattr(owner, fname), _name=fname, **kwargs):
-            solved.append((_name, _route(*args, **kwargs)))
-            return solved[-1][1]
+    # a basis stepped (bessel_type) or declared in closed form: both give
+    # the columns (x, x', v, v', theta, F) of z = x + iv
+    propagate = ermakov._propagate
 
-        monkeypatch.setattr(owner, fname, spy)
+    def spy(*args):
+        solved.append(propagate(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(ermakov, "_propagate", spy)
     traj = ermakov.integrate_ep(model, 0.25, (0.9, 0.1), t0, t1,
                                 t_eval=np.linspace(t0, t1, 50))
-    (route, (ts, ys)), = solved
-    assert np.array_equal(traj.t, ts)
-    # the rows' state is (x, x', v, v', theta, F) with sigma = |x + iv|
-    # and theta = arg(x + iv) / sqrt(K) on the stepped theta's turn; the
-    # stepper carries F/s with s = max(1, rtol |k0| / atol)
-    x, x_dot, v, v_dot, theta, F = ys.T
+    (x, x_dot, v, v_dot, theta, F), = solved
     sigma = np.hypot(x, v)
-    turn = np.arctan2(v, x) - 0.5 * theta
-    turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
-    k0 = ermakov.conserved_k(0.9, 0.1, model.coeffs(float(t0))[0], 0.25)
-    s = max(1.0, 1e-10 * abs(k0) / 1e-12) if route == "solve" else 1.0
     assert np.array_equal(traj.sigma, sigma)
     assert np.array_equal(traj.sigma_dot, (x * x_dot + v * v_dot) / sigma)
-    assert np.array_equal(traj.theta,
-                          np.maximum.accumulate(theta + turn / 0.5))
-    assert np.array_equal(traj.F, s * F)
+    assert np.array_equal(traj.theta, theta)
+    assert np.array_equal(traj.F, F)
 
     hbar = 0.7
     ref = quantum.default_reference(model, t0)

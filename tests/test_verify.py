@@ -84,17 +84,18 @@ REPORT_ROWS = [
 
 
 def test_shared_trajectory_is_integrated_once_per_call(monkeypatch):
-    # each trajectory is integrated once per call; ermakov and quantum each
-    # evaluate the harmonic oscillating branch, which costs microseconds in
-    # closed form, so they share none
+    # each trajectory, through integrate_ep or the nonlinear oracle, is
+    # integrated once per call; ermakov and quantum each evaluate the
+    # harmonic oscillating branch, which costs microseconds in closed form,
+    # so they share none
     calls = []
-    integrate_ep = ermakov.integrate_ep
+    for owner, name in ((ermakov, "integrate_ep"),
+                        (verify, "_nonlinear_run")):
+        def counted(*args, _run=getattr(owner, name), **kwargs):
+            calls.append(args[0].name)
+            return _run(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].name)
-        return integrate_ep(*args, **kwargs)
-
-    monkeypatch.setattr(ermakov, "integrate_ep", counted)
+        monkeypatch.setattr(owner, name, counted)
     first = verify.run_suite("all")
     assert len(calls) == 15
     timings = {}
