@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import ermakov, g17, minimum, models, quantum, series, verify
-from .errors import TdoError
+from .errors import NonFiniteResult, TdoError
 
 ENV_CONFIG = "TDO_DEFAULT_CONFIG"
 # the columns of every output row are held in memory; their text is not
@@ -416,6 +416,13 @@ def cmd_check_min(res):
     report = minimum.check_criterion(
         model, tol=_positive(res, "tol", minimum.CRITERION_TOL),
         t0=t0, t1=t1, samples=samples)
+    # m*omega near the float range's ends leaves c or the violation inf or
+    # nan, which JSON cannot hold
+    if not math.isfinite(report.c + report.max_violation):
+        raise NonFiniteResult(
+            f"{model.name}: the criterion report on the window [{t0!r}, "
+            f"{t1!r}] is not finite (c={report.c!r}, "
+            f"max_violation={report.max_violation!r})")
     _write_json(_value(res, "out", "-"), report.to_json_dict())
     return 0
 

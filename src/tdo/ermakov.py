@@ -212,8 +212,8 @@ def integrate_ep(model, K, init, t0, t1, t_eval=None, rtol=1e-10):
     unit basis C, S of the linear equation from t0.  The basis is the
     model's declared one (`ModelDescriptor.unit_basis`) when K > 0, and is
     otherwise stepped from unit data (`_stepped_basis`): on bessel_type,
-    tables, K = 0 and, on a time-dependent Omega^2 (d(Omega^2)/dt != 0
-    at t0), from a start on the minimal branch (`_on_a_branch`).  Returns
+    K = 0 and, on a time-dependent Omega^2 (d(Omega^2)/dt != 0 at t0),
+    from a start on the minimal branch (`_on_a_branch`).  Returns
     one ErmakovState of columns at t_eval (default: 201 uniform times).
 
     Raises NonFiniteResult when k0 or a column leaves the floating-point

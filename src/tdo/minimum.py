@@ -4,9 +4,9 @@ When the product of mass and frequency is constant, sigma = c*sqrt(m) solves
 the auxiliary equation exactly, the uncertainty product sits at hbar/2 for
 all times, the transformation coefficients freeze at (mu, nu) = (1, 0), and
 the phase reduces to 2*integral(omega).  The checker estimates c from the
-median of m*omega over a sampling window so endpoint noise in tabulated
-data cannot skew it.  A minimal-branch trajectory is one `ErmakovState` of
-columns; the state at a single time is the last row of a two-point grid.
+median of m*omega over a sampling window, so a few outlying samples cannot
+skew it.  A minimal-branch trajectory is one `ErmakovState` of columns; the
+state at a single time is the last row of a two-point grid.
 
 On the branch the phase theta = 2*integral(omega) and the balance term
 F = c^2*integral(m dOmega^2/dt) are integrals of the coefficients alone.
@@ -221,13 +221,3 @@ def mass_constraint_residual(mmodel, t):
     w2 = np.asarray(models.omega2(base, t), dtype=float)
     return 2.0 * m * mdd - md * md + 4.0 * w2 * m * m - 1.0 / c ** 4
 
-
-def minimum_eom_residual(mmodel, q, dq, d2q, t):
-    """q'' - (omega'/omega) q' + omega^2 q of the reduced minimal dynamics."""
-    base = mmodel.base
-    base.domain.require(t)
-    w = float(base.omega(t))
-    if w == 0.0:
-        raise DomainError("omega(t) must be nonzero")
-    wd = float(base.omega_dot(t))
-    return d2q(t) - wd / w * dq(t) + w * w * q(t)

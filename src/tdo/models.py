@@ -7,15 +7,13 @@ domain.  Derived quantities follow the damping-elimination convention:
     Omega2(t) = omega^2 - M'/2 - M^2/4       (effective squared frequency)
 
 and the equation of motion is q'' + M q' + omega^2 q = 0.  The catalog holds
-five concrete families; user data enters through tabulated CSV samples with
-quintic-spline interpolation.  Where the reduced linear equation z'' +
-Omega^2 z = 0 has a closed-form basis, the model declares it
-(`ModelDescriptor.unit_basis`): the constant-Omega^2 families, and the
-families whose m*omega is constant, where z = sqrt(m) (cos, sin) of the
-integral of omega.
+five concrete families, the paper's exactly solved examples.  Where the
+reduced linear equation z'' + Omega^2 z = 0 has a closed-form basis, the
+model declares it (`ModelDescriptor.unit_basis`): the constant-Omega^2
+families, and the families whose m*omega is constant, where z = sqrt(m)
+(cos, sin) of the integral of omega.
 """
 
-import csv
 import inspect
 import math
 from dataclasses import dataclass, field, replace
@@ -67,9 +65,8 @@ class ModelDescriptor:
     where no closed form is known, where `ermakov.integrate_ep` steps the
     basis instead.  The constant-Omega^2 families (harmonic,
     kanai_caldirola) and the families that keep m*omega constant in closed
-    form (exp_frequency, tsquared) declare it; bessel_type and tables leave
-    it None.  Instances are immutable; every operation on them is a pure
-    function.
+    form (exp_frequency, tsquared) declare it; bessel_type leaves it None.
+    Instances are immutable; every operation on them is a pure function.
     """
 
     name: str
@@ -342,7 +339,12 @@ def omega2_dot(model, t):
 
 
 def eom_residual(model, q, dq, d2q, t):
-    """q'' + M q' + omega^2 q for a trajectory given with two derivatives."""
+    """q'' + M q' + omega^2 q for a trajectory given with two derivatives.
+
+    Under the minimum-uncertainty criterion m*omega is constant, so M =
+    -omega'/omega and this is also the paper's reduced minimal dynamics
+    q'' - (omega'/omega) q' + omega^2 q.
+    """
     model.domain.require(t)
     M = damping_coefficient(model, t)
     return d2q(t) + M * dq(t) + model.omega(t) ** 2 * q(t)
@@ -436,82 +438,6 @@ def tsquared_solution(m0=1.0, c=1.0, c1=1.0, c2=0.0):
         return -p * (b / t ** 2) ** 2 + d * (2.0 * b / t ** 3)
 
     return q, dq, d2q
-
-
-# ---------------------------------------------------------------------------
-# tabulated models
-
-def tabulated_from_csv(path, name="tabulated"):
-    """Model from CSV samples with header `t,m,omega`.
-
-    Requires UTF-8 text, at least 6 rows of three finite numbers, strictly
-    increasing times, m and omega positive on the rows and on a grid 8x
-    finer, and on that grid finite splines, spline derivatives and
-    (Omega^2, dOmega^2/dt).  Both are quintic splines (`make_interp_spline`,
-    k=5), so `coeffs` is the catalog models' expression on spline
-    derivatives, continuous up to m'''.  Every malformed table raises
-    ParameterError.
-    """
-    from scipy.interpolate import make_interp_spline
-
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ParameterError(f"tabulated model CSV is unreadable: {exc}")
-    if not rows or [c.strip() for c in rows[0]] != ["t", "m", "omega"]:
-        raise ParameterError("tabulated model CSV must start with header t,m,omega")
-    if len(rows[1:]) < 6:
-        raise ParameterError("tabulated model needs at least 6 rows")
-    try:
-        data = np.array([[float(x) for x in row] for row in rows[1:]])
-    except ValueError:  # a cell that is not a number, or rows of unequal length
-        data = np.empty(0)
-    if data.shape[1:] != (3,) or not np.isfinite(data).all():
-        raise ParameterError("tabulated rows must hold three finite numbers t,m,omega")
-    t, m, w = data.T
-    if np.any(np.diff(t) <= 0.0):
-        raise ParameterError("tabulated times must be strictly increasing")
-    if np.any(data[:, 1:] <= 0.0):
-        raise ParameterError("tabulated m and omega must be positive")
-
-    # extreme spacings or values overflow to inf or nan, rejected below
-    with np.errstate(all="ignore"):
-        try:
-            m_sp = make_interp_spline(t, m, k=5)
-            w_sp = make_interp_spline(t, w, k=5)
-            # knots that coincide in floats leave no derivative
-            m_dot, m_ddot, m_dddot = (m_sp.derivative(k) for k in (1, 2, 3))
-            w_dot = w_sp.derivative(1)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise ParameterError(f"tabulated times admit no spline: {exc}")
-        parts = (m_sp, m_dot, m_ddot, m_dddot, w_sp, w_dot)
-        fine = np.linspace(t[:-1], t[1:], 8, endpoint=False)
-        values = [f(fine) for f in parts]
-        if np.any(values[0] <= 0.0) or np.any(values[4] <= 0.0):
-            raise ParameterError("interpolated m and omega must stay positive "
-                                 "between the rows")
-        if not all(np.isfinite(v).all()
-                   for v in (*values, *_omega2_pair(*values))):
-            raise ParameterError("interpolated m, omega and Omega^2 must stay "
-                                 "finite between the rows")
-
-    def coeffs(t):
-        if isinstance(t, float):
-            return _omega2_pair(*(float(f(t)) for f in parts))
-        return _omega2_pair(*(f(t) for f in parts))
-
-    return ModelDescriptor(
-        name=name,
-        m=m_sp,
-        m_dot=m_dot,
-        m_ddot=m_ddot,
-        omega=w_sp,
-        omega_dot=w_dot,
-        coeffs=coeffs,
-        domain=Domain(lo=float(t[0]), hi=float(t[-1])),
-        params={"rows": int(data.shape[0])},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -398,16 +398,6 @@ def theta_series(series, t0, t1):
     return theta(t1) - theta(t0)
 
 
-def omega_series(series, t):
-    """omega(t) evaluated through the reciprocal series (not via 1/alpha)."""
-    t = np.asarray(t, dtype=float)
-    t2 = t * t
-    acc = np.zeros_like(t)
-    for k in range(series.order - 1, -1, -1):
-        acc = acc * t2 + series.a_tilde[k]
-    return series.omega0 / (series.a1 * t) * acc
-
-
 def bessel_reduction_check(Omega0, k0, nu, t_grid):
     """Max residual of y'' + Omega0^2 (k0^2 + nu^2/t^2) y for y = sqrt(t) Z_rho(l t).
 

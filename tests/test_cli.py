@@ -678,11 +678,26 @@ def test_step_size_underflow_is_solver_error(tmp_path, capsys):
                          "--t1", "1", "--dt-out", "0.5"],
                  "ParameterError", ["reference m0 omega0 = 1e-320"],
                  id="reference-product-underflows"),
+    # m*omega under- and overflows at gamma0 = 800; the report once went
+    # out as JSON with NaN or Infinity and exit 0
+    pytest.param(["check-min", "--model", "exp_frequency", "--gamma0", "800",
+                  "--t0", "-1", "--t1", "1"],
+                 "NonFiniteResult", ["exp_frequency", "[-1.0, 1.0]",
+                                     "c=nan, max_violation=nan"],
+                 id="check-min-report-is-nan"),
+    pytest.param(["check-min", "--model", "exp_frequency", "--gamma0", "800",
+                  "--t0", "0", "--t1", "0.92"],
+                 "NonFiniteResult", ["exp_frequency", "[0.0, 0.92]",
+                                     "max_violation=inf"],
+                 id="check-min-violation-is-inf"),
 ])
 def test_solver_errors_exit_3_with_one_line(tmp_path, capsys, argv, kind,
                                             fragments):
-    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 3
-    err, = capsys.readouterr().err.splitlines()
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err, = captured.err.splitlines()
     assert err.startswith(kind + ":")
     assert all(fragment in err for fragment in fragments)
 
@@ -1206,6 +1221,10 @@ def _fuzz_value(key, value, tmp):
     return value
 
 
+def _reject_constant(name):
+    raise AssertionError(f"stdout JSON holds {name}")
+
+
 @settings(max_examples=200, deadline=None)
 @given(command=st.sampled_from(["catalog", "solve", "uncertainty", "verify",
                                 "series", "check-min"]),
@@ -1245,12 +1264,15 @@ def test_fuzzed_command_lines_exit_with_one_line(command, model, window,
             argv += ["=".join(pair)] if join else pair
         if stray is not None:
             argv.insert(stray[0] % (len(argv) + 1), stray[1])
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     err = err.getvalue()
     assert "Traceback" not in err
     assert err.count("\n") + err.count("\r") + len(caught) <= 1, \
         (err, [str(w.message) for w in caught])
+    # JSON on stdout is strict JSON: no NaN, Infinity or -Infinity
+    out = out.getvalue()
+    if code == 0 and out.startswith("{"):
+        json.loads(out, parse_constant=_reject_constant)

@@ -104,37 +104,6 @@ def test_minimal_branch_solves_auxiliary_equation():
         assert theta == pytest.approx(ref.theta, abs=1e-8)
 
 
-def test_minimum_eom_residual_closed_forms():
-    me = models.exp_frequency(omega0=1.0, gamma0=1.0)
-    mme = minimum.minimum_model(me)
-    q, dq, d2q = models.exp_frequency_solution(c1=0.7, c2=-0.4)
-    for t in np.linspace(0.0, 2.0, 21):
-        assert abs(minimum.minimum_eom_residual(mme, q, dq, d2q, t)) < 1e-9
-
-    mt = models.tsquared(m0=1.0, c=2.0 ** -0.5)
-    mmt = minimum.minimum_model(mt, t0=0.4, t1=3.0)
-    q, dq, d2q = models.tsquared_solution(m0=1.0, c=2.0 ** -0.5, c1=0.3, c2=0.9)
-    for t in (0.5, 1.0, 2.0):
-        assert abs(minimum.minimum_eom_residual(mmt, q, dq, d2q, t)) < 1e-9
-
-
-def test_minimum_eom_residual_zero_trajectory():
-    mm = minimum.minimum_model(models.exp_frequency())
-    z = lambda t: 0.0
-    assert minimum.minimum_eom_residual(mm, z, z, z, 1.0) == 0.0
-
-
-def test_minimum_eom_matches_base_eom_under_criterion():
-    # with m*omega constant, M = -omega'/omega, so both residuals coincide
-    m = models.exp_frequency()
-    mm = minimum.minimum_model(m)
-    q, dq, d2q = models.exp_frequency_solution(c1=0.2, c2=1.1)
-    for t in np.linspace(0.0, 2.0, 11):
-        a = models.eom_residual(m, q, dq, d2q, t)
-        b = minimum.minimum_eom_residual(mm, q, dq, d2q, t)
-        assert abs(a - b) < 1e-10
-
-
 def test_saturation_and_identity_along_minimal_trajectories():
     for model, (lo, hi) in MINIMAL:
         mm = minimum.minimum_model(model, t0=lo, t1=hi)

@@ -6,22 +6,17 @@ Omega^2 = omega^2 - M'/2 - M^2/4, or a finite-difference cross-check of the
 analytic derivatives.
 """
 
-import dataclasses
 import inspect
-import itertools
 import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from tdo import ermakov, models
+from tdo import models
 from tdo.errors import DomainError, ParameterError
 
 
@@ -122,16 +117,12 @@ def test_analytic_derivatives_match_finite_differences(name, window):
         assert abs(fd(model.omega, t, h) - wd) <= 1e-6 * (1.0 + abs(wd))
 
 
-@pytest.mark.parametrize("name,window",
-                         CATALOG_WINDOWS + [("tabulated", (0.2, 1.8))])
-def test_coeffs_on_a_float_match_the_array_path(name, window, tmp_path):
+@pytest.mark.parametrize("name,window", CATALOG_WINDOWS)
+def test_coeffs_on_a_float_match_the_array_path(name, window):
     # the float path may use libm where the array path uses numpy; measured
     # against the column's largest magnitude, since Omega^2 = w^2 - gamma0^2/4
     # cancels near its zero
-    if name == "tabulated":
-        model = _table(tmp_path, models.bessel_type(), 0.1, 1.9)
-    else:
-        model = models.get_model(name)
+    model = models.get_model(name)
     ts = np.linspace(*window, 101)
     columns = model.coeffs(ts)
     for i, t in enumerate(ts.tolist()):
@@ -205,168 +196,9 @@ def test_bessel_type_product_is_constant():
     assert np.max(np.abs(prod / prod[0] - 1.0)) < 1e-9
 
 
-# --- tabulated models -------------------------------------------------------
-
-def _write_table(path, model, lo, hi, n=60):
-    ts = np.linspace(lo, hi, n)
-    lines = ["t,m,omega"]
-    for t in ts:
-        lines.append(f"{t:.12g},{float(model.m(t)):.12g},"
-                     f"{float(model.omega(t)):.12g}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _table(tmp_path, model, lo, hi, n=60):
-    csv_path = tmp_path / "model.csv"
-    _write_table(csv_path, model, lo, hi, n)
-    return models.tabulated_from_csv(csv_path)
-
-
-def _counted_run(model, init, lo, hi):
-    """Final sigma of a stepped run at rtol 1e-10, and the model's `coeffs`
-    calls.  A declared unit basis is dropped, as a table has none, so a
-    catalog model and its table both take the stepper."""
-    calls = [0]
-
-    def coeffs(t):
-        calls[0] += 1
-        return model.coeffs(t)
-
-    run = ermakov.integrate_ep(
-        dataclasses.replace(model, coeffs=coeffs, unit_basis=None),
-        ermakov.DEFAULT_K, init, lo, hi, rtol=1e-10)
-    return float(run.sigma[-1]), calls[0]
-
-
-def test_tabulated_model_roundtrip(tmp_path):
-    src = models.kanai_caldirola(omega0=1.0, gamma=0.5)
-    tab = _table(tmp_path, src, 0.0, 2.0)
-    ts = np.linspace(0.2, 1.8, 20)
-    for t in ts:
-        md = float(src.m_dot(t))
-        assert abs(float(tab.m_dot(t)) - md) <= 1e-8 * (1.0 + abs(md))
-        assert float(tab.omega(t)) == pytest.approx(1.0, abs=1e-10)
-    for ref, got, tol in zip(src.coeffs(ts), tab.coeffs(ts), (1e-7, 1e-5)):
-        assert np.max(np.abs(got - ref)) <= tol
-    with pytest.raises(DomainError):
-        tab.domain.require(5.0)
-
-
-def test_kanai_caldirola_table_integrates_like_the_model(tmp_path):
-    # a C1 interpolant such as PCHIP needs 64-74x the analytic model's coeffs
-    # calls here, and ends with sigma off by 1.7e-4
-    src = models.kanai_caldirola(gamma=0.5)
-    tab = _table(tmp_path, src, 0.0, 10.0, n=60)
-    ref, ref_calls = _counted_run(src, (1.0, 0.0), 0.0, 10.0)
-    got, calls = _counted_run(tab, (1.0, 0.0), 0.0, 10.0)
-    assert calls <= 3 * ref_calls
-    assert abs(got - ref) <= 1e-6 * abs(ref)
-
-
-TABLE_CASES = [
-    (models.harmonic(omega0=1.3), (0.0, 10.0), (1.0, 0.0)),
-    (models.kanai_caldirola(gamma=0.5), (0.0, 10.0), (1.0, 0.0)),
-    (models.exp_frequency(gamma0=0.3), (0.0, 10.0), (1.0, 0.0)),
-    (models.tsquared(), (0.5, 3.0), (1.0, 0.0)),
-    (models.bessel_type(), (0.1, 1.5), (0.3, 0.2)),
-]
-
-
-@pytest.mark.parametrize("model,window,init", TABLE_CASES,
-                         ids=[case[0].name for case in TABLE_CASES])
-def test_catalog_models_as_tables(tmp_path, model, window, init):
-    tab = _table(tmp_path, model, *window, n=120)
-    ref, ref_calls = _counted_run(model, init, *window)
-    got, calls = _counted_run(tab, init, *window)
-    assert calls <= 3 * ref_calls
-    assert abs(got - ref) <= 1e-6 * abs(ref)
-
-
-def test_tabulated_model_validation(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("x,y,z\n0,1,1\n1,1,1\n2,1,1\n3,1,1\n")
-    with pytest.raises(ParameterError):
-        models.tabulated_from_csv(p)
-    good = ["0,1,1", "1,1,1", "2,1,1", "3,1,1", "4,1,1", "5,1,1"]
-    for rows in (
-            good[:5],  # too few rows
-            good[:2] + ["1,1,1"] + good[3:],  # not strictly increasing
-            good[:1] + ["1,-1,1"] + good[2:],  # nonpositive mass
-            good[:1] + ["1,1,0"] + good[2:],  # nonpositive frequency
-            good[:1] + ["1,one,1"] + good[2:],  # not a number
-            good[:1] + ["1,1"] + good[2:],  # short row
-            good[:1] + ["1,nan,1"] + good[2:],
-            good[:1] + ["1,1,inf"] + good[2:],
-            # positive rows whose spline dips below zero between them
-            ["0,1,1", "1,1,1", "2,0.01,1", "3,0.01,1", "4,1,1", "5,1,1"],
-            # spacings and values whose splines leave the float range
-            [f"{i * 5e-324!r},1,1" for i in range(6)],
-            [f"{t!r},1,1" for t in (0, 1e-300, 1, 2, 3, 1e300)],
-            [f"{i * 1e-300!r},1,1" for i in range(6)],
-            [f"{i},1e308,1e308" for i in range(6)],
-            # times that coincide in the spline's knots leave no derivative
-            ["0,1,1", "0.5,1,1", "1.4292214118743862e+16,1,1",
-             "1.4292214118743864e+16,1,1",
-             "1.4292214118743872e+16,1,2.1829503385535998e+291",
-             "5.180175099163013e+16,1,1"]):
-        p.write_text("\n".join(["t,m,omega"] + rows) + "\n")
-        with pytest.raises(ParameterError), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            models.tabulated_from_csv(p)
-    p.write_bytes(b"t,m,omega\n0,1,1\n1,1,1\n2,1,1\n3,1,\xff\n4,1,1\n5,1,1\n")
-    with pytest.raises(ParameterError):  # not UTF-8
-        models.tabulated_from_csv(p)
-    p.write_text("\n".join(["t,m,omega"] + good) + "\n")
-    assert models.tabulated_from_csv(p).params == {"rows": 6}
-
-
-_CELLS = st.one_of(
-    st.floats().map(repr),
-    st.sampled_from(["", "-0", "5e-324", "1e-300", "1e300", "1e308", "x",
-                     " 1", "1,", '"1"']),
-    st.text(max_size=4))
-
-
-@st.composite
-def _increasing_tables(draw):
-    """Strictly increasing times with spacings and values from every scale."""
-    n = draw(st.integers(6, 9))
-    steps = draw(st.lists(
-        st.one_of(st.floats(0.1, 10.0), st.floats(5e-324, 1e299)),
-        min_size=n - 1, max_size=n - 1))
-    start = draw(st.one_of(st.just(0.0), st.floats(-1e300, 1e300)))
-    values = st.one_of(st.floats(0.1, 10.0), st.floats(5e-324, 1e308))
-    rows = [f"{t!r},{draw(values)!r},{draw(values)!r}"
-            for t in itertools.accumulate([start] + steps)]
-    return "\n".join(["t,m,omega"] + rows) + "\n"
-
-
-_CSV_TEXTS = st.one_of(
-    _increasing_tables(),
-    _increasing_tables(),
-    st.lists(st.lists(_CELLS, min_size=2, max_size=4).map(",".join),
-             min_size=5, max_size=8).map(
-        lambda rows: "\n".join(["t,m,omega"] + rows) + "\n"),
-    st.text(max_size=60))
-
-
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=st.one_of(_CSV_TEXTS.map(str.encode), st.binary(max_size=60)))
-def test_any_csv_text_gives_a_model_or_a_parameter_error(tmp_path, text):
-    p = tmp_path / "fuzz.csv"
-    p.write_bytes(text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            assert isinstance(models.tabulated_from_csv(p),
-                              models.ModelDescriptor)
-        except ParameterError:
-            pass
-
-
 def test_import_leaves_scipy_interpolate_unloaded():
-    # tables import scipy.interpolate on first use, not at `import tdo`
+    # no module of the package imports scipy.interpolate (test_imports.py
+    # pins the package's scipy imports), and `import tdo` loads none of it
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

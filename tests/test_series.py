@@ -182,14 +182,10 @@ def test_theta_series_empty_interval_and_guard():
         series.theta_series(s, -1.0, 0.5)
 
 
-def test_omega_series_matches_reciprocal_of_alpha():
-    s = series.build_series(1.0, 2.0, 1.0, 10)
-    ts = np.linspace(0.1, 0.8, 40)
-    np.testing.assert_allclose(series.omega_series(s, ts),
-                               1.0 / s.alpha(ts), rtol=1e-10)
-
-
 def test_appendix_a3_candidates_disagree_in_general():
+    # one printed equation of the paper's appendix has nu^2 where the
+    # recursion has lam^2; appendix_a3_candidates keeps that misprint on
+    # record, and the recursion's value is the one the package uses
     cands = series.appendix_a3_candidates(1.0, 2.0, 1.0, nu=1.0)
     a1 = 2.0 / math.sqrt(3.0)
     assert cands["recursion"] == pytest.approx(-a1 / 14.0, rel=1e-13)
